@@ -26,7 +26,6 @@ from .spaces import (
     UltrametricSpace,
     ball_tree,
     banaschewski,
-    clopen_closure,
     inclusion_map,
     ultrafilters,
     zeta_embedding_check,

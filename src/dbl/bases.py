@@ -20,7 +20,6 @@ from .scalars import RingDescriptor
 from .spaces import BallNode, FiniteSpace, UltrametricSpace, ball_tree
 from .functions import CfinFunction
 
-MAX_VDP_LEVEL = 4096
 MAX_MAHLER_LEVEL = 1024
 
 
@@ -108,9 +107,7 @@ def vdp_basis_level(p: int, k: int) -> BasisFamily:
     Each set is a ball for the p-adic metric.
     """
     size = p**k
-    if size > MAX_VDP_LEVEL:
-        raise SizeExceeded(f"p^k = {size} > {MAX_VDP_LEVEL}")
-    space = FiniteSpace.discrete(size)
+    space = FiniteSpace.discrete(size)  # raises SizeExceeded above MAX_POINTS
     clopens = [frozenset(range(size))]
     for n in range(1, size):
         q = p
@@ -244,9 +241,7 @@ def mahler_level_unimodular(p: int, k: int) -> dict:
 def mahler_family(p: int, k: int) -> BasisFamily:
     """Truncated binomials as a basis family on the discrete space Z/p^k."""
     size = p**k
-    if size > MAX_VDP_LEVEL:
-        raise SizeExceeded(f"p^k = {size} > {MAX_VDP_LEVEL}")
-    space = FiniteSpace.discrete(size)
+    space = FiniteSpace.discrete(size)  # raises SizeExceeded above MAX_POINTS
     rows = tuple(
         tuple(comb(x, n) for x in range(size)) for n in range(size)
     )

@@ -42,7 +42,9 @@ def _ring(args) -> RingDescriptor:
 def cmd_space(args) -> list[dict]:
     obj = _read_json_input(args)
     space = (
-        FiniteSpace.from_json(obj["space"] if "space" in obj else obj)
+        FiniteSpace.from_json(
+            obj["space"] if isinstance(obj, dict) and "space" in obj else obj
+        )
         if obj
         else fixtures.glued_pairs()
     )

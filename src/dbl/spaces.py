@@ -1,11 +1,15 @@
 """Finite topological spaces, clopen algebra, and finite ultrametric spaces.
 
-A FiniteSpace is given by a generating family of open sets; the full
-topology is its closure under union and intersection (point counts are
-capped so this stays an exhaustive enumeration).  Quasi-components — the
-intersections of all clopens containing a point — are the finite-stage
-fibers of the map to the Banaschewski compactification, which here is just
-the discrete space of quasi-components.
+A finite topology is stored as its specialization preorder: up[x] is the
+smallest open set containing x, the intersection of the generating opens
+that contain x (Stong 1966; Barmak, LNM 2032).  Opens are the up-sets of
+that preorder, continuity is monotonicity, and a subspace restricts the
+preorder.  Quasi-components — the intersections of all clopens containing
+a point — are the connected components of the graph joining x to up[x];
+they are the finite-stage fibers of the map to the Banaschewski
+compactification, which here is just the discrete space of
+quasi-components.  Spaces have at most MAX_POINTS points; listing opens
+or clopens stops at MAX_LISTED sets.
 """
 
 from __future__ import annotations
@@ -16,176 +20,144 @@ from functools import cached_property
 
 from .errors import NotClopen, NotContinuous, SizeExceeded
 
-MAX_POINTS = 12
-MAX_DISCRETE_POINTS = 24
+MAX_POINTS = 32
+MAX_LISTED = 4096
 
 
 def _canon(points) -> tuple[int, ...]:
     return tuple(sorted(points))
 
 
-class FiniteSpace:
-    """A finite topological space on points 0..n-1.
+def _unions(pieces) -> tuple[frozenset, ...]:
+    """Every union of some of the pieces, in canonical order."""
+    found = {frozenset()}
+    for P in pieces:
+        found |= {U | P for U in found}
+        if len(found) > MAX_LISTED:
+            raise SizeExceeded(f"more than {MAX_LISTED} sets to list")
+    return tuple(sorted(found, key=_canon))
 
-    Generic spaces are capped at 12 points so the topology closure stays
-    an exhaustive enumeration.  Discrete spaces have a fast path up to 24
-    points that never materializes the powerset; operations that would
-    enumerate it (opens, clopens) still work below the generic cap.
+
+class FiniteSpace:
+    """A finite topological space on points 0..n-1, at most MAX_POINTS.
+
+    up[x] is the smallest open set containing x; equality and hashing
+    compare these, so two generating families of one topology give equal
+    spaces.
     """
 
-    def __init__(self, n: int, generating_opens=(), _discrete: bool = False):
+    def __init__(self, n: int, generating_opens=()):
         if n < 0:
             raise ValueError("point count must be >= 0")
-        self._discrete = _discrete
-        if _discrete:
-            if n > MAX_DISCRETE_POINTS:
-                raise SizeExceeded(f"{n} points > cap {MAX_DISCRETE_POINTS}")
-        elif n > MAX_POINTS:
+        if n > MAX_POINTS:
             raise SizeExceeded(f"{n} points > cap {MAX_POINTS}")
         self.n = n
         self.points = tuple(range(n))
-        if not _discrete:
-            full = frozenset(range(n))
-            gens = {frozenset(U) for U in generating_opens}
-            for U in gens:
-                if not U <= full:
-                    raise ValueError(
-                        f"open set {sorted(U)} not within 0..{n - 1}"
-                    )
-            gens |= {frozenset(), full}
-            self.opens = self._close(gens)
-            self._discrete = len(self.opens) == 2**n
-
-    @cached_property
-    def opens(self) -> frozenset:  # only reached on the discrete fast path
-        if self.n > MAX_POINTS:
-            raise SizeExceeded(
-                f"powerset of {self.n} points exceeds the enumeration cap"
-            )
-        from itertools import combinations
-
-        subsets = [
-            frozenset(c)
-            for size in range(self.n + 1)
-            for c in combinations(range(self.n), size)
-        ]
-        return frozenset(subsets)
-
-    @staticmethod
-    def _close(family):
-        family = set(family)
-        while True:
-            new = set()
-            fam = list(family)
-            for i, A in enumerate(fam):
-                for B in fam[i + 1 :]:
-                    u = A | B
-                    if u not in family:
-                        new.add(u)
-                    v = A & B
-                    if v not in family:
-                        new.add(v)
-            if not new:
-                return frozenset(family)
-            family |= new
+        full = frozenset(self.points)
+        gens = [frozenset(U) for U in generating_opens]
+        for U in gens:
+            if not U <= full:
+                raise ValueError(f"open set {sorted(U)} not within 0..{n - 1}")
+        self.up = tuple(
+            full.intersection(*(U for U in gens if x in U)) for x in self.points
+        )
 
     @staticmethod
     def discrete(n: int) -> "FiniteSpace":
-        return FiniteSpace(n, _discrete=True)
+        # a generator, so that the point cap is checked before it is built
+        return FiniteSpace(n, (frozenset([x]) for x in range(n)))
 
     @staticmethod
     def sierpinski() -> "FiniteSpace":
         # open point 1, closed point 0
         return FiniteSpace(2, [frozenset([1])])
 
+    @cached_property
+    def opens(self) -> tuple[frozenset, ...]:
+        """Every open set (the unions of the sets up[x]), in canonical order."""
+        return _unions(self.up)
+
     def is_open(self, U) -> bool:
-        if self._discrete:
-            return frozenset(U) <= frozenset(range(self.n))
-        return frozenset(U) in self.opens
+        U = frozenset(U)
+        return U <= frozenset(self.points) and all(self.up[x] <= U for x in U)
 
     def is_closed(self, K) -> bool:
-        return self.is_open(frozenset(range(self.n)) - frozenset(K))
+        return self.is_open(frozenset(self.points) - frozenset(K))
 
     def is_clopen(self, U) -> bool:
         U = frozenset(U)
-        return self.is_open(U) and self.is_closed(U)
+        return U <= frozenset(self.points) and all(
+            block <= U or not block & U for block in self.quasi_components
+        )
 
     @cached_property
     def clopens(self) -> tuple[frozenset, ...]:
-        found = [U for U in self.opens if self.is_closed(U)]
-        return tuple(sorted(found, key=_canon))
+        """Every clopen set (the unions of quasi-components), in canonical order."""
+        return _unions(self.quasi_components)
 
     @cached_property
     def quasi_components(self) -> tuple[frozenset, ...]:
-        """Partition of the points; block of x = meet of clopens containing x."""
-        if self._discrete:
-            return tuple(frozenset([x]) for x in range(self.n))
-        blocks = []
-        seen = set()
-        for x in range(self.n):
-            if x in seen:
-                continue
-            block = frozenset(range(self.n))
-            for U in self.clopens:
-                if x in U:
-                    block &= U
-            blocks.append(block)
-            seen |= block
+        """Partition of the points; block of x = meet of clopens containing x.
+
+        In a finite space these are the connected components of the graph
+        joining each x to every point of up[x].
+        """
+        blocks: list[frozenset] = []
+        for U in self.up:
+            meets = [b for b in blocks if b & U]
+            blocks = [b for b in blocks if not b & U] + [U.union(*meets)]
         return tuple(sorted(blocks, key=min))
 
+    @cached_property
+    def _component_of(self) -> dict[int, int]:
+        return {x: i for i, block in enumerate(self.quasi_components) for x in block}
+
     def component_index(self, x: int) -> int:
-        for i, block in enumerate(self.quasi_components):
-            if x in block:
-                return i
-        raise ValueError(f"point {x} outside the space")
+        if x not in self._component_of:
+            raise ValueError(f"point {x} outside the space")
+        return self._component_of[x]
 
     @property
     def is_discrete(self) -> bool:
-        return self._discrete
+        return all(len(U) == 1 for U in self.up)
 
     def clopen_component_indices(self, U) -> frozenset:
         """Indices of the quasi-components making up a clopen U."""
         U = frozenset(U)
         if not self.is_clopen(U):
             raise NotClopen(f"{sorted(U)} is not clopen")
-        return frozenset(
-            i for i, block in enumerate(self.quasi_components) if block <= U
-        )
+        return frozenset(self._component_of[x] for x in U)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        if self._discrete and other._discrete:
-            return True
-        return self.opens == other.opens
+        return self.up == other.up
 
     def __hash__(self):
-        # weak on purpose: equality may hold across discrete/materialized
-        # representatives, and big discrete spaces must not enumerate opens
-        return hash(("FiniteSpace", self.n))
+        return hash(self.up)
 
     def __repr__(self):
-        return f"FiniteSpace(n={self.n}, opens={len(self.opens)})"
+        return f"FiniteSpace(n={self.n}, up={[sorted(U) for U in self.up]})"
 
     def to_json(self):
-        return {
-            "points": self.n,
-            "opens": [sorted(U) for U in sorted(self.opens, key=_canon)],
-        }
+        return {"points": self.n, "opens": [sorted(U) for U in self.opens]}
 
     @staticmethod
     def from_json(obj) -> "FiniteSpace":
+        if not (
+            isinstance(obj, dict)
+            and _is_int(obj.get("points"))
+            and isinstance(obj.get("opens"), list)
+            and all(
+                isinstance(U, list) and all(map(_is_int, U)) for U in obj["opens"]
+            )
+        ):
+            raise ValueError('a space is {"points": int, "opens": [[int, ...], ...]}')
         return FiniteSpace(obj["points"], [frozenset(U) for U in obj["opens"]])
 
 
-def clopens(space: FiniteSpace):
-    return list(space.clopens)
-
-
-def quasi_components(space: FiniteSpace):
-    return list(space.quasi_components)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -207,11 +179,11 @@ class PointMap:
         return self.images[x]
 
     def is_continuous(self) -> bool:
-        for U in self.target.opens:
-            pre = frozenset(x for x in range(self.source.n) if self.images[x] in U)
-            if pre not in self.source.opens:
-                return False
-        return True
+        """Monotonicity: y in up[x] implies f(y) in up'[f(x)]."""
+        f, up = self.images, self.target.up
+        return all(
+            f[y] in up[f[x]] for x, U in enumerate(self.source.up) for y in U
+        )
 
     def check_continuous(self):
         if not self.is_continuous():
@@ -232,11 +204,17 @@ class PointMap:
 
 
 def inclusion_map(subset, space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
-    """Subspace on a point subset, with its inclusion into space."""
+    """Subspace on a point subset, with its inclusion into space.
+
+    The subspace's smallest opens are up[x] & subset, renumbered.
+    """
     pts = sorted(frozenset(subset))
     idx = {x: i for i, x in enumerate(pts)}
-    sub_opens = {frozenset(idx[x] for x in (U & frozenset(pts))) for U in space.opens}
-    sub = FiniteSpace(len(pts), sub_opens)
+    if not idx.keys() <= set(space.points):
+        raise ValueError(f"{pts} not within the space")
+    sub = FiniteSpace(
+        len(pts), [frozenset(idx[y] for y in space.up[x] if y in idx) for x in pts]
+    )
     return sub, PointMap(sub, space, tuple(pts))
 
 
@@ -247,11 +225,6 @@ def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
         space, zeta, tuple(space.component_index(x) for x in range(space.n))
     )
     return zeta, iota
-
-
-def clopen_closure(space: FiniteSpace, U) -> frozenset:
-    """The unique clopen of the component space pulling back to U."""
-    return space.clopen_component_indices(U)
 
 
 def ultrafilters(space: FiniteSpace) -> list[frozenset]:

@@ -217,9 +217,9 @@ def sum_split_cases(count: int = 1000, seed: int = 7) -> dict:
     for _ in range(count):
         space = rng.choice(spaces)
         n_comp = len(space.quasi_components)
-        closed_sets = [
-            frozenset(range(space.n)) - U for U in space.opens
-        ]
+        closed_sets = sorted(
+            (frozenset(range(space.n)) - U for U in space.opens), key=sorted
+        )
         k0 = rng.choice(closed_sets)
         k1 = rng.choice(closed_sets)
         vals = [rng.randint(-5, 5) for _ in range(n_comp)]

@@ -75,8 +75,14 @@ def test_vdp_level_members_are_balls():
 
 
 def test_vdp_level_cap():
+    # the level is capped by the point cap of FiniteSpace (32)
+    assert family_determinant(vdp_basis_level(2, 5)) in (1, -1)
     with pytest.raises(SizeExceeded):
-        vdp_basis_level(2, 13)
+        vdp_basis_level(2, 6)
+    with pytest.raises(SizeExceeded):
+        vdp_basis_level(10, 9)  # rejected before a point is built
+    with pytest.raises(SizeExceeded):
+        mahler_family(2, 6)
 
 
 def test_generalised_vdp_examples():

@@ -137,6 +137,20 @@ def test_basis_command(capsys):
     assert v["family"]["clopens"] == [[0, 1, 2, 3], [1, 3], [2], [3]]
 
 
+def test_basis_command_at_25_points(capsys):
+    code, report, _ = run_cli(capsys, ["basis", "--p", "5", "--k", "2"])
+    assert code == 0
+    assert report["verdicts"][0]["det"] == 1
+
+
+def test_space_command_rejects_non_object_exits_2(capsys, monkeypatch):
+    code, report, _ = run_cli(
+        capsys, ["space"], stdin_text="[1,2]", monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"].startswith("ValueError")
+
+
 def test_mahler_coeffs_command(capsys):
     code, report, _ = run_cli(capsys, ["mahler", "--coeffs", "0,1,4,9"])
     assert code == 0

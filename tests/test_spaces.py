@@ -1,16 +1,20 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbl.errors import NotClopen, NotContinuous, SizeExceeded
-from dbl.fixtures import double_sierpinski, glued_pairs
+from dbl.fixtures import chain_space, double_sierpinski, glued_pairs
 from dbl.spaces import (
+    MAX_LISTED,
+    MAX_POINTS,
     FiniteSpace,
     PointMap,
     UltrametricSpace,
     ball_tree,
     banaschewski,
-    clopen_closure,
     inclusion_map,
     ultrafilters,
     zeta_embedding_check,
@@ -19,8 +23,6 @@ from dbl.spaces import (
 
 def brute_clopens(space):
     # oracle: scan every subset for being simultaneously open and closed
-    from itertools import combinations
-
     out = []
     for size in range(space.n + 1):
         for c in combinations(range(space.n), size):
@@ -79,7 +81,7 @@ def test_clopen_closure_uniqueness():
     for space in (FiniteSpace.discrete(3), glued_pairs(), double_sierpinski()):
         zeta, iota = banaschewski(space)
         for U in space.clopens:
-            bar = clopen_closure(space, U)
+            bar = space.clopen_component_indices(U)
             pre = frozenset(x for x in range(space.n) if iota(x) in bar)
             assert pre == U
             # uniqueness: no other clopen of the component space pulls back to U
@@ -93,7 +95,7 @@ def test_clopen_closure_uniqueness():
 
 def test_clopen_closure_rejects_non_clopen():
     with pytest.raises(NotClopen):
-        clopen_closure(FiniteSpace.sierpinski(), frozenset({1}))
+        FiniteSpace.sierpinski().clopen_component_indices(frozenset({1}))
 
 
 def test_ultrafilters():
@@ -119,11 +121,20 @@ def test_ultrafilter_laws():
 
 
 def test_size_cap():
+    assert MAX_POINTS == 32 and MAX_LISTED == 4096
+    FiniteSpace.discrete(MAX_POINTS)
     with pytest.raises(SizeExceeded):
-        FiniteSpace(13)
-    FiniteSpace.discrete(17)  # discrete fast path is allowed
+        FiniteSpace(MAX_POINTS + 1)
     with pytest.raises(SizeExceeded):
-        FiniteSpace.discrete(25)
+        FiniteSpace.discrete(MAX_POINTS + 1)
+    # listing opens or clopens stops at MAX_LISTED sets, whatever the points
+    assert len(chain_space(MAX_POINTS).opens) == MAX_POINTS + 1
+    assert len(FiniteSpace.discrete(12).opens) == MAX_LISTED
+    assert len(FiniteSpace.discrete(12).clopens) == MAX_LISTED
+    with pytest.raises(SizeExceeded):
+        FiniteSpace.discrete(13).opens
+    with pytest.raises(SizeExceeded):
+        FiniteSpace.discrete(13).clopens
 
 
 def test_point_map_continuity():
@@ -208,6 +219,110 @@ def test_space_json_roundtrip():
     for space in (FiniteSpace.discrete(3), glued_pairs(), FiniteSpace.sierpinski()):
         again = FiniteSpace.from_json(space.to_json())
         assert again == space
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        "space",
+        {"points": 2},
+        {"opens": []},
+        {"points": "2", "opens": []},
+        {"points": True, "opens": []},
+        {"points": 2, "opens": {"0": [0]}},
+        {"points": 2, "opens": [[0, "1"]]},
+        {"points": 2, "opens": [0]},
+        {"points": 2, "opens": [[0.5]]},
+        {"points": 2, "opens": [[2]]},
+        {"points": -1, "opens": []},
+    ],
+)
+def test_space_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        FiniteSpace.from_json(obj)
+
+
+# -- the preorder representation against the topology closure ----------------
+
+
+def close_topology(family):
+    """Closure of a family of sets under pairwise union and intersection."""
+    family = set(family)
+    while True:
+        new = set()
+        fam = list(family)
+        for i, A in enumerate(fam):
+            for B in fam[i + 1 :]:
+                u = A | B
+                if u not in family:
+                    new.add(u)
+                v = A & B
+                if v not in family:
+                    new.add(v)
+        if not new:
+            return frozenset(family)
+        family |= new
+
+
+def closure_opens(n, gens):
+    return close_topology(set(gens) | {frozenset(), frozenset(range(n))})
+
+
+@st.composite
+def generated_spaces(draw, max_points=6):
+    n = draw(st.integers(min_value=0, max_value=max_points))
+    subsets = st.frozensets(st.integers(min_value=0, max_value=max(n - 1, 0)))
+    gens = draw(st.lists(subsets, max_size=5)) if n else []
+    return n, gens
+
+
+@given(generated_spaces(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_preorder_matches_topology_closure(spec, data):
+    n, gens = spec
+    space = FiniteSpace(n, gens)
+    opens = closure_opens(n, gens)
+    full = frozenset(range(n))
+    assert frozenset(space.opens) == opens
+    assert list(space.opens) == sorted(opens, key=lambda u: tuple(sorted(u)))
+    assert list(space.clopens) == brute_clopens(space)
+    assert list(space.clopens) == sorted(
+        (U for U in opens if full - U in opens), key=lambda u: tuple(sorted(u))
+    )
+    for x in range(n):
+        block = full
+        for U in space.clopens:
+            if x in U:
+                block &= U
+        assert block == space.quasi_components[space.component_index(x)]
+    for U in opens:
+        assert space.is_open(U) and space.is_closed(full - U)
+    # continuity is "preimages of opens are open" on random maps
+    m, other_gens = data.draw(generated_spaces(max_points=4))
+    if m:
+        target = FiniteSpace(m, other_gens)
+        images = tuple(
+            data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        )
+        target_opens = closure_opens(m, other_gens)
+        preimages_open = all(
+            frozenset(x for x in range(n) if images[x] in U) in opens
+            for U in target_opens
+        )
+        assert PointMap(space, target, images).is_continuous() == preimages_open
+    # the subspace topology on A is {U & A}
+    A = sorted(data.draw(st.frozensets(st.integers(0, max(n - 1, 0)))) & full)
+    sub, incl = inclusion_map(A, space)
+    idx = {x: i for i, x in enumerate(A)}
+    assert incl.images == tuple(A)
+    assert frozenset(sub.opens) == frozenset(
+        frozenset(idx[x] for x in U & frozenset(A)) for U in opens
+    )
+    # equality and hash depend on the topology, not on its generators
+    same = FiniteSpace(n, opens)
+    assert same == space and hash(same) == hash(space)
+    assert FiniteSpace.from_json(space.to_json()) == space
 
 
 def test_ultrametric_json_roundtrip():
