@@ -17,10 +17,22 @@ from .errors import NotClopen, SizeExceeded, SizeMismatch
 from .intlinalg import bareiss_det, inverse_unimodular, matmul, matvec, transpose
 from .normvalue import NV_ZERO
 from .scalars import RingDescriptor
-from .spaces import BallNode, FiniteSpace, UltrametricSpace, ball_tree
+from .spaces import MAX_POINTS, BallNode, FiniteSpace, UltrametricSpace, ball_tree
 from .functions import CfinFunction
 
 MAX_MAHLER_LEVEL = 1024
+
+
+def _level_size(p: int, k: int, cap: int) -> int:
+    """p**k for p >= 2 and k >= 1, refused as soon as the product passes cap."""
+    if p < 2 or k < 1:
+        raise ValueError(f"a level needs p >= 2 and k >= 1, got p={p}, k={k}")
+    size = 1
+    for _ in range(k):
+        size *= p
+        if size > cap:
+            raise SizeExceeded(f"p^k = {p}^{k} > {cap}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -106,8 +118,8 @@ def vdp_basis_level(p: int, k: int) -> BasisFamily:
     residues congruent to n modulo the smallest power of p exceeding n.
     Each set is a ball for the p-adic metric.
     """
-    size = p**k
-    space = FiniteSpace.discrete(size)  # raises SizeExceeded above MAX_POINTS
+    size = _level_size(p, k, MAX_POINTS)
+    space = FiniteSpace.discrete(size)
     clopens = [frozenset(range(size))]
     for n in range(1, size):
         q = p
@@ -225,9 +237,7 @@ def mahler_level_unimodular(p: int, k: int) -> dict:
     Unit diagonal plus vanishing above the diagonal force determinant 1,
     so the truncated binomials are a basis over any coefficient ring.
     """
-    size = p**k
-    if size > MAX_MAHLER_LEVEL:
-        raise SizeExceeded(f"p^k = {size} > {MAX_MAHLER_LEVEL}")
+    size = _level_size(p, k, MAX_MAHLER_LEVEL)
     m = mahler_matrix(size)
     for i in range(size):
         if m[i][i] != 1:
@@ -240,8 +250,8 @@ def mahler_level_unimodular(p: int, k: int) -> dict:
 
 def mahler_family(p: int, k: int) -> BasisFamily:
     """Truncated binomials as a basis family on the discrete space Z/p^k."""
-    size = p**k
-    space = FiniteSpace.discrete(size)  # raises SizeExceeded above MAX_POINTS
+    size = _level_size(p, k, MAX_POINTS)
+    space = FiniteSpace.discrete(size)
     rows = tuple(
         tuple(comb(x, n) for x in range(size)) for n in range(size)
     )

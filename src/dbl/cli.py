@@ -25,14 +25,17 @@ from .weierstrass import sw_construct_indicator
 SCHEMA = "1"
 
 
-def _read_json_input(args):
+def _read_json_input(args) -> dict | None:
+    """The JSON request object from --space-file or stdin; None if stdin is empty."""
     if getattr(args, "space_file", None):
         with open(args.space_file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    data = sys.stdin.read()
-    if not data.strip():
-        return None
-    return json.loads(data)
+            obj = json.load(fh)
+    else:
+        data = sys.stdin.read()
+        obj = json.loads(data) if data.strip() else None
+    if obj is not None and not isinstance(obj, dict):
+        raise ValueError(f"the request must be a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _ring(args) -> RingDescriptor:
@@ -42,9 +45,7 @@ def _ring(args) -> RingDescriptor:
 def cmd_space(args) -> list[dict]:
     obj = _read_json_input(args)
     space = (
-        FiniteSpace.from_json(
-            obj["space"] if isinstance(obj, dict) and "space" in obj else obj
-        )
+        FiniteSpace.from_json(obj["space"] if "space" in obj else obj)
         if obj
         else fixtures.glued_pairs()
     )
@@ -100,7 +101,7 @@ def cmd_tensor(args) -> list[dict]:
 
 
 def cmd_basis(args) -> list[dict]:
-    if args.p and args.k:
+    if args.p is not None and args.k is not None:
         fam = vdp_basis_level(args.p, args.k)
         det = family_determinant(fam)
         return [
@@ -194,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor", help="absorbing-law dichotomy")
     p.add_argument("--max-n", type=int, default=16)
-    p.add_argument("--budget", type=int, default=200)
     p.set_defaults(fn=cmd_tensor)
 
     p = sub.add_parser("basis", help="basis certificates")

@@ -8,7 +8,6 @@ form with unimodular transforms, kernels, and linear solves over Z.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def mat(rows) -> tuple[tuple[int, ...], ...]:
@@ -313,10 +312,3 @@ def lattice_quotient_invariants(basis_rows, sublattice_rows) -> list[int]:
         di = d[i][i] if i < min(len(d), len(d[0]) if d else 0) else 0
         facs.append(di)
     return facs
-
-
-def gcd_list(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g

@@ -163,10 +163,6 @@ class WeightedFreeModule:
         }
 
 
-def free_module(ring, weights, mode=NONARCH) -> WeightedFreeModule:
-    return WeightedFreeModule(ring, weights, mode)
-
-
 def tensor_nonarch(m0: WeightedFreeModule, m1: WeightedFreeModule) -> WeightedFreeModule:
     """Tensor product of non-Archimedean weighted free modules.
 

@@ -1,23 +1,27 @@
 """Exact arithmetic for norm values of the form q^e (q, e rational).
 
-A NormValue is either zero or a finite product of rational prime powers
-prod p**e_p with rational exponents e_p.  That representation makes
-multiplication exact (add exponent vectors) and makes comparison decidable
-by cross-exponentiation of big integers: after clearing denominators,
-comparing prod p**n_p with 1 is an integer comparison.
+Every such value v equals r**(1/d) for a rational r >= 0 and a least
+integer d >= 1: d generates {k : v**k rational} and r = v**d.  A NormValue
+stores that canonical pair, so equality compares pairs; products and powers
+combine pairs through the lcm of the d's, and comparison raises both sides
+to a common power and compares two Fractions.  Only exponent denominators
+are factored.  Every power goes through one helper that raises
+SizeExceeded past MAX_BITS bits; MAX_BITS also bounds exponent denominators.
 
-Values that happen to be rational numbers (all exponents integral) support
-exact addition; adding anything else raises UnsupportedValue, which keeps
-every operation in the library decidable.
+Values that happen to be rational numbers (d = 1) support exact addition;
+adding anything else raises UnsupportedValue, which keeps every operation
+in the library decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import isqrt, lcm
 
-from .errors import UnsupportedValue
+from .errors import SizeExceeded, UnsupportedValue
+
+MAX_BITS = 1 << 22
 
 
 @lru_cache(maxsize=4096)
@@ -40,23 +44,62 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _factor_fraction(q: Fraction) -> dict[int, Fraction]:
-    vec: dict[int, Fraction] = {}
-    for p, e in factor_int(q.numerator):
-        vec[p] = vec.get(p, Fraction(0)) + e
-    for p, e in factor_int(q.denominator):
-        vec[p] = vec.get(p, Fraction(0)) - e
-    return {p: e for p, e in vec.items() if e != 0}
+def _power(q: Fraction, k: int) -> Fraction:
+    """q**k for an integer k; SizeExceeded if a part would pass MAX_BITS bits."""
+    if k == 1:
+        return q
+    # 2**(bits-1) <= part < 2**bits: what passes has fewer than 2*MAX_BITS bits
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    if (bits - 1) * abs(k) >= MAX_BITS:
+        raise SizeExceeded(f"a power of more than {MAX_BITS} bits")
+    return q**k
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, by Newton's method from above."""
+    if n < 2 or k == 1:
+        return n
+    if k == 2:
+        return isqrt(n)
+    # start from the root of n's top bits when the root has bits to spare
+    b = n.bit_length()
+    m = b // k // 2
+    x = (_iroot(n >> (k * m), k) + 1) << m if m else 1 << -(-b // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _root(q: Fraction, k: int) -> Fraction | None:
+    """The k-th root of q >= 0 when it is rational, else None."""
+    num = _iroot(q.numerator, k)
+    if num**k == q.numerator:
+        den = _iroot(q.denominator, k)
+        if den**k == q.denominator:
+            return Fraction(num, den)
+    return None
 
 
 class NormValue:
-    """An exact nonnegative real of the form q^e, totally ordered."""
+    """An exact nonnegative real r**(1/d), totally ordered."""
 
-    __slots__ = ("_zero", "_vec")
+    __slots__ = ("_r", "_d")
 
-    def __init__(self, zero: bool, vec: tuple[tuple[int, Fraction], ...]):
-        self._zero = zero
-        self._vec = vec
+    def __init__(self, r: Fraction, d: int = 1):
+        """The value r**(1/d) for a Fraction r >= 0 and an integer d >= 1."""
+        if d > MAX_BITS:
+            raise SizeExceeded(f"exponent denominator {d} > {MAX_BITS}")
+        if d > 1:
+            for p, _ in factor_int(d):
+                while d % p == 0:
+                    root = _root(r, p)
+                    if root is None:
+                        break
+                    r, d = root, d // p
+        self._r = r
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
@@ -73,10 +116,7 @@ class NormValue:
         q = Fraction(q)
         if q < 0:
             raise ValueError("norm values are nonnegative")
-        if q == 0:
-            return _ZERO
-        vec = _factor_fraction(q)
-        return NormValue(False, tuple(sorted(vec.items())))
+        return NormValue(q)
 
     @staticmethod
     def from_pow(base, exponent) -> "NormValue":
@@ -87,82 +127,67 @@ class NormValue:
             raise ValueError("base must be positive")
         if base == 1 or exponent == 0:
             return _ONE
-        vec = {p: e * exponent for p, e in _factor_fraction(base).items()}
-        return NormValue(False, tuple(sorted(vec.items())))
+        return NormValue(_power(base, exponent.numerator), exponent.denominator)
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self._zero
+        return self._r == 0
 
     @property
     def is_one(self) -> bool:
-        return not self._zero and not self._vec
+        return self._r == 1
 
     def is_rational(self) -> bool:
         """True when the value is an actual rational number."""
-        if self._zero:
-            return True
-        return all(e.denominator == 1 for _, e in self._vec)
+        return self._d == 1
 
     def as_fraction(self) -> Fraction:
-        if self._zero:
-            return Fraction(0)
-        if not self.is_rational():
+        if self._d != 1:
             raise UnsupportedValue(f"{self} is irrational")
-        out = Fraction(1)
-        for p, e in self._vec:
-            out *= Fraction(p) ** int(e)
-        return out
+        return self._r
 
     # -- canonical base/exponent form ----------------------------------
 
     def canonical_pow(self) -> tuple[Fraction, Fraction]:
         """Write the value as base**exp with exp > 0 minimal-denominator.
 
-        Returns (1, 0) for the value 1; undefined for zero.
+        exp is j/d for the largest j with r a perfect j-th power.  Returns
+        (1, 0) for the value 1; undefined for zero.
         """
-        if self._zero:
+        r = self._r
+        if r == 0:
             raise ValueError("zero has no power form")
-        if not self._vec:
+        if r == 1:
             return Fraction(1), Fraction(0)
-        den = 1
-        for _, e in self._vec:
-            den = den * e.denominator // gcd(den, e.denominator)
-        ints = [(p, int(e * den)) for p, e in self._vec]
-        g = 0
-        for _, m in ints:
-            g = gcd(g, abs(m))
-        base = Fraction(1)
-        for p, m in ints:
-            base *= Fraction(p) ** (m // g)
-        return base, Fraction(g, den)
+        # a part x >= 2 of r = base**j is a perfect (p*j)-th power only if
+        # 2**(p*j) <= x, that is p*j < x.bit_length()
+        bits = min(x.bit_length() for x in (r.numerator, r.denominator) if x > 1)
+        base, j, p = r, 1, 2
+        while p * j < bits:
+            prime = all(p % q for q in range(2, isqrt(p) + 1))
+            root = _root(base, p) if prime else None
+            if root is None:
+                p += 1
+            else:
+                base, j = root, j * p
+        return base, Fraction(j, self._d)
 
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "NormValue") -> "NormValue":
-        if self._zero or other._zero:
-            return _ZERO
-        vec = dict(self._vec)
-        for p, e in other._vec:
-            s = vec.get(p, Fraction(0)) + e
-            if s == 0:
-                vec.pop(p, None)
-            else:
-                vec[p] = s
-        return NormValue(False, tuple(sorted(vec.items())))
+        d = lcm(self._d, other._d)
+        r = _power(self._r, d // self._d) * _power(other._r, d // other._d)
+        return NormValue(r, d)
 
     def __pow__(self, exponent) -> "NormValue":
         exponent = Fraction(exponent)
-        if self._zero:
-            if exponent <= 0:
-                raise ValueError("0**e needs e > 0")
-            return _ZERO
-        if exponent == 0:
-            return _ONE
-        vec = {p: e * exponent for p, e in self._vec}
-        return NormValue(False, tuple(sorted(vec.items())))
+        if self._r == 0 and exponent <= 0:
+            raise ValueError("0**e needs e > 0")
+        return NormValue(
+            _power(self._r, exponent.numerator), self._d * exponent.denominator
+        )
 
     def __add__(self, other: "NormValue") -> "NormValue":
         # Sums are only exact for rational values; everything that needs
@@ -179,43 +204,18 @@ class NormValue:
 
     def compare(self, other: "NormValue") -> int:
         """-1, 0, or 1 as self <, =, > other."""
-        if self._zero and other._zero:
-            return 0
-        if self._zero:
-            return -1
-        if other._zero:
-            return 1
-        diff: dict[int, Fraction] = dict(self._vec)
-        for p, e in other._vec:
-            s = diff.get(p, Fraction(0)) - e
-            if s == 0:
-                diff.pop(p, None)
-            else:
-                diff[p] = s
-        if not diff:
-            return 0
-        den = 1
-        for e in diff.values():
-            den = den * e.denominator // gcd(den, e.denominator)
-        num = 1
-        inv = 1
-        for p, e in diff.items():
-            m = int(e * den)
-            if m > 0:
-                num *= p**m
-            else:
-                inv *= p ** (-m)
-        if num == inv:
-            return 0
-        return 1 if num > inv else -1
+        d = lcm(self._d, other._d)
+        a = _power(self._r, d // self._d)
+        b = _power(other._r, d // other._d)
+        return (a > b) - (a < b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormValue):
             return NotImplemented
-        return self._zero == other._zero and self._vec == other._vec
+        return self._d == other._d and self._r == other._r
 
     def __hash__(self):
-        return hash((self._zero, self._vec))
+        return hash((self._r, self._d))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -232,9 +232,9 @@ class NormValue:
     # -- presentation ----------------------------------------------------
 
     def __repr__(self):
-        if self._zero:
+        if self._r == 0:
             return "NormValue(0)"
-        if not self._vec:
+        if self._r == 1:
             return "NormValue(1)"
         base, exp = self.canonical_pow()
         if exp == 1:
@@ -242,10 +242,10 @@ class NormValue:
         return f"NormValue({base}^{exp})"
 
     def to_json(self):
-        if self._zero:
+        if self._r == 0:
             return {"kind": "zero"}
-        if self.is_rational():
-            q = self.as_fraction()
+        if self._d == 1:
+            q = self._r
             return {"kind": "rational", "value": f"{q.numerator}/{q.denominator}"}
         base, exp = self.canonical_pow()
         return {
@@ -264,8 +264,8 @@ class NormValue:
         return NormValue.from_pow(Fraction(obj["base"]), Fraction(obj["exp"]))
 
 
-_ZERO = NormValue(True, ())
-_ONE = NormValue(False, ())
+_ZERO = NormValue(Fraction(0))
+_ONE = NormValue(Fraction(1))
 
 NV_ZERO = _ZERO
 NV_ONE = _ONE

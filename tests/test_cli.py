@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from dbl.cli import run
 from dbl.fixtures import glued_pairs
 
@@ -149,6 +151,28 @@ def test_space_command_rejects_non_object_exits_2(capsys, monkeypatch):
     )
     assert code == 2
     assert report["error"].startswith("ValueError")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cech", "sw"])
+def test_non_object_request_exits_2(capsys, monkeypatch, command):
+    code, report, _ = run_cli(
+        capsys, [command], stdin_text="[1]", monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"].startswith("ValueError")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--p", "3", "--k", "30000000"], "SizeExceeded"),
+        (["--p", "2", "--k", "-1"], "ValueError"),
+    ],
+)
+def test_basis_level_out_of_range_exits_2(capsys, argv, error):
+    code, report, _ = run_cli(capsys, ["basis", *argv])
+    assert code == 2
+    assert report["error"].startswith(error)
 
 
 def test_mahler_coeffs_command(capsys):

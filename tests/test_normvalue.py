@@ -1,11 +1,154 @@
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbl.errors import UnsupportedValue
-from dbl.normvalue import NV_ONE, NV_ZERO, NormValue, nv_compare, nv_max, nv_sum
+from dbl.errors import SizeExceeded, UnsupportedValue
+from dbl.normvalue import (
+    NV_ONE,
+    NV_ZERO,
+    NormValue,
+    factor_int,
+    nv_compare,
+    nv_max,
+    nv_sum,
+)
+from dbl.scalars import int_inf
+from dbl.spectrum import BasePoint, base_eval
+
+
+class VecNormValue:
+    """Reference: a norm value as its vector of prime exponents.
+
+    The value prod p**e_p is kept as the sorted pairs (p, e_p), built by
+    factoring every numerator and denominator; products add vectors and
+    comparison clears the exponent denominators.
+    """
+
+    def __init__(self, zero, vec):
+        self._zero = zero
+        self._vec = vec
+
+    @staticmethod
+    def _factor(q):
+        vec = {}
+        for p, e in factor_int(q.numerator):
+            vec[p] = vec.get(p, Fraction(0)) + e
+        for p, e in factor_int(q.denominator):
+            vec[p] = vec.get(p, Fraction(0)) - e
+        return {p: e for p, e in vec.items() if e != 0}
+
+    @staticmethod
+    def from_fraction(q):
+        q = Fraction(q)
+        if q == 0:
+            return VecNormValue(True, ())
+        return VecNormValue(False, tuple(sorted(VecNormValue._factor(q).items())))
+
+    @staticmethod
+    def from_pow(base, exponent):
+        base, exponent = Fraction(base), Fraction(exponent)
+        if base == 1 or exponent == 0:
+            return VecNormValue(False, ())
+        vec = {p: e * exponent for p, e in VecNormValue._factor(base).items()}
+        return VecNormValue(False, tuple(sorted(vec.items())))
+
+    def is_rational(self):
+        return self._zero or all(e.denominator == 1 for _, e in self._vec)
+
+    def as_fraction(self):
+        if self._zero:
+            return Fraction(0)
+        out = Fraction(1)
+        for p, e in self._vec:
+            out *= Fraction(p) ** int(e)
+        return out
+
+    def canonical_pow(self):
+        if not self._vec:
+            return Fraction(1), Fraction(0)
+        den = 1
+        for _, e in self._vec:
+            den = den * e.denominator // gcd(den, e.denominator)
+        ints = [(p, int(e * den)) for p, e in self._vec]
+        g = 0
+        for _, m in ints:
+            g = gcd(g, abs(m))
+        base = Fraction(1)
+        for p, m in ints:
+            base *= Fraction(p) ** (m // g)
+        return base, Fraction(g, den)
+
+    def __mul__(self, other):
+        if self._zero or other._zero:
+            return VecNormValue(True, ())
+        vec = dict(self._vec)
+        for p, e in other._vec:
+            s = vec.get(p, Fraction(0)) + e
+            if s == 0:
+                vec.pop(p, None)
+            else:
+                vec[p] = s
+        return VecNormValue(False, tuple(sorted(vec.items())))
+
+    def __pow__(self, exponent):
+        exponent = Fraction(exponent)
+        if self._zero:
+            if exponent <= 0:
+                raise ValueError("0**e needs e > 0")
+            return self
+        if exponent == 0:
+            return VecNormValue(False, ())
+        return VecNormValue(False, tuple((p, e * exponent) for p, e in self._vec))
+
+    def compare(self, other):
+        if self._zero or other._zero:
+            return other._zero - self._zero
+        diff = dict(self._vec)
+        for p, e in other._vec:
+            s = diff.get(p, Fraction(0)) - e
+            if s == 0:
+                diff.pop(p, None)
+            else:
+                diff[p] = s
+        den = 1
+        for e in diff.values():
+            den = den * e.denominator // gcd(den, e.denominator)
+        num = inv = 1
+        for p, e in diff.items():
+            m = int(e * den)
+            if m > 0:
+                num *= p**m
+            else:
+                inv *= p ** (-m)
+        return (num > inv) - (num < inv)
+
+    def __eq__(self, other):
+        return self._zero == other._zero and self._vec == other._vec
+
+    def __repr__(self):
+        if self._zero:
+            return "NormValue(0)"
+        if not self._vec:
+            return "NormValue(1)"
+        base, exp = self.canonical_pow()
+        return f"NormValue({base})" if exp == 1 else f"NormValue({base}^{exp})"
+
+    def to_json(self):
+        if self._zero:
+            return {"kind": "zero"}
+        if self.is_rational():
+            q = self.as_fraction()
+            return {"kind": "rational", "value": f"{q.numerator}/{q.denominator}"}
+        base, exp = self.canonical_pow()
+        return {
+            "kind": "pow",
+            "base": f"{base.numerator}/{base.denominator}",
+            "exp": f"{exp.numerator}/{exp.denominator}",
+        }
 
 
 def test_compare_examples():
@@ -28,7 +171,7 @@ def test_multiplication_exact():
     assert a * a == NormValue.from_fraction(2)
     b = NormValue.from_pow(3, Fraction(1, 3))
     assert (b * b * b) == NormValue.from_fraction(3)
-    # mixed bases multiply through the exponent vectors
+    # mixed bases multiply through the lcm of the exponent denominators
     assert a * b == NormValue.from_pow(2, Fraction(1, 2)) * NormValue.from_pow(3, Fraction(1, 3))
 
 
@@ -85,7 +228,8 @@ def test_mul_respects_order_oracle(u, v):
     def approx(x):
         if x.is_zero:
             return float("-inf")
-        return sum(float(e) * math.log(p) for p, e in x._vec)
+        base, exp = x.canonical_pow()
+        return float(exp) * math.log(base)
 
     got = u.compare(v)
     lo, hi = approx(u), approx(v)
@@ -98,3 +242,82 @@ def test_nv_max_and_sum():
     assert nv_max([a, b]) == b
     assert nv_sum([a, b]) == NormValue.from_fraction(7)
     assert nv_max([], default=NV_ZERO) == NV_ZERO
+
+
+factors = st.one_of(
+    st.tuples(
+        st.just("fraction"),
+        st.fractions(min_value=0, max_value=60, max_denominator=12),
+    ),
+    st.tuples(
+        st.just("pow"),
+        st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
+        st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    ),
+)
+products = st.lists(factors, min_size=1, max_size=3)
+
+
+def build(cls, product):
+    out = None
+    for kind, *args in product:
+        v = cls.from_fraction(*args) if kind == "fraction" else cls.from_pow(*args)
+        out = v if out is None else out * v
+    return out
+
+
+def raised(v, e):
+    try:
+        return (v**e).to_json()
+    except ValueError:
+        return "ValueError"
+
+
+@given(products, products, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+@settings(max_examples=300, deadline=None)
+def test_pair_matches_exponent_vector_reference(pu, pv, e):
+    u, v = build(NormValue, pu), build(NormValue, pv)
+    ru, rv = build(VecNormValue, pu), build(VecNormValue, pv)
+    assert u.to_json() == ru.to_json()
+    assert repr(u) == repr(ru)
+    assert u.is_rational() == ru.is_rational()
+    assert (u == v) == (ru == rv)
+    assert u != v or hash(u) == hash(v)
+    assert u.compare(v) == ru.compare(rv)
+    assert raised(u, e) == raised(ru, e)
+
+
+def answered_within_a_second(fn):
+    started = time.perf_counter()
+    out = fn()
+    assert time.perf_counter() - started < 1.0
+    return out
+
+
+def test_large_semiprime_norm_is_answered():
+    n = 1000000007 * 998244353
+    v = answered_within_a_second(lambda: NormValue.from_fraction(n))
+    assert v.to_json() == {"kind": "rational", "value": f"{n}/1"}
+    assert answered_within_a_second(lambda: int_inf().norm(-n)) == v
+    root = answered_within_a_second(
+        lambda: base_eval(BasePoint.arch(Fraction(1, 2)), int_inf(), n)
+    )
+    assert root * root == v
+
+
+def test_large_exponent_denominators_compare():
+    u = NormValue.from_pow(2, Fraction(1, 10**6))
+    v = NormValue.from_pow(3, Fraction(1, 10**6 + 3))
+    assert answered_within_a_second(lambda: u.compare(v)) == -1
+
+
+def test_size_bounds():
+    for make in (
+        lambda: NormValue.from_pow(2, 10**9),
+        lambda: NormValue.from_pow(2, Fraction(1, 10**18 + 3)),
+        lambda: NormValue.from_fraction(2) ** Fraction(1, 10**18 + 3),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SizeExceeded):
+            make()
+        assert time.perf_counter() - started < 1.0
