@@ -2,9 +2,11 @@
 
 The complex of a finite family of closed subsets has degree-k term the
 product of function modules on (k+1)-fold intersections with alternating
-restriction differentials.  Over a ring with a norm gap, exactness is
-decidable: Smith normal form over Z, ranks over F_p, and finite-lattice
-invariants over Z/n.  Covers are characterized by exactness, and the
+restriction differentials.  The differentials are integer matrices: the
+rings here are discrete, so the complex over R is the integer complex
+tensored with R, and its homology over Z, F_p, Z/n and the zero ring is
+read off the invariant factors of each integer differential.  Covers are
+characterized by exactness, and the
 constructive side is a selection homotopy whose per-stage constants are
 reported with the section matrices.
 """
@@ -22,7 +24,6 @@ from .errors import (
     NoSection,
     NotEmbedding,
     SizeExceeded,
-    UnsupportedRing,
 )
 from .functions import CfinFunction, indicator
 from .intlinalg import (
@@ -30,12 +31,7 @@ from .intlinalg import (
     identity,
     invariant_factors,
     is_zero_matrix,
-    kernel_basis_int,
-    lattice_quotient_invariants,
     matmul,
-    rank_mod_p,
-    rank_q,
-    transpose,
 )
 from .modtensor import WeightedFreeModule
 from .scalars import RingDescriptor
@@ -82,10 +78,12 @@ def zeta_is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Free modules with differentials; consecutive maps compose to zero.
+    """An integer complex of free modules, read over ``ring``.
 
     terms[k] is the list of basis labels in degree k; diffs[k] maps degree
-    k to degree k+1 (matrix rows indexed by degree-k+1 labels).
+    k to degree k+1 (matrix rows indexed by degree-k+1 labels).  The
+    differentials are integer matrices whose consecutive products vanish
+    over Z, not only modulo the ring's modulus.
     """
 
     ring: RingDescriptor
@@ -94,12 +92,7 @@ class ChainComplex:
 
     def __post_init__(self):
         for k in range(len(self.diffs) - 1):
-            prod = matmul(self.diffs[k + 1], self.diffs[k])
-            if self.ring.modulus is not None:
-                prod = tuple(
-                    tuple(x % self.ring.modulus for x in row) for row in prod
-                )
-            if not is_zero_matrix(prod):
+            if not is_zero_matrix(matmul(self.diffs[k + 1], self.diffs[k])):
                 raise ValueError(f"d∘d nonzero between degrees {k} and {k + 2}")
 
     @property
@@ -176,85 +169,41 @@ def build_tate_cech(
                 for idx, (tup_s, comp_s, sym_s) in enumerate(src):
                     if tup_s == face and sym_s == sym_d and comp_d <= comp_s:
                         row[idx] += sign
-            if ring.modulus is not None:
-                row = [x % ring.modulus for x in row]
             rows.append(tuple(row))
         diffs.append(tuple(rows))
     return ChainComplex(ring, tuple(terms), tuple(diffs))
 
 
-def _homology_z(complex_: ChainComplex, k: int):
-    nk = complex_.rank(k)
-    d_out = complex_.diffs[k] if k < len(complex_.diffs) else ()
-    d_in = complex_.diffs[k - 1] if k >= 1 else ()
-    rank_out = rank_q(d_out) if d_out else 0
-    rank_in = rank_q(d_in) if d_in else 0
-    free = nk - rank_out - rank_in
-    torsion = []
-    if d_in:
-        torsion = [d for d in invariant_factors(d_in) if d not in (0, 1)]
-    return {"free_rank": free, "torsion": torsion}
-
-
-def _homology_fp(complex_: ChainComplex, k: int, p: int):
-    nk = complex_.rank(k)
-    d_out = complex_.diffs[k] if k < len(complex_.diffs) else ()
-    d_in = complex_.diffs[k - 1] if k >= 1 else ()
-    rank_out = rank_mod_p(d_out, p) if d_out else 0
-    rank_in = rank_mod_p(d_in, p) if d_in else 0
-    dim = nk - rank_out - rank_in
-    return {"free_rank": 0, "torsion": [p] * dim}
-
-
-def _homology_zn(complex_: ChainComplex, k: int, n: int):
-    """H^k of a complex of free Z/n-modules as a finite abelian group.
-
-    Kernel lattice L = {x : d x = 0 mod n} is computed from the integer
-    kernel of [d | -n I]; the image sublattice is spanned by the incoming
-    differential columns together with n Z^rank.
-    """
-    nk = complex_.rank(k)
-    if nk == 0:
-        return {"free_rank": 0, "torsion": []}
-    d_out = complex_.diffs[k] if k < len(complex_.diffs) else ()
-    d_in = complex_.diffs[k - 1] if k >= 1 else ()
-    if d_out:
-        rows_out = len(d_out)
-        aug = tuple(
-            tuple(list(d_out[i]) + [-n if j == i else 0 for j in range(rows_out)])
-            for i in range(rows_out)
-        )
-        kern = kernel_basis_int(aug)
-        lattice = tuple(v[:nk] for v in kern)
-    else:
-        lattice = identity(nk)
-    gens = []
-    if d_in:
-        for col in transpose(d_in):
-            gens.append(tuple(col))
-    for i in range(nk):
-        gens.append(tuple(n if j == i else 0 for j in range(nk)))
-    facs = lattice_quotient_invariants(lattice, gens)
-    torsion = [f for f in facs if f not in (0, 1)]
-    free = sum(1 for f in facs if f == 0)
-    return {"free_rank": free, "torsion": torsion}
-
-
 def exactness(complex_: ChainComplex) -> dict:
-    """Per-degree homology report; vanishing in all degrees means exact."""
-    ring = complex_.ring
+    """Per-degree homology report; vanishing in all degrees means exact.
+
+    The differentials are integer matrices and C(K, R) = C(K, Z) (x) R, so
+    the complex over R is the integer complex tensored with R = Z/n (n = 0
+    for Z).  Over Z the complex splits into pieces Z --e--> Z, one per
+    invariant factor e of a differential, and free pieces Z.  Tensored
+    with Z/n, a piece in degrees k, k+1 leaves Z/gcd(e, n) in degree k+1
+    and, when n > 0, its kernel Z/gcd(e, n) in degree k; each free piece
+    leaves Z/n (universal coefficients).  Here Z/0 = Z.
+    """
+    n = complex_.ring.modulus or 0
+    factors = [invariant_factors(d) for d in complex_.diffs]
     report = {"degrees": [], "exact": True}
     for k in range(complex_.length):
-        if ring.is_zero_ring:
-            h = {"free_rank": 0, "torsion": []}
-        elif ring.modulus is None:
-            h = _homology_z(complex_, k)
-        elif ring.kind == "FpTriv":
-            h = _homology_fp(complex_, k, ring.p)
-        elif ring.kind in ("ZmodTriv", "ZmodQuot"):
-            h = _homology_zn(complex_, k, ring.modulus)
-        else:
-            raise UnsupportedRing(str(ring))
+        e_out = factors[k] if k < len(factors) else []
+        e_in = factors[k - 1] if k >= 1 else []
+        free = complex_.rank(k) - len(e_out) - len(e_in)
+        summands = [n] * free + [gcd(e, n) for e in e_in]
+        if n:
+            summands += [gcd(e, n) for e in e_out]
+        finite = [m for m in summands if m > 1]
+        diagonal = tuple(
+            tuple(m if i == j else 0 for j in range(len(finite)))
+            for i, m in enumerate(finite)
+        )
+        h = {
+            "free_rank": summands.count(0),
+            "torsion": [e for e in invariant_factors(diagonal) if e > 1],
+        }
         vanished = h["free_rank"] == 0 and not h["torsion"]
         report["degrees"].append({"degree": k, **h, "vanishes": vanished})
         if not vanished:
@@ -345,13 +294,7 @@ def strict_sections(
             ):
                 for j, x in enumerate(row):
                     total[i][j] += x
-        expected = identity(nk1)
-        got = tuple(tuple(row) for row in total)
-        if ring.modulus is not None:
-            m = ring.modulus
-            got = tuple(tuple(x % m for x in row) for row in got)
-            expected = tuple(tuple(x % m for x in row) for row in expected)
-        if got != expected:
+        if tuple(map(tuple, total)) != identity(nk1):
             raise NoSection(f"homotopy identity fails into degree {k + 1}")
         out.append({"degree": k + 1, "section": h, "constant": constant})
     return out

@@ -42,6 +42,31 @@ def _ring(args) -> RingDescriptor:
     return RingDescriptor.parse(args.ring)
 
 
+def _request_ring(obj: dict, default: str) -> RingDescriptor:
+    ring = obj.get("ring", default)
+    if isinstance(ring, dict):
+        return RingDescriptor.from_json(ring)
+    if not isinstance(ring, str):
+        raise ValueError('"ring" must be a ring name or a ring object')
+    return RingDescriptor.parse(ring)
+
+
+def _int_list(value, what: str) -> list:
+    """value if it is a JSON list of ints; ValueError (exit 2) otherwise."""
+    if not (
+        isinstance(value, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"{what} must be a list of ints")
+    return value
+
+
+def _int_lists(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of lists of ints")
+    return [_int_list(v, f"each entry of {what}") for v in value]
+
+
 def cmd_space(args) -> list[dict]:
     obj = _read_json_input(args)
     space = (
@@ -78,7 +103,7 @@ def cmd_cech(args) -> list[dict]:
     if args.exhaustive:
         ring_list = (
             [RingDescriptor.parse(args.ring)]
-            if args.ring != "all"
+            if args.ring not in (None, "all")
             else None
         )
         verdict = suite.tate_exhaustive(
@@ -89,8 +114,10 @@ def cmd_cech(args) -> list[dict]:
     if obj is None:
         raise DblError("cech needs JSON input or --exhaustive")
     space = FiniteSpace.from_json(obj["space"])
-    ring = RingDescriptor.from_json(obj["ring"]) if isinstance(obj.get("ring"), dict) else RingDescriptor.parse(obj.get("ring", args.ring))
-    family = CoverFamily.make(space, [frozenset(K) for K in obj["family"]])
+    ring = _request_ring(obj, args.ring or "IntInf")
+    family = CoverFamily.make(
+        space, [frozenset(K) for K in _int_lists(obj["family"], '"family"')]
+    )
     report = tate_equivalence_report(space, family, ring)
     report.update({"name": "cech", "pass": report["agreement"]})
     return [report]
@@ -147,16 +174,12 @@ def cmd_sw(args) -> list[dict]:
         clopen = frozenset({1})
     else:
         space = FiniteSpace.from_json(obj["space"])
-        ring = (
-            RingDescriptor.parse(obj["ring"])
-            if "ring" in obj
-            else int_inf()
-        )
+        ring = _request_ring(obj, "IntInf")
         gens = [
             CfinFunction.from_point_values(space, ring, tuple(g))
-            for g in obj["gens"]
+            for g in _int_lists(obj["gens"], '"gens"')
         ]
-        clopen = frozenset(obj["clopen"])
+        clopen = frozenset(_int_list(obj["clopen"], '"clopen"'))
     cert = sw_construct_indicator(space, ring, gens, clopen)
     ok = cert.verify(space, ring, gens)
     return [{"name": "sw", "pass": ok, **cert.to_json()}]
@@ -189,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--max-sets", type=int, default=3)
-    p.add_argument("--ring", default="all")
+    p.add_argument(
+        "--ring",
+        help="one ring for --exhaustive (default: three), or the ring of a "
+        "request without one (default: IntInf)",
+    )
     p.add_argument("--space-file")
     p.set_defaults(fn=cmd_cech)
 

@@ -1,8 +1,9 @@
-"""Exact linear algebra over Z, Q, F_p and Z/n.
+"""Exact integer linear algebra.
 
-Matrices are tuples of tuples of ints (or Fractions for rank_q input).
-Everything here is big-integer exact: Bareiss determinants, Smith normal
-form with unimodular transforms, kernels, and linear solves over Z.
+Matrices are tuples of tuples of ints.  Everything here is big-integer
+exact: Bareiss determinants, Smith normal form with unimodular transforms
+and its invariant factors, and inverses of unimodular matrices.  Ranks and
+homology over Q, F_p and Z/n are read off invariant factors by callers.
 """
 
 from __future__ import annotations
@@ -74,54 +75,6 @@ def bareiss_det(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rank_q(a) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pv = rows[row][col]
-        for r in range(row + 1, nrows):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(a, p: int) -> int:
-    rows = [[x % p for x in row] for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if rows[r][col] % p != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = pow(rows[row][col], -1, p)
-        rows[row] = [(x * inv) % p for x in rows[row]]
-        for r in range(nrows):
-            if r != row and rows[r][col] % p != 0:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
 
 
 def smith_normal_form(a):
@@ -223,40 +176,6 @@ def invariant_factors(a) -> list[int]:
     return out
 
 
-def kernel_basis_int(a):
-    """Integer basis of the kernel lattice {x : a x = 0}, as rows."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    if nc == 0:
-        return ()
-    if nr == 0:
-        return identity(nc)
-    d, _, t = smith_normal_form(a)
-    r = len(invariant_factors(a))
-    cols = transpose(t)
-    return tuple(cols[j] for j in range(r, nc))
-
-
-def solve_int(a, b):
-    """One integer solution x of a x = b, or None when none exists."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    d, s, t = smith_normal_form(a)
-    sb = matvec(s, b)
-    y = [0] * nc
-    r = min(nr, nc)
-    for i in range(nr):
-        di = d[i][i] if i < r else 0
-        if di == 0:
-            if sb[i] != 0:
-                return None
-        else:
-            if sb[i] % di != 0:
-                return None
-            y[i] = sb[i] // di
-    return matvec(t, tuple(y))
-
-
 def inverse_unimodular(a):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(a)
@@ -282,33 +201,3 @@ def inverse_unimodular(a):
             out.append(int(x))
         inv.append(tuple(out))
     return tuple(inv)
-
-
-def lattice_quotient_invariants(basis_rows, sublattice_rows) -> list[int]:
-    """Invariant factors of the quotient of a lattice by a sublattice.
-
-    basis_rows is a Z-basis of the big lattice L inside Z^n (rows);
-    sublattice_rows generate a finite-index-or-smaller sublattice given in
-    ambient coordinates.  Each generator is expressed in the L-basis and
-    the SNF of the coefficient matrix gives L/L' up to free summands:
-    returns the diagonal entries (0 entries mean free rank remains).
-    """
-    if not basis_rows:
-        return []
-    bt = transpose(basis_rows)
-    coeff_cols = []
-    for g in sublattice_rows:
-        x = solve_int(bt, g)
-        if x is None:
-            raise ValueError("sublattice generator outside the lattice")
-        coeff_cols.append(x)
-    if not coeff_cols:
-        return [0] * len(basis_rows)
-    coeff = transpose(tuple(coeff_cols))
-    d, _, _ = smith_normal_form(coeff)
-    k = len(basis_rows)
-    facs = []
-    for i in range(k):
-        di = d[i][i] if i < min(len(d), len(d[0]) if d else 0) else 0
-        facs.append(di)
-    return facs

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedHom,
     UnsupportedValue,
 )
-from .intlinalg import rank_mod_p, rank_q
+from .intlinalg import invariant_factors
 from .normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
 from .scalars import RingDescriptor, int_inf, zmod_quot, zmod_triv, quotient_norm
 from .spaces import FiniteSpace
@@ -282,9 +282,9 @@ def tensor_rank_lower_bound(t: TensorElement) -> NormValue:
         return NV_ZERO
     ring = t.m0.ring
     if ring.modulus is None:
-        r = rank_q(rows)
+        r = len(invariant_factors(rows))
     elif ring.kind == "FpTriv":
-        r = rank_mod_p(rows, ring.p)
+        r = sum(1 for e in invariant_factors(rows) if e % ring.p)
     else:
         raise UnsupportedValue("rank bound needs a Z-based ring or F_p")
     if r == 0:
@@ -538,10 +538,12 @@ _SUPPORTED_HOMS = {
 
 
 def free_base_change(m: WeightedFreeModule, target: RingDescriptor) -> dict:
-    """Witness that ℓ(S, R) ⊗ A -> ℓ(S, A) is a basis-to-basis isometry.
+    """The basis-to-basis map ℓ(S, R) ⊗ A -> ℓ(S, A) and its isometry verdict.
 
-    Supported reductions only; anything else (including IntInf -> IntTriv)
-    raises UnsupportedHom.
+    Both sides weigh coordinates the same way, so the map is isometric
+    exactly when every basis vector keeps its weight; it fails over the
+    zero ring, where the basis vectors vanish.  Supported reductions only;
+    anything else (including IntInf -> IntTriv) raises UnsupportedHom.
     """
     pair = (m.ring.kind, target.kind)
     if pair not in _SUPPORTED_HOMS:
@@ -549,11 +551,11 @@ def free_base_change(m: WeightedFreeModule, target: RingDescriptor) -> dict:
     result = WeightedFreeModule(
         target, {s: m.weight(s) for s in m.symbols}, m.mode
     )
-    # isometry holds because |1| = 1 and the target norms are
-    # submultiplicative; checked on coordinate samples by the caller/tests
     return {
         "source": m,
         "target": result,
         "basis_map": {s: s for s in m.symbols},
-        "isometric": True,
+        "isometric": all(
+            result.norm(result.basis_element(s)) == m.weight(s) for s in m.symbols
+        ),
     }

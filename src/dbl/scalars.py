@@ -178,7 +178,11 @@ class RingDescriptor:
 
     @staticmethod
     def from_json(obj) -> "RingDescriptor":
-        return RingDescriptor(obj["kind"], p=obj.get("p"), n=obj.get("n"))
+        p, n = obj.get("p"), obj.get("n")
+        for x in (p, n):
+            if x is not None and (not isinstance(x, int) or isinstance(x, bool)):
+                raise ValueError('a ring object is {"kind": str, "p": int, "n": int}')
+        return RingDescriptor(obj["kind"], p=p, n=n)
 
     @staticmethod
     def parse(text: str) -> "RingDescriptor":

@@ -7,7 +7,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -44,7 +43,7 @@ from .modtensor import (
     tensor_rank_lower_bound,
 )
 from .normvalue import NV_ONE, NormValue, nv_sum
-from .scalars import RingDescriptor, fp_triv, int_inf, int_triv, zmod_triv
+from .scalars import fp_triv, int_inf, int_triv, zmod_triv
 from .spaces import FiniteSpace, banaschewski
 from .spectrum import (
     BasePoint,
@@ -56,13 +55,6 @@ from .spectrum import (
     gelfand_roundtrip,
 )
 from .weierstrass import sw_construct_indicator
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DBL_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- 1. cover/acyclicity equivalence ---------------------------------------
@@ -78,41 +70,17 @@ def _tate_cases(max_points: int, max_sets: int):
     return cases
 
 
-def _tate_case_worker(args):
-    n, fam, ring_text = args
-    ring = RingDescriptor.parse(ring_text)
-    space = FiniteSpace.discrete(n)
-    family = CoverFamily.make(space, fam)
-    report = tate_equivalence_report(space, family, ring)
-    return report["agreement"]
-
-
 def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     """Exhaustive cover <=> vanishing-homology agreement on discrete spaces."""
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
     cases = _tate_cases(max_points, max_sets)
     total = 0
-    workers = _workers()
-    jobs = [
-        (n, tuple(tuple(sorted(K)) for K in fam), str(ring))
-        for ring in rings
-        for (n, fam) in cases
-    ]
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for ok in pool.map(_tate_case_worker, jobs, chunksize=64):
-                    if not ok:
-                        return {"name": "tate_equivalence", "pass": False}
-                    total += 1
-        except (OSError, ImportError):
-            workers = 1
-    if workers == 1:
-        for job in jobs:
-            if not _tate_case_worker(job):
+    for ring in rings:
+        for n, fam in cases:
+            space = FiniteSpace.discrete(n)
+            report = tate_equivalence_report(space, CoverFamily.make(space, fam), ring)
+            if not report["agreement"]:
                 return {"name": "tate_equivalence", "pass": False}
             total += 1
     return {

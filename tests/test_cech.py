@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -16,7 +17,14 @@ from dbl.cech import (
     zeta_is_cover,
 )
 from dbl.errors import CocycleViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
-from dbl.intlinalg import matmul
+from dbl.intlinalg import (
+    identity,
+    invariant_factors,
+    matmul,
+    matvec,
+    smith_normal_form,
+    transpose,
+)
 from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace
@@ -108,21 +116,18 @@ def test_strict_sections_verifies_on_kernel():
     family = fam(D3, {0, 1}, {1, 2}, {2})
     c = build_tate_cech(D3, family, Z)
     secs = strict_sections(D3, family, Z, c)
-    from dbl.intlinalg import kernel_basis_int, matvec
-
     for s in secs:
         k = s["degree"]
         h = s["section"]
         if k < len(c.diffs):
-            kern = kernel_basis_int(c.diffs[k])
+            # columns of t beyond the rank span the kernel of d_k
+            _, _, t = smith_normal_form(c.diffs[k])
+            kern = transpose(t)[len(invariant_factors(c.diffs[k])) :]
         else:
-            from dbl.intlinalg import identity
-
             kern = identity(c.rank(k))
+        assert kern
         for v in kern:
-            hv = matvec(h, v)
-            back = matvec(c.diffs[k - 1], hv)
-            assert back == tuple(v)
+            assert matvec(c.diffs[k - 1], matvec(h, v)) == tuple(v)
 
 
 def test_strict_sections_noncover_raises():
@@ -269,61 +274,104 @@ def test_glue_rejects_non_invertible_transition():
         glue_modules(D3, family, Z, [ModulePiece(0, 1), ModulePiece(1, 1)], transitions)
 
 
-def brute_force_zn_homology_order(d_in, d_out, rank, n):
-    # oracle: enumerate all vectors of (Z/n)^rank, count kernel and image
+def brute_force_zn_torsion_orders(d_in, d_out, rank, n):
+    """|H[m]| = |{x in ker d_out : m x in im d_in}| / |im d_in| over Z/n
+    for every divisor m of n (m = n gives |H|), by enumerating (Z/n)^rank;
+    an empty d_in or d_out is the zero map."""
     from itertools import product as iproduct
 
     def apply(m, v):
         return tuple(sum(m[i][j] * v[j] for j in range(len(v))) % n for i in range(len(m)))
 
-    kernel = set()
-    for v in iproduct(range(n), repeat=rank):
-        if not d_out or all(x == 0 for x in apply(d_out, v)):
-            kernel.add(v)
-    image = set()
-    if d_in:
-        src = len(d_in[0])
-        for w in iproduct(range(n), repeat=src):
-            image.add(apply(d_in, w))
-    else:
-        image.add(tuple([0] * rank))
-    assert image <= kernel
-    return len(kernel) // len(image)
+    kernel = [
+        v
+        for v in iproduct(range(n), repeat=rank)
+        if not any(apply(d_out, v))
+    ]
+    image = (
+        {apply(d_in, w) for w in iproduct(range(n), repeat=len(d_in[0]))}
+        if d_in
+        else {(0,) * rank}
+    )
+    assert image <= set(kernel)
+    return {
+        m: sum(1 for v in kernel if tuple(m * x % n for x in v) in image) // len(image)
+        for m in range(1, n + 1)
+        if n % m == 0
+    }
 
 
 def test_zn_homology_matches_brute_force():
     import random
 
     rng = random.Random(5)
-    for n in (4, 6):
-        ring = zmod_triv(n)
-        for _ in range(25):
-            r0, r1, r2 = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2)
-            d0 = tuple(
-                tuple(rng.randrange(n) for _ in range(r0)) for _ in range(r1)
-            )
-            # search for a compatible second differential (d1 d0 = 0 mod n)
-            d1 = None
-            for _ in range(300):
-                cand = tuple(
-                    tuple(rng.randrange(n) for _ in range(r1)) for _ in range(r2)
+    checked = 0
+    for n in (4, 6, 8):
+        for ring in (zmod_triv(n), zmod_quot(n)):
+            for _ in range(15):
+                r0, r1, r2 = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2)
+                d0 = tuple(
+                    tuple(rng.randint(-n, n) for _ in range(r0)) for _ in range(r1)
                 )
-                prod = matmul(cand, d0)
-                if all(x % n == 0 for row in prod for x in row):
-                    d1 = cand
-                    break
-            if d1 is None:
-                continue
-            c = ChainComplex(ring, (tuple(range(r0)), tuple(range(r1)), tuple(range(r2))), (d0, d1))
-            rep = exactness(c)
-            # degree 1 homology order vs brute force
-            got = 1
-            deg = rep["degrees"][1]
-            for t in deg["torsion"]:
-                got *= t
-            assert deg["free_rank"] == 0
-            want = brute_force_zn_homology_order(d0, d1, r1, n)
-            assert got == want, (n, d0, d1)
+                # rows of s beyond the rank annihilate d0 over Z, so integer
+                # combinations of them give d1 with d1 d0 = 0 over Z
+                _, s, _ = smith_normal_form(d0)
+                left_kernel = s[len(invariant_factors(d0)) :]
+                d1 = []
+                for _ in range(r2):
+                    coeffs = [rng.randint(-2, 2) for _ in left_kernel]
+                    d1.append(
+                        tuple(
+                            sum(a * y[j] for a, y in zip(coeffs, left_kernel))
+                            for j in range(r1)
+                        )
+                    )
+                d1 = tuple(d1)
+                c = ChainComplex(
+                    ring, (tuple(range(r0)), tuple(range(r1)), tuple(range(r2))), (d0, d1)
+                )
+                rep = exactness(c)
+                for deg, d_in, d_out, rank in (
+                    (rep["degrees"][0], (), d0, r0),
+                    (rep["degrees"][1], d0, d1, r1),
+                    (rep["degrees"][2], d1, (), r2),
+                ):
+                    assert deg["free_rank"] == 0
+                    want = brute_force_zn_torsion_orders(d_in, d_out, rank, n)
+                    torsion = deg["torsion"]
+                    assert all(t > 1 and n % t == 0 for t in torsion)
+                    assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+                    # the order of H, then |H[m]| = prod gcd(t, m), which pins
+                    # the invariant factors of a group of exponent dividing n
+                    order = 1
+                    for t in torsion:
+                        order *= t
+                    assert order == want[n], (n, deg, d0, d1)
+                    got = {}
+                    for m in want:
+                        got[m] = 1
+                        for t in torsion:
+                            got[m] *= gcd(t, m)
+                    assert got == want, (n, deg, d0, d1)
+                checked += 1
+    assert checked == 90
+
+
+def test_complex_rejects_composition_vanishing_only_mod_n():
+    # d1 d0 = (4): zero over Z/4 but not over Z, so not an integer complex
+    with pytest.raises(ValueError):
+        ChainComplex(zmod_triv(4), (("a",), ("b",), ("c",)), (((2,),), ((2,),)))
+
+
+def test_cover_complex_at_the_caps_is_fast():
+    import time
+
+    space = FiniteSpace.discrete(12)
+    family = fam(space, *(set(range(12)) - {i} for i in range(6)))
+    started = time.perf_counter()
+    rep = tate_equivalence_report(space, family, zmod_triv(4))
+    assert time.perf_counter() - started < 2
+    assert rep["exact"] and rep["agreement"]
 
 
 def test_equivalence_on_non_discrete_spaces_with_embedding_pieces():

@@ -195,11 +195,47 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_workers_env_sharding(capsys, monkeypatch):
-    monkeypatch.setenv("DBL_WORKERS", "2")
+def test_cech_exhaustive_case_count(capsys):
     code, report, _ = run_cli(
         capsys,
         ["cech", "--exhaustive", "--max-points", "2", "--max-sets", "2", "--ring", "IntInf"],
     )
     assert code == 0
     assert report["verdicts"][0]["cases"] == 13  # 3 families on 1 point + 10 on 2
+
+
+def test_cech_request_without_ring_uses_int_inf(capsys, monkeypatch):
+    payload = {
+        "space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
+        "family": [[0]],
+    }
+    code, report, _ = run_cli(
+        capsys, ["cech"], stdin_text=json.dumps(payload), monkeypatch=monkeypatch
+    )
+    assert code == 0
+    v = report["verdicts"][0]
+    assert v["ring"] == "IntInf" and not v["exact"]
+
+
+TWO_POINTS = {"points": 2, "opens": [[], [0], [1], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, request_",
+    [
+        ("cech", {"space": TWO_POINTS, "family": 5, "ring": "IntInf"}),
+        ("cech", {"space": TWO_POINTS, "family": [0, 1], "ring": "IntInf"}),
+        ("cech", {"space": TWO_POINTS, "family": [[0]], "ring": 5}),
+        ("cech", {"space": TWO_POINTS, "family": [[0]], "ring": {"kind": "FpTriv", "p": "3"}}),
+        ("sw", {"space": TWO_POINTS, "gens": 5, "clopen": [1]}),
+        ("sw", {"space": TWO_POINTS, "gens": [["0", 3]], "clopen": [1]}),
+        ("sw", {"space": TWO_POINTS, "gens": [[0, 3]], "clopen": 1}),
+        ("sw", {"space": TWO_POINTS, "gens": [[0, 3]], "clopen": [[1]]}),
+    ],
+)
+def test_request_fields_of_the_wrong_type_exit_2(capsys, monkeypatch, command, request_):
+    code, report, _ = run_cli(
+        capsys, [command], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"].startswith("ValueError")

@@ -8,14 +8,8 @@ from dbl.intlinalg import (
     identity,
     invariant_factors,
     inverse_unimodular,
-    kernel_basis_int,
-    lattice_quotient_invariants,
     matmul,
-    matvec,
-    rank_mod_p,
-    rank_q,
     smith_normal_form,
-    solve_int,
     transpose,
 )
 
@@ -95,41 +89,6 @@ def test_invariant_factors_match_minor_gcds(rows):
         prev = dk
 
 
-@given(small_matrices)
-@settings(max_examples=80, deadline=None)
-def test_kernel_basis(rows):
-    a = tuple(map(tuple, rows))
-    kern = kernel_basis_int(a)
-    ncols = len(a[0])
-    assert len(kern) == ncols - rank_q(a)
-    for v in kern:
-        assert all(x == 0 for x in matvec(a, v))
-
-
-@given(small_matrices, st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4))
-@settings(max_examples=80, deadline=None)
-def test_solve_int(rows, xs):
-    a = tuple(map(tuple, rows))
-    x = tuple(xs[: len(a[0])])
-    b = matvec(a, x)
-    got = solve_int(a, b)
-    assert got is not None
-    assert matvec(a, got) == b
-
-
-def test_solve_int_no_solution():
-    assert solve_int(((2,),), (1,)) is None
-    assert solve_int(((1, 0), (0, 0)), (3, 1)) is None
-
-
-def test_rank_q_vs_mod_p():
-    a = ((2, 4), (1, 2))
-    assert rank_q(a) == 1
-    assert rank_mod_p(a, 2) == 1  # (2,4) ~ 0, (1,2) nonzero mod 2
-    b = ((2, 0), (0, 2))
-    assert rank_q(b) == 2 and rank_mod_p(b, 2) == 0
-
-
 def test_inverse_unimodular():
     m = ((1, 1), (0, 1))
     inv = inverse_unimodular(m)
@@ -140,23 +99,6 @@ def test_inverse_unimodular():
         pass
     else:
         raise AssertionError("non-unimodular matrix accepted")
-
-
-def test_lattice_quotient_invariants():
-    # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3
-    facs = lattice_quotient_invariants(identity(2), [(2, 0), (0, 3)])
-    assert sorted(f for f in facs if f not in (0, 1)) == [2, 3] or facs == [1, 6]
-    total = 1
-    for f in facs:
-        assert f != 0
-        total *= f
-    assert total == 6
-    # quotient by the full lattice is trivial
-    facs = lattice_quotient_invariants(identity(2), [(1, 0), (0, 1)])
-    assert all(f == 1 for f in facs)
-    # free quotient shows a zero invariant
-    facs = lattice_quotient_invariants(identity(2), [(1, 0)])
-    assert sorted(facs) == [0, 1]
 
 
 def test_transpose_matmul_shapes():

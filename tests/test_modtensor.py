@@ -135,6 +135,23 @@ def test_rank_lower_bound_examples():
     assert tensor_rank_lower_bound(collapsed) == NV_ONE  # rank 1
 
 
+def test_rank_lower_bound_over_fp_counts_factors_prime_to_p():
+    # det [[1,1,0],[0,1,1],[1,0,1]] = 2: rank 2 over F_2, 3 over Q
+    rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    for ring, rank in ((fp_triv(2), 2), (fp_triv(3), 3), (ZI, 3)):
+        m = WeightedFreeModule(ring, {"e0": 1, "e1": 1, "e2": 1}, ARCH)
+        t = TensorElement.from_pairs(
+            m,
+            m,
+            [
+                (m.basis_element(f"e{i}"), elem({f"e{j}": c for j, c in enumerate(row)}))
+                for i, row in enumerate(rows)
+            ],
+        )
+        assert t.coefficient_rows() == rows
+        assert tensor_rank_lower_bound(t) == NormValue.from_fraction(rank), str(ring)
+
+
 def test_arch_upper_bound():
     m = WeightedFreeModule(ZI, {"e0": 1, "e1": 1, "e2": 1}, ARCH)
     t = TensorElement.from_pairs(
@@ -262,6 +279,14 @@ def test_free_base_change():
         free_base_change(mi, int_triv())
     with pytest.raises(UnsupportedHom):
         free_base_change(m, zmod_quot(4))
+
+
+def test_free_base_change_to_the_zero_ring_is_not_isometric():
+    # basis vectors vanish over Z/1, so they lose their weights
+    m = WeightedFreeModule(ZT, {"a": 1, "b": 2}, NONARCH)
+    assert not free_base_change(m, zmod_triv(1))["isometric"]
+    mi = WeightedFreeModule(ZI, {"a": 1}, ARCH)
+    assert not free_base_change(mi, zmod_quot(1))["isometric"]
 
 
 def test_cfin_module_shape():
