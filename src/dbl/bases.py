@@ -58,9 +58,6 @@ class BasisFamily:
             self.space, ring, tuple(ring.reduce(v) for v in self.rows[i])
         )
 
-    def evaluation_matrix(self):
-        return self.rows
-
     def to_json(self):
         out = {"kind": self.kind, "size": self.size}
         if self.clopens is not None:

@@ -1,14 +1,16 @@
 """Closed-cover complexes, exactness by normal forms, and descent.
 
 The complex of a finite family of closed subsets has degree-k term the
-product of function modules on (k+1)-fold intersections with alternating
-restriction differentials.  The differentials are integer matrices: the
-rings here are discrete, so the complex over R is the integer complex
-tensored with R, and its homology over Z, F_p, Z/n and the zero ring is
-read off the invariant factors of each integer differential.  Covers are
-characterized by exactness, and the
-constructive side is a selection homotopy whose per-stage constants are
-reported with the section matrices.
+product of function modules on the k-fold intersections (degree 0 is X)
+with alternating restriction differentials: one free summand per
+quasi-component of an intersection, read off the space's specialization
+preorder by FiniteSpace.components without building a subspace.  The
+differentials are integer matrices: the rings here are discrete, so the
+complex over R is the integer complex tensored with R, and its homology
+over Z, F_p, Z/n and the zero ring is read off the invariant factors of
+each integer differential.  Covers are characterized by exactness, and
+the constructive side is a selection homotopy whose per-stage constants
+are reported with the section matrices.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .intlinalg import (
 )
 from .modtensor import WeightedFreeModule
 from .scalars import RingDescriptor
-from .spaces import FiniteSpace, inclusion_map, zeta_embedding_check
+from .spaces import FiniteSpace
 
 MAX_FAMILY = 6
 MAX_COMPLEX_POINTS = 12
@@ -103,12 +105,9 @@ class ChainComplex:
         return len(self.terms[k])
 
 
-def _subspace_components(space: FiniteSpace, subset: frozenset):
-    """Quasi-components of a closed subset with its subspace topology."""
-    if not subset:
-        return []
-    sub, incl = inclusion_map(subset, space)
-    return [frozenset(incl(x) for x in block) for block in sub.quasi_components]
+def _columns(labels) -> dict:
+    """(tuple, point, symbol) -> index of the label whose component holds the point."""
+    return {(tup, x, s): j for j, (tup, c, s) in enumerate(labels) for x in c}
 
 
 def build_tate_cech(
@@ -119,38 +118,29 @@ def build_tate_cech(
 ) -> ChainComplex:
     """The alternating complex of a finite closed family.
 
-    Degree 0 is C(X) (tensored with the coefficient module when given);
-    degree k is the product over strictly increasing (k)-fold tuples of
-    C of the intersection.  Intersections realize the tensor terms
-    directly.  Differentials are signed restrictions.
+    Degree k is the product over strictly increasing k-fold tuples of C
+    of the intersection (tensored with the coefficient module when
+    given); degree 0 is the empty tuple, whose intersection is X.
+    Intersections realize the tensor terms directly.  Differentials are
+    signed restrictions: a component of an intersection is connected, so
+    it lies in exactly one component of each face, the one holding its
+    least point.
     """
     if space.n > MAX_COMPLEX_POINTS:
         raise SizeExceeded(f"{space.n} points > cap {MAX_COMPLEX_POINTS}")
     msyms = coefficients.symbols if coefficients is not None else (None,)
     sets = family.sets
-    r = len(sets)
+    full = frozenset(space.points)
 
     # labels per degree: (tuple_of_indices, component_frozenset, module_symbol)
     terms = []
-    full = frozenset(range(space.n))
-    deg_tuples = [()] + [
-        tuple(combinations(range(r), k + 1)) for k in range(r)
-    ]
-    for k, tuples in enumerate(deg_tuples):
+    for k in range(len(sets) + 1):
         labels = []
-        if k == 0:
-            comps = _subspace_components(space, full) if space.n else []
-            for c in comps:
+        for tup in combinations(range(len(sets)), k):
+            inter = full.intersection(*(sets[i] for i in tup))
+            for c in space.components(inter):
                 for s in msyms:
-                    labels.append(((), c, s))
-        else:
-            for tup in tuples:
-                inter = full
-                for i in tup:
-                    inter &= sets[i]
-                for c in _subspace_components(space, inter):
-                    for s in msyms:
-                        labels.append((tup, c, s))
+                    labels.append((tup, c, s))
         terms.append(tuple(labels))
 
     # strip trailing zero terms beyond the family size
@@ -160,15 +150,13 @@ def build_tate_cech(
     diffs = []
     for k in range(len(terms) - 1):
         src, dst = terms[k], terms[k + 1]
+        col = _columns(src)
         rows = []
         for tup_d, comp_d, sym_d in dst:
             row = [0] * len(src)
             for pos in range(len(tup_d)):
                 face = tup_d[:pos] + tup_d[pos + 1 :]
-                sign = (-1) ** pos
-                for idx, (tup_s, comp_s, sym_s) in enumerate(src):
-                    if tup_s == face and sym_s == sym_d and comp_d <= comp_s:
-                        row[idx] += sign
+                row[col[(face, min(comp_d), sym_d)]] += (-1) ** pos
             rows.append(tuple(row))
         diffs.append(tuple(rows))
     return ChainComplex(ring, tuple(terms), tuple(diffs))
@@ -229,6 +217,7 @@ def _selection_homotopy(space, family, terms, k):
 
     src = terms[k + 1]
     dst = terms[k]
+    col = _columns(src)
     rows = []
     for tup_d, comp_d, sym_d in dst:
         row = [0] * len(src)
@@ -239,12 +228,10 @@ def _selection_homotopy(space, family, terms, k):
             # inserting a repeated index gives zero in the alternating sum
             rows.append(tuple(row))
             continue
+        # comp_d lies in the selected set, so it is a component of the
+        # inserted tuple's intersection too
         bigger = tuple(sorted(tup_d + (i_sel,)))
-        pos = bigger.index(i_sel)
-        sign = (-1) ** pos
-        for idx, (tup_s, comp_s, sym_s) in enumerate(src):
-            if tup_s == bigger and sym_s == sym_d and comp_d <= comp_s:
-                row[idx] += sign
+        row[col[(bigger, min(comp_d), sym_d)]] = (-1) ** bigger.index(i_sel)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -301,15 +288,15 @@ def strict_sections(
 
 
 def _check_embeddings(space: FiniteSpace, family: CoverFamily):
+    """Each piece's components must land in distinct components of X."""
     for K in family.sets:
-        if not K:
-            continue
-        _, incl = inclusion_map(K, space)
-        ok, witness = zeta_embedding_check(incl)
-        if not ok:
-            raise NotEmbedding(
-                f"inclusion of {sorted(K)} merges quasi-components {witness}"
-            )
+        seen: dict[int, int] = {}
+        for i, block in enumerate(space.components(K)):
+            j = seen.setdefault(space.component_index(min(block)), i)
+            if j != i:
+                raise NotEmbedding(
+                    f"inclusion of {sorted(K)} merges quasi-components {(j, i)}"
+                )
 
 
 def descent_faithful_witness(
@@ -318,12 +305,10 @@ def descent_faithful_witness(
     """A nonzero function restricting to zero on every set of a non-cover."""
     if ring.is_zero_ring:
         raise IsCover("the zero ring makes every family a cover")
-    if zeta_is_cover(space, family):
-        raise IsCover("the family covers every quasi-component")
     for block in space.quasi_components:
         if not any(block & K for K in family.sets):
             return indicator(space, ring, block)
-    raise IsCover("unreachable")
+    raise IsCover("the family covers every quasi-component")
 
 
 def tate_equivalence_report(

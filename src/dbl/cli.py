@@ -15,7 +15,7 @@ import time
 from . import fixtures, suite
 from .bases import family_determinant, mahler_coeffs, mahler_pairing, vdp_basis_level
 from .cech import CoverFamily, tate_equivalence_report
-from .errors import DblError, SizeExceeded, UnsupportedRing
+from .errors import DblError, NotClopen, SizeExceeded, SpaceMismatch, UnsupportedRing
 from .functions import CfinFunction
 from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, banaschewski
@@ -254,7 +254,16 @@ def run(argv=None) -> int:
     started = time.monotonic()
     try:
         verdicts = args.fn(args)
-    except (UnsupportedRing, SizeExceeded) as err:
+    except (
+        UnsupportedRing,
+        SizeExceeded,
+        NotClopen,
+        SpaceMismatch,
+        KeyError,
+        ValueError,
+        json.JSONDecodeError,
+        OSError,
+    ) as err:
         print(
             json.dumps(
                 {
@@ -285,19 +294,6 @@ def run(argv=None) -> int:
         if not args.quiet:
             print(f"[FAIL] {args.command}: {err}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, json.JSONDecodeError, OSError) as err:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": args.command,
-                    "error": f"{type(err).__name__}: {err}",
-                }
-            )
-        )
-        if not args.quiet:
-            print(f"input error: {err}", file=sys.stderr)
-        return 2
     elapsed = time.monotonic() - started
     ok = all(v.get("pass", False) for v in verdicts)
     report = {

@@ -11,22 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def identity(n: int):
     return tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
     )
-
-
-def zeros(r: int, c: int):
-    return tuple((0,) * c for _ in range(r))
-
-
-def shape(a) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
 
 
 def matmul(a, b):
@@ -34,10 +22,15 @@ def matmul(a, b):
     rb, cb = len(b), len(b[0]) if b else 0
     if ra and ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    out = []
+    for row in a:
+        # row of a*b = sum of x * b[j] over the nonzero entries x = row[j]
+        acc = [0] * cb
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def matvec(a, v):

@@ -47,13 +47,6 @@ def elem(pairs_or_dict) -> tuple:
     return tuple(items)
 
 
-def elem_coeff(e: tuple, symbol):
-    for s, c in e:
-        if s == symbol:
-            return c
-    return 0
-
-
 class WeightedFreeModule:
     """Free module on weighted symbols over a supported ring."""
 

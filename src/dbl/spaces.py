@@ -5,7 +5,8 @@ smallest open set containing x, the intersection of the generating opens
 that contain x (Stong 1966; Barmak, LNM 2032).  Opens are the up-sets of
 that preorder, continuity is monotonicity, and a subspace restricts the
 preorder.  Quasi-components — the intersections of all clopens containing
-a point — are the connected components of the graph joining x to up[x];
+a point — are the connected components of the graph joining x to up[x]
+(for a subset S, to up[x] & S, so no subspace is built to find them);
 they are the finite-stage fibers of the map to the Banaschewski
 compactification, which here is just the discrete space of
 quasi-components.  Spaces have at most MAX_POINTS points; listing opens
@@ -82,7 +83,8 @@ class FiniteSpace:
         return U <= frozenset(self.points) and all(self.up[x] <= U for x in U)
 
     def is_closed(self, K) -> bool:
-        return self.is_open(frozenset(self.points) - frozenset(K))
+        K, full = frozenset(K), frozenset(self.points)
+        return K <= full and self.is_open(full - K)
 
     def is_clopen(self, U) -> bool:
         U = frozenset(U)
@@ -95,18 +97,27 @@ class FiniteSpace:
         """Every clopen set (the unions of quasi-components), in canonical order."""
         return _unions(self.quasi_components)
 
-    @cached_property
-    def quasi_components(self) -> tuple[frozenset, ...]:
-        """Partition of the points; block of x = meet of clopens containing x.
+    def components(self, subset) -> tuple[frozenset, ...]:
+        """Quasi-components of a subset S in its subspace topology, by least point.
 
-        In a finite space these are the connected components of the graph
-        joining each x to every point of up[x].
+        The smallest open of the subspace around x is up[x] & S, so these
+        are the connected components of the graph joining each x in S to
+        every point of up[x] & S; no subspace is built.
         """
+        S = frozenset(subset)
+        if not S <= frozenset(self.points):
+            raise ValueError(f"{sorted(S)} not within the space")
         blocks: list[frozenset] = []
-        for U in self.up:
+        for x in S:
+            U = self.up[x] & S
             meets = [b for b in blocks if b & U]
             blocks = [b for b in blocks if not b & U] + [U.union(*meets)]
         return tuple(sorted(blocks, key=min))
+
+    @cached_property
+    def quasi_components(self) -> tuple[frozenset, ...]:
+        """Partition of the points; block of x = meet of clopens containing x."""
+        return self.components(self.points)
 
     @cached_property
     def _component_of(self) -> dict[int, int]:
@@ -116,10 +127,6 @@ class FiniteSpace:
         if x not in self._component_of:
             raise ValueError(f"point {x} outside the space")
         return self._component_of[x]
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(U) == 1 for U in self.up)
 
     def clopen_component_indices(self, U) -> frozenset:
         """Indices of the quasi-components making up a clopen U."""

@@ -237,11 +237,10 @@ class SpectrumPoint:
 class SeminormOracle:
     """A total seminorm on C_fin(X, R), wrapped as a callable."""
 
-    def __init__(self, space: FiniteSpace, ring: RingDescriptor, fn, label=""):
+    def __init__(self, space: FiniteSpace, ring: RingDescriptor, fn):
         self.space = space
         self.ring = ring
         self._fn = fn
-        self.label = label
 
     def __call__(self, f: CfinFunction) -> NormValue:
         if f.space != self.space or f.coeff != self.ring:
@@ -261,9 +260,7 @@ def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDes
     if not is_admissible(ring, base):
         raise ValidationFailure("admissibility", str(base))
     pt = SpectrumPoint(component, base)
-    return SeminormOracle(
-        space, ring, lambda f: eval_seminorm(pt, f), label=f"({component},{base})"
-    )
+    return SeminormOracle(space, ring, lambda f: eval_seminorm(pt, f))
 
 
 def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
@@ -326,7 +323,7 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     return candidate
 
 
-def g_split(oracle, space: FiniteSpace | None = None, ring: RingDescriptor | None = None) -> SpectrumPoint:
+def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     """Recover (ultrafilter component, base point) from a seminorm oracle.
 
     Tests the oracle on every clopen indicator; the clopens with nonzero
@@ -334,11 +331,7 @@ def g_split(oracle, space: FiniteSpace | None = None, ring: RingDescriptor | Non
     quasi-component.  The base point is identified from the values on
     constants, then verified on the whole constant sample.
     """
-    if isinstance(oracle, SeminormOracle):
-        space = space or oracle.space
-        ring = ring or oracle.ring
-    if space is None or ring is None:
-        raise ValueError("g_split needs the space and ring for bare callables")
+    space, ring = oracle.space, oracle.ring
     hits = []
     for U in space.clopens:
         v = oracle(indicator(space, ring, U))

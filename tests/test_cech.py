@@ -163,7 +163,7 @@ def test_tate_equivalence_rejects_non_embedding_pieces():
     space = FiniteSpace(3, [frozenset({0, 1}), frozenset({1, 2})])
     assert len(space.quasi_components) == 1
     family = fam(space, {0, 2})
-    with pytest.raises(NotEmbedding):
+    with pytest.raises(NotEmbedding, match=r"merges quasi-components \(0, 1\)$"):
         tate_equivalence_report(space, family, Z)
 
 

@@ -96,6 +96,28 @@ def test_sw_non_separating_exits_1(capsys, monkeypatch):
     assert "NonSeparating" in report["verdicts"][0]["violation"]
 
 
+SIERPINSKI = {"points": 2, "opens": [[], [1], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, request_, error",
+    [
+        # {0} is closed but not open in the Sierpinski space
+        ("sw", {"space": SIERPINSKI, "gens": [[1, 1]], "clopen": [0]}, "NotClopen"),
+        # a generator that is not constant on the quasi-component {0, 1}
+        ("sw", {"space": SIERPINSKI, "gens": [[0, 1]], "clopen": [0, 1]}, "SpaceMismatch"),
+        # a family set with a point outside the space
+        ("cech", {"space": {"points": 2, "opens": [[0], [1]]}, "family": [[0, 1, -3]]}, "ValueError"),
+    ],
+)
+def test_input_errors_exit_2(capsys, monkeypatch, command, request_, error):
+    code, report, _ = run_cli(
+        capsys, [command], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"].startswith(error)
+
+
 def test_bad_ring_exits_2(capsys):
     code, report, _ = run_cli(capsys, ["spectrum", "--ring", "NumberField(7)"])
     assert code == 2

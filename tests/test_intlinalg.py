@@ -101,6 +101,23 @@ def test_inverse_unimodular():
         raise AssertionError("non-unimodular matrix accepted")
 
 
+@given(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data()
+)
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_row_times_column(ra, ca, cb, data):
+    # mostly-zero entries exercise the skipped zeros of the left factor
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -5))
+    a = tuple(tuple(data.draw(entries) for _ in range(ca)) for _ in range(ra))
+    b = tuple(tuple(data.draw(entries) for _ in range(cb)) for _ in range(ca))
+    width = cb if ca else 0  # a 0-row b carries no column count
+    naive = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(width))
+        for i in range(ra)
+    )
+    assert matmul(a, b) == naive
+
+
 def test_transpose_matmul_shapes():
     a = ((1, 2, 3),)
     assert transpose(a) == ((1,), (2,), (3,))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbl.cech import CoverFamily
 from dbl.errors import NotClopen, NotContinuous, SizeExceeded
 from dbl.fixtures import chain_space, double_sierpinski, glued_pairs
 from dbl.spaces import (
@@ -91,6 +92,15 @@ def test_clopen_closure_uniqueness():
                 if frozenset(x for x in range(space.n) if iota(x) in V) == U
             ]
             assert others == [bar]
+
+
+def test_is_closed_rejects_points_outside_the_space():
+    disc = FiniteSpace.discrete(2)
+    assert disc.is_closed({0}) and disc.is_closed(set())
+    assert not disc.is_closed({0, 5})
+    assert not disc.is_closed({-1})
+    with pytest.raises(ValueError):
+        CoverFamily.make(disc, [{0, 1, -3}])
 
 
 def test_clopen_closure_rejects_non_clopen():
@@ -319,6 +329,17 @@ def test_preorder_matches_topology_closure(spec, data):
     assert frozenset(sub.opens) == frozenset(
         frozenset(idx[x] for x in U & frozenset(A)) for U in opens
     )
+    # the components of a subset, read off the preorder, are the
+    # quasi-components of the subspace built by inclusion_map
+    for _ in range(3):
+        S = data.draw(st.frozensets(st.sampled_from(range(n)))) if n else frozenset()
+        sub, incl = inclusion_map(S, space)
+        assert space.components(S) == tuple(
+            frozenset(incl(x) for x in block) for block in sub.quasi_components
+        )
+    for outside in (-1, n):
+        with pytest.raises(ValueError):
+            space.components(full | {outside})
     # equality and hash depend on the topology, not on its generators
     same = FiniteSpace(n, opens)
     assert same == space and hash(same) == hash(space)
