@@ -53,6 +53,10 @@ class CfinFunction:
     @staticmethod
     def from_point_values(space: FiniteSpace, coeff, point_values) -> "CfinFunction":
         """Build from per-point values; they must be component-constant."""
+        if len(point_values) != space.n:
+            raise SpaceMismatch(
+                f"{len(point_values)} values for a space of {space.n} points"
+            )
         vals = []
         for block in space.quasi_components:
             got = {point_values[x] for x in block}

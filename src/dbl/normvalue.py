@@ -3,8 +3,9 @@
 Every such value v equals r**(1/d) for a rational r >= 0 and a least
 integer d >= 1: d generates {k : v**k rational} and r = v**d.  A NormValue
 stores that canonical pair, so equality compares pairs; products and powers
-combine pairs through the lcm of the d's, and comparison raises both sides
-to a common power and compares two Fractions.  Only exponent denominators
+combine pairs through the lcm of the d's.  Comparison raises both sides to
+a common power only when their d's differ, and then cross-multiplies
+integers: a/b < c/e exactly when a*e < c*b.  Only exponent denominators
 are factored.  Every power goes through one helper that raises
 SizeExceeded past MAX_BITS bits; MAX_BITS also bounds exponent denominators.
 
@@ -15,6 +16,8 @@ in the library decidable.
 
 from __future__ import annotations
 
+import re
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -82,6 +85,74 @@ def _root(q: Fraction, k: int) -> Fraction | None:
     return None
 
 
+# str(int) and int(str) refuse integers of more than
+# sys.get_int_max_str_digits() digits (4300 by default, never below 640 unless
+# unlimited); larger ones are converted by halves down to chunks of
+# _DIGITS digits, which is also fast where plain str(int) is quadratic.
+_DIGITS = 600
+_SHORT = 10**_DIGITS  # integers below it print with str()
+_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # exact on ints
+_RATIO = re.compile(r"\s*(\d+)(?:/(\d+))?\s*")
+
+
+def _to_digits(n: int) -> str:
+    """str(n) for an integer n >= 0 of any size."""
+    if n < _SHORT:
+        return str(n)
+    # n = hi * 2**k + lo, summed in Decimal, whose multiplication is
+    # subquadratic; pows[m] = 2**(1024 << m), and a part below
+    # 2**(1024 << m) splits at k = 1024 << (m - 1)
+    pows = [Decimal(1 << 1024)]
+    while 1024 << len(pows) < n.bit_length():
+        pows.append(_DECIMAL.multiply(pows[-1], pows[-1]))
+
+    def convert(x: int, m: int) -> Decimal:
+        if m == 0:
+            return Decimal(x)
+        k = 1024 << (m - 1)
+        hi, lo = x >> k, x & ((1 << k) - 1)
+        return _DECIMAL.add(
+            _DECIMAL.multiply(convert(hi, m - 1), pows[m - 1]), convert(lo, m - 1)
+        )
+
+    return str(convert(n, len(pows)))
+
+
+def _from_digits(text: str) -> int:
+    """int(text) for a string of decimal digits of any length."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    # pows[m] = 5**(_DIGITS << m); a numeral of up to _DIGITS << m digits
+    # splits off its last k = _DIGITS << (m - 1), and 10**k = 5**k << k
+    pows = [5**_DIGITS]
+    while _DIGITS << len(pows) < len(text):
+        pows.append(pows[-1] * pows[-1])
+
+    def convert(digits: str, m: int) -> int:
+        if len(digits) <= _DIGITS:
+            return int(digits)
+        k = _DIGITS << (m - 1)
+        if len(digits) <= k:
+            return convert(digits, m - 1)
+        hi = convert(digits[:-k], m - 1) * pows[m - 1]
+        return (hi << k) + convert(digits[-k:], m - 1)
+
+    return convert(text, len(pows))
+
+
+def _ratio(q: Fraction) -> str:
+    return f"{_to_digits(q.numerator)}/{_to_digits(q.denominator)}"
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x), reading an unsigned "n/d" or "n" string of any length."""
+    m = _RATIO.fullmatch(x) if isinstance(x, str) else None
+    if m is None:
+        return Fraction(x)
+    num, den = m.groups()
+    return Fraction(_from_digits(num), _from_digits(den) if den else 1)
+
+
 class NormValue:
     """An exact nonnegative real r**(1/d), totally ordered."""
 
@@ -114,7 +185,7 @@ class NormValue:
     @staticmethod
     def from_fraction(q) -> "NormValue":
         q = Fraction(q)
-        if q < 0:
+        if q.numerator < 0:
             raise ValueError("norm values are nonnegative")
         return NormValue(q)
 
@@ -204,10 +275,15 @@ class NormValue:
 
     def compare(self, other: "NormValue") -> int:
         """-1, 0, or 1 as self <, =, > other."""
-        d = lcm(self._d, other._d)
-        a = _power(self._r, d // self._d)
-        b = _power(other._r, d // other._d)
-        return (a > b) - (a < b)
+        a, b = self._r, other._r
+        if self._d != other._d:
+            d = lcm(self._d, other._d)
+            a = _power(a, d // self._d)
+            b = _power(b, d // other._d)
+        # a < b exactly when a.num * b.den < b.num * a.den (denominators > 0)
+        x = a.numerator * b.denominator
+        y = b.numerator * a.denominator
+        return (x > y) - (x < y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormValue):
@@ -237,22 +313,17 @@ class NormValue:
         if self._r == 1:
             return "NormValue(1)"
         base, exp = self.canonical_pow()
-        if exp == 1:
-            return f"NormValue({base})"
-        return f"NormValue({base}^{exp})"
+        # str(Fraction): "n", or "n/d" when d > 1
+        text = _to_digits(base.numerator) if base.denominator == 1 else _ratio(base)
+        return f"NormValue({text})" if exp == 1 else f"NormValue({text}^{exp})"
 
     def to_json(self):
         if self._r == 0:
             return {"kind": "zero"}
         if self._d == 1:
-            q = self._r
-            return {"kind": "rational", "value": f"{q.numerator}/{q.denominator}"}
+            return {"kind": "rational", "value": _ratio(self._r)}
         base, exp = self.canonical_pow()
-        return {
-            "kind": "pow",
-            "base": f"{base.numerator}/{base.denominator}",
-            "exp": f"{exp.numerator}/{exp.denominator}",
-        }
+        return {"kind": "pow", "base": _ratio(base), "exp": _ratio(exp)}
 
     @staticmethod
     def from_json(obj) -> "NormValue":
@@ -260,8 +331,8 @@ class NormValue:
         if kind == "zero":
             return _ZERO
         if kind == "rational":
-            return NormValue.from_fraction(Fraction(obj["value"]))
-        return NormValue.from_pow(Fraction(obj["base"]), Fraction(obj["exp"]))
+            return NormValue.from_fraction(_fraction(obj["value"]))
+        return NormValue.from_pow(_fraction(obj["base"]), _fraction(obj["exp"]))
 
 
 _ZERO = NormValue(Fraction(0))
@@ -280,7 +351,7 @@ def nv_compare(u: NormValue, v: NormValue) -> str:
 def nv_max(values, default=None):
     out = default
     for v in values:
-        if out is None or v > out:
+        if out is None or v.compare(out) > 0:
             out = v
     if out is None:
         raise ValueError("nv_max of empty sequence needs a default")

@@ -9,8 +9,9 @@ a point — are the connected components of the graph joining x to up[x]
 (for a subset S, to up[x] & S, so no subspace is built to find them);
 they are the finite-stage fibers of the map to the Banaschewski
 compactification, which here is just the discrete space of
-quasi-components.  Spaces have at most MAX_POINTS points; listing opens
-or clopens stops at MAX_LISTED sets.
+quasi-components, built once per space with its quotient map.  Spaces
+have at most MAX_POINTS points; listing opens or clopens stops at
+MAX_LISTED sets.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ class FiniteSpace:
             raise NotClopen(f"{sorted(U)} is not clopen")
         return frozenset(self._component_of[x] for x in U)
 
+    @cached_property
+    def _banaschewski(self) -> tuple["FiniteSpace", "PointMap"]:
+        # spaces are immutable, so the quotient is built once; see banaschewski
+        zeta = FiniteSpace.discrete(len(self.quasi_components))
+        return zeta, PointMap(self, zeta, tuple(map(self.component_index, self.points)))
+
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
             return NotImplemented
@@ -226,12 +233,11 @@ def inclusion_map(subset, space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
 
 
 def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
-    """The discrete space of quasi-components with the quotient map."""
-    zeta = FiniteSpace.discrete(len(space.quasi_components))
-    iota = PointMap(
-        space, zeta, tuple(space.component_index(x) for x in range(space.n))
-    )
-    return zeta, iota
+    """The discrete space of quasi-components with the quotient map.
+
+    Built once per space: every call returns the same two objects.
+    """
+    return space._banaschewski
 
 
 def ultrafilters(space: FiniteSpace) -> list[frozenset]:

@@ -1,7 +1,12 @@
+import contextlib
 import io
 import json
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbl.cli import run
 from dbl.fixtures import glued_pairs
@@ -108,6 +113,8 @@ SIERPINSKI = {"points": 2, "opens": [[], [1], [0, 1]]}
         ("sw", {"space": SIERPINSKI, "gens": [[0, 1]], "clopen": [0, 1]}, "SpaceMismatch"),
         # a family set with a point outside the space
         ("cech", {"space": {"points": 2, "opens": [[0], [1]]}, "family": [[0, 1, -3]]}, "ValueError"),
+        # one value for a space of two points
+        ("sw", {"space": SIERPINSKI, "gens": [[1]], "ring": "IntInf"}, "SpaceMismatch"),
     ],
 )
 def test_input_errors_exit_2(capsys, monkeypatch, command, request_, error):
@@ -261,3 +268,91 @@ def test_request_fields_of_the_wrong_type_exit_2(capsys, monkeypatch, command, r
     )
     assert code == 2
     assert report["error"].startswith("ValueError")
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+any_json = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=6), kids, max_size=4)
+    ),
+    max_leaves=10,
+)
+point_lists = st.lists(st.integers(min_value=0, max_value=5), max_size=6)
+ring_names = ["IntInf", "IntTriv", "FpTriv(2)", "ZmodTriv(4)", "ZmodQuot(6)"]
+spaces_json = st.one_of(
+    st.sampled_from([SIERPINSKI, TWO_POINTS, glued_pairs().to_json()]),
+    st.fixed_dictionaries(
+        {"points": st.integers(min_value=0, max_value=6), "opens": st.lists(point_lists, max_size=5)}
+    ),
+)
+# The fields of a well-formed request to each command.
+command_fields = {
+    "space": {"space": spaces_json},
+    "spectrum": {"space": spaces_json},
+    "cech": {
+        "space": spaces_json,
+        "family": st.lists(point_lists, min_size=1, max_size=3),
+        "ring": st.sampled_from(ring_names),
+    },
+    "sw": {
+        "space": spaces_json,
+        "gens": st.lists(point_lists, min_size=1, max_size=3),
+        "clopen": point_lists,
+        "ring": st.sampled_from(ring_names),
+    },
+}
+bad_fields = st.one_of(
+    any_json,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["IntInf", "FpTriv", "ZmodTriv", "ZmodQuot", "Q"])},
+        optional={"p": st.integers(-2, 9), "n": st.integers(-2, 9)},
+    ),
+    st.sampled_from(["FpTriv(4)", "Q", "ZmodTriv(0)", "ZmodQuot(-1)"]),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """argv and stdin for space, spectrum, cech or sw: a well-formed call
+    (its values still arbitrary) with at most one part of it spoilt."""
+    command = draw(st.sampled_from(sorted(command_fields)))
+    fields = command_fields[command]
+    request = {k: draw(strategy) for k, strategy in fields.items()}
+    argv = [command]
+    spoil = draw(st.sampled_from(["none", "drop", "field", "request", "text", "argv"]))
+    if spoil == "drop":
+        del request[draw(st.sampled_from(sorted(request)))]
+    elif spoil == "field":
+        request[draw(st.sampled_from(sorted(request)))] = draw(bad_fields)
+    elif spoil == "request":
+        request = draw(any_json)
+    elif spoil == "argv":
+        extra = ["--quiet", "--json", "--bogus", "--ring", "--k", "x", *ring_names]
+        argv += draw(st.lists(st.sampled_from(extra), min_size=1, max_size=2))
+    text = draw(st.text(max_size=20)) if spoil == "text" else json.dumps(request)
+    return argv, text
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_cli_answers_any_request_quickly(call):
+    argv, stdin_text = call
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - started < 2.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())

@@ -1,7 +1,7 @@
 import pytest
 
 from dbl.errors import NotClopen, NotEmbedding, NotInIdeal, SpaceMismatch
-from dbl.fixtures import double_sierpinski, glued_pairs
+from dbl.fixtures import double_sierpinski, glued_pairs, standard_fixture_spaces
 from dbl.functions import (
     CfinFunction,
     decompose,
@@ -125,6 +125,25 @@ def test_extension_restriction_mutually_inverse_isometries():
             ext = extend_banaschewski(f)
             assert ext.sup_norm() == f.sup_norm()
             assert restrict(ext, iota) == f
+
+
+def test_banaschewski_quotient_is_built_once():
+    for space in standard_fixture_spaces():
+        zeta, iota = banaschewski(space)
+        again = banaschewski(space)
+        assert again[0] is zeta and again[1] is iota
+        for f in enumerate_functions(space, Z, range(-1, 2)):
+            ext = extend_banaschewski(f)
+            assert ext.space is zeta
+            assert restrict(ext, iota) == f
+
+
+def test_from_point_values_needs_one_value_per_point():
+    sier = FiniteSpace.sierpinski()
+    for values in ((1,), (1, 1, 1), ()):
+        with pytest.raises(SpaceMismatch):
+            CfinFunction.from_point_values(sier, Z, values)
+    assert CfinFunction.from_point_values(sier, Z, (1, 1)).values == (1,)
 
 
 def test_tietze_extend():

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dbl.errors import SizeExceeded, UnsupportedValue
 from dbl.normvalue import (
+    MAX_BITS,
     NV_ONE,
     NV_ZERO,
     NormValue,
@@ -321,3 +322,93 @@ def test_size_bounds():
         with pytest.raises(SizeExceeded):
             make()
         assert time.perf_counter() - started < 1.0
+
+
+# Pairs (r, d) for the value r**(1/d), with parts of several hundred bits.
+parts = st.integers(min_value=1, max_value=1 << 600)
+pairs = st.tuples(
+    st.one_of(st.just(Fraction(0)), st.builds(Fraction, parts, parts)),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+def fraction_key(pairs_, D):
+    """r**(D/d) for each pair: the D-th powers, ordered as the values are."""
+    return [r ** (D // d) for r, d in pairs_]
+
+
+@given(pairs, pairs, st.sampled_from(["any", "same d", "same value"]))
+@settings(max_examples=300, deadline=None)
+def test_compare_matches_fraction_order(a, b, relation):
+    if relation == "same d":
+        b = (b[0], a[1])
+    elif relation == "same value":
+        b = a
+    ka, kb = fraction_key([a, b], lcm(a[1], b[1]))
+    u, v = NormValue(*a), NormValue(*b)
+    want = (ka > kb) - (ka < kb)
+    assert u.compare(v) == want and v.compare(u) == -want
+    assert (u < v, u == v, u > v) == (ka < kb, ka == kb, ka > kb)
+
+
+@given(st.lists(pairs, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_nv_max_is_max_under_fraction_order(pairs_):
+    D = lcm(*(d for _, d in pairs_))
+    keys = fraction_key(pairs_, D)
+    top = max(range(len(pairs_)), key=keys.__getitem__)
+    assert nv_max(NormValue(*p) for p in pairs_) == NormValue(*pairs_[top])
+
+
+def decimal_oracle(n):
+    """The decimal digits of n >= 0, by divmod in chunks that str() accepts."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
+
+
+# up to 700 digits, or around str()'s default limit of 4300 digits
+numerals = st.one_of(
+    st.integers(min_value=1, max_value=10**700),
+    st.integers(min_value=10**4290, max_value=10**4400),
+)
+
+
+@given(numerals, numerals)
+@settings(max_examples=60, deadline=None)
+def test_json_prints_decimal_digits_past_the_str_limit(num, den):
+    q = Fraction(num, den)
+    v = NormValue.from_fraction(q)
+    want = f"{decimal_oracle(q.numerator)}/{decimal_oracle(q.denominator)}"
+    assert v.to_json() == {"kind": "rational", "value": want}
+    assert NormValue.from_json(v.to_json()) == v
+
+
+def test_json_past_4300_digits():
+    # the base 2 * 3**9100 has 4343 digits, over str()'s default limit
+    base = 2 * 3**9100
+    v = NormValue.from_pow(base, Fraction(1, 2))
+    assert v.to_json() == {"kind": "pow", "base": f"{decimal_oracle(base)}/1", "exp": "1/2"}
+    assert repr(v) == f"NormValue({decimal_oracle(base)}^1/2)"
+    assert NormValue.from_json(v.to_json()) == v
+
+
+def test_json_roundtrip_near_max_bits():
+    q = Fraction((1 << (MAX_BITS - 2)) + 12345, 3**1001)
+    v = NormValue.from_fraction(q)
+    text = v.to_json()["value"]
+    num, den = text.split("/")
+    assert num[-30:] == str(q.numerator % 10**30).zfill(30)
+    assert den == decimal_oracle(q.denominator)
+    assert NormValue.from_json(v.to_json()) == v
+
+
+def test_from_json_reads_every_fraction_string():
+    for text in ("7/5", "3", " 7/5 ", "+7/5", "1.5", "1_000/3", "2e3"):
+        want = NormValue.from_fraction(Fraction(text))
+        assert NormValue.from_json({"kind": "rational", "value": text}) == want
+    assert NormValue.from_json({"kind": "rational", "value": 3}) == NormValue.from_fraction(3)
+    with pytest.raises(ValueError):
+        NormValue.from_json({"kind": "rational", "value": "-7/5"})
