@@ -55,13 +55,13 @@ from .spectrum import (
     validate_point,
 )
 from .modtensor import (
+    QuotientModule,
     TensorElement,
     WeightedFreeModule,
     absorbing_map,
-    base_change_quotient,
     free_base_change,
-    tensor_elem_norm_arch_upper,
-    tensor_nonarch,
+    tensor_norm,
+    tensor_product_module,
     tensor_rank_lower_bound,
 )
 from .cech import (

@@ -6,16 +6,17 @@ norm is sum-of-terms in Archimedean mode and max-of-terms in
 non-Archimedean mode; with a norm gap in the ring and positive weights the
 module is again discretely normed.
 
-For the Archimedean tensor seminorm no closed form exists, so the module
-ships a certified pair of bounds: a budgeted search over representations
-from above, and gap^2 * matrix-rank from below.  Together they reproduce
-the unboundedness of the inverse absorbing map.
+The tensor norm has a closed form in both modes: on the pair basis with
+multiplied weights, the module norm of the coefficient matrix is the
+infimum over representations (l1 (x)_pi l1 = l1, and its max analogue).
+The bound gap^2 * matrix-rank from below is kept as an independent
+oracle; against the sup norm 1 of the forward image it reproduces the
+unboundedness of the inverse absorbing map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .intlinalg import invariant_factors
 from .normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
-from .scalars import RingDescriptor, int_inf, zmod_quot, zmod_triv, quotient_norm
+from .scalars import RingDescriptor, int_inf, zmod_quot, zmod_triv
 from .spaces import FiniteSpace
 
 ARCH = "arch"
@@ -156,39 +157,22 @@ class WeightedFreeModule:
         }
 
 
-def tensor_nonarch(m0: WeightedFreeModule, m1: WeightedFreeModule) -> WeightedFreeModule:
-    """Tensor product of non-Archimedean weighted free modules.
-
-    Basis symbols are pairs, weights multiply, and the max formula is the
-    exact tensor norm (no completion happens: the result is again
-    discretely normed).
-    """
-    if m0.mode != NONARCH or m1.mode != NONARCH:
-        raise ModeMismatch("tensor_nonarch needs non-Archimedean factors")
-    if m0.ring != m1.ring:
-        raise RingMismatch("tensor factors over different rings")
-    weights = {
-        (s0, s1): m0.weight(s0) * m1.weight(s1)
-        for s0 in m0.symbols
-        for s1 in m1.symbols
-    }
-    return WeightedFreeModule(m0.ring, weights, NONARCH)
-
-
 def tensor_product_module(m0: WeightedFreeModule, m1: WeightedFreeModule) -> WeightedFreeModule:
-    """Pair-basis module in the shared mode (norm = bound, not exact in arch mode)."""
+    """M0 (x) M1 on the pair basis: weights multiply, the mode is shared.
+
+    Its norm is the exact tensor norm in either mode (see tensor_norm), so
+    no completion happens and the result is again discretely normed.
+    """
     if m0.mode != m1.mode:
         raise ModeMismatch("tensor factors in different modes")
     if m0.ring != m1.ring:
         raise RingMismatch("tensor factors over different rings")
-    if m0.mode == NONARCH:
-        return tensor_nonarch(m0, m1)
     weights = {
         (s0, s1): m0.weight(s0) * m1.weight(s1)
         for s0 in m0.symbols
         for s1 in m1.symbols
     }
-    return WeightedFreeModule(m0.ring, weights, ARCH)
+    return WeightedFreeModule(m0.ring, weights, m0.mode)
 
 
 @dataclass(frozen=True)
@@ -236,18 +220,20 @@ class TensorElement:
         }
 
 
-def tensor_norm_nonarch(t: TensorElement) -> NormValue:
-    """Exact non-Archimedean tensor norm: max |r| w0 w1 over the matrix."""
-    if t.m0.mode != NONARCH or t.m1.mode != NONARCH:
-        raise ModeMismatch("exact tensor norm needs non-Archimedean mode")
+def tensor_norm(t: TensorElement) -> NormValue:
+    """Exact tensor norm: sum (arch) or max (nonarch) of |c_ij| w0_i w1_j.
+
+    A representation sum u_k (x) v_k has c_ij = sum_k u_ki v_kj, so by the
+    triangle inequality and submultiplicativity it costs at least this
+    value, and the singleton expansion costs exactly this value.  The max
+    form needs the strong triangle inequality, so max mode over an
+    Archimedean ring raises ModeMismatch.  Sums of irrational values raise
+    UnsupportedValue.
+    """
     ring = t.m0.ring
-    return nv_max(
-        (
-            ring.norm(c) * t.m0.weight(s0) * t.m1.weight(s1)
-            for (s0, s1), c in t.matrix
-        ),
-        default=NV_ZERO,
-    )
+    if t.m0.mode == NONARCH and not (ring.non_archimedean or ring.is_zero_ring):
+        raise ModeMismatch(f"max-mode tensor norm needs a non-Archimedean ring, got {ring}")
+    return tensor_product_module(t.m0, t.m1).norm(t.matrix)
 
 
 def representation_cost(t: TensorElement, pairs) -> NormValue:
@@ -283,104 +269,6 @@ def tensor_rank_lower_bound(t: TensorElement) -> NormValue:
     if r == 0:
         return NV_ZERO
     return t.m0.isolation_gap() * t.m1.isolation_gap() * NormValue.from_fraction(r)
-
-
-def _require_rational_weights(m: WeightedFreeModule):
-    for s in m.symbols:
-        if not m.weight(s).is_rational():
-            raise UnsupportedValue(f"weight of {s!r} is irrational")
-
-
-def tensor_elem_norm_arch_upper(t: TensorElement, budget: int = 200) -> NormValue:
-    """Upper bound for the Archimedean tensor seminorm by bounded search.
-
-    Explores representations in a canonical order — singleton expansion,
-    row and column groupings, then small rank-one peelings with entries in
-    [-2, 2] — keeping the best cost found within the budget.  The result
-    is an upper bound, monotonically nonincreasing in the budget.
-    """
-    if t.m0.mode != ARCH or t.m1.mode != ARCH:
-        raise ModeMismatch("arch upper bound needs Archimedean mode")
-    _require_rational_weights(t.m0)
-    _require_rational_weights(t.m1)
-    if t.is_zero():
-        return NV_ZERO
-    ring = t.m0.ring
-    if ring.modulus is not None:
-        raise UnsupportedValue("arch search needs a Z-based ring")
-    rows = t.coefficient_rows()
-    syms0, syms1 = t.m0.symbols, t.m1.symbols
-
-    def cost_of(pairs) -> Fraction:
-        total = Fraction(0)
-        for e0, e1 in pairs:
-            total += (t.m0.norm(e0) * t.m1.norm(e1)).as_fraction()
-        return total
-
-    spent = 0
-    best = None
-
-    def consider(pairs):
-        nonlocal best, spent
-        spent += 1
-        c = cost_of(pairs)
-        if best is None or c < best:
-            best = c
-
-    # singleton expansion
-    consider(
-        [
-            (elem({s0: c}), t.m1.basis_element(s1))
-            for (s0, s1), c in t.matrix
-        ]
-    )
-    # row grouping: sum_i e_i (x) row_i
-    row_pairs = []
-    for i, s0 in enumerate(syms0):
-        row = elem({s1: rows[i][j] for j, s1 in enumerate(syms1)})
-        if row:
-            row_pairs.append((t.m0.basis_element(s0), row))
-    if row_pairs:
-        consider(row_pairs)
-    # column grouping
-    col_pairs = []
-    for j, s1 in enumerate(syms1):
-        col = elem({s0: rows[i][j] for i, s0 in enumerate(syms0)})
-        if col:
-            col_pairs.append((col, t.m1.basis_element(s1)))
-    if col_pairs:
-        consider(col_pairs)
-    # rank-one peeling with small integer vectors, canonical order
-    if spent < budget and len(syms0) * len(syms1) <= 16:
-        pool = (0, 1, -1, 2, -2)
-        for u in product(pool, repeat=len(syms0)):
-            if spent >= budget:
-                break
-            if all(x == 0 for x in u):
-                continue
-            for v in product(pool, repeat=len(syms1)):
-                if spent >= budget:
-                    break
-                if all(x == 0 for x in v):
-                    continue
-                rest = {
-                    (s0, s1): rows[i][j] - u[i] * v[j]
-                    for i, s0 in enumerate(syms0)
-                    for j, s1 in enumerate(syms1)
-                }
-                rest_elem = elem(rest)
-                pairs = [
-                    (
-                        elem({s0: u[i] for i, s0 in enumerate(syms0)}),
-                        elem({s1: v[j] for j, s1 in enumerate(syms1)}),
-                    )
-                ]
-                pairs.extend(
-                    (elem({s0: c}), t.m1.basis_element(s1))
-                    for (s0, s1), c in rest_elem
-                )
-                consider(pairs)
-    return NormValue.from_fraction(best)
 
 
 # -- C_fin(X, M) as a weighted free module --------------------------------
@@ -508,19 +396,10 @@ class QuotientModule:
         return best if best is not None else NV_ZERO
 
     def isolation_gap(self) -> NormValue:
-        if self.modulus == 1 or not self.ambient.symbols:
+        # the smallest nonzero coordinate norm is |1| = 1 for n >= 2
+        if self.modulus == 1:
             return NV_ONE
-        min_w = min(self.ambient.weights.values())
-        candidates = [
-            quotient_norm(self.modulus, a) for a in range(1, self.modulus)
-        ]
-        if self.ring.kind == "ZmodTriv":
-            candidates = [NV_ONE]
-        return min(candidates) * min_w
-
-
-def base_change_quotient(m: WeightedFreeModule, n: int) -> QuotientModule:
-    return QuotientModule(m, n)
+        return self.module.isolation_gap()
 
 
 _SUPPORTED_HOMS = {

@@ -10,7 +10,9 @@ Five ring descriptors are supported:
 
 Every nonzero element has norm >= 1, so the norm topology is discrete.
 Elements are plain Python ints, reduced to [0, n) for the Z/n variants.
-n = 1 is allowed for the Z/n variants and gives the zero ring.
+n = 1 is allowed for the Z/n variants and gives the zero ring.  Moduli
+above MAX_MODULUS are rejected, which bounds the trial division that
+checks primality and factors n.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import ElementOutOfRange, UnsupportedRing, ValidationFailure
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 
 _KINDS = ("IntInf", "IntTriv", "FpTriv", "ZmodTriv", "ZmodQuot")
+MAX_MODULUS = 2**32
 
 
 def quotient_norm(n: int, a: int) -> NormValue:
@@ -53,6 +56,11 @@ class RingDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
+        for m in (self.p, self.n):
+            if m is not None and m > MAX_MODULUS:
+                raise UnsupportedRing(
+                    f"{self.kind} modulus of {m.bit_length()} bits exceeds MAX_MODULUS = 2**32"
+                )
         if self.kind == "FpTriv":
             if self.p is None or not _is_prime(self.p):
                 raise UnsupportedRing(f"FpTriv needs a prime, got {self.p}")

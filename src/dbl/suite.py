@@ -39,7 +39,7 @@ from .modtensor import (
     absorbing_counterexample,
     absorbing_map,
     elem,
-    tensor_norm_nonarch,
+    tensor_norm,
     tensor_rank_lower_bound,
 )
 from .normvalue import NV_ONE, NormValue, nv_sum
@@ -234,7 +234,7 @@ def absorbing_dichotomy(max_n: int = 16) -> dict:
             ff = forward(t)
             if backward(ff) != t:
                 return {"name": "absorbing", "pass": False, "witness": "inverse"}
-            if ff.sup_norm() != tensor_norm_nonarch(t):
+            if ff.sup_norm() != tensor_norm(t):
                 return {"name": "absorbing", "pass": False, "witness": "isometry"}
             checked += 1
     growth = []
@@ -242,7 +242,11 @@ def absorbing_dichotomy(max_n: int = 16) -> dict:
         _, _, _, f_n, forward, _ = absorbing_counterexample(n)
         lower = tensor_rank_lower_bound(f_n)
         sup = forward(f_n).sup_norm()
-        ok = lower == NormValue.from_fraction(n + 1) and sup == NV_ONE
+        ok = (
+            lower == NormValue.from_fraction(n + 1)
+            and tensor_norm(f_n) == lower
+            and sup == NV_ONE
+        )
         growth.append({"n": n, "lower": lower.to_json(), "sup_one": sup == NV_ONE})
         if not ok:
             return {"name": "absorbing", "pass": False, "witness": f"n={n}"}

@@ -131,6 +131,29 @@ def test_bad_ring_exits_2(capsys):
     assert "error" in report
 
 
+@pytest.mark.parametrize(
+    "ring, code",
+    [
+        (f"FpTriv({2**61 - 1})", 2),
+        (f"ZmodTriv({2**61 - 1})", 2),
+        (f"ZmodQuot({1000000007 * 998244353})", 2),
+        ("FpTriv(4294967291)", 0),
+    ],
+)
+def test_ring_moduli_above_the_cap_exit_2_quickly(capsys, monkeypatch, ring, code):
+    request_ = {"space": TWO_POINTS, "family": [[0], [1]], "ring": ring}
+    started = time.perf_counter()
+    got, report, _ = run_cli(
+        capsys, ["cech"], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert time.perf_counter() - started < 1.0
+    assert got == code
+    if code == 2:
+        assert report["error"].startswith("UnsupportedRing")
+    else:
+        assert report["verdicts"][0]["pass"]
+
+
 def test_malformed_json_exits_2(capsys, monkeypatch):
     code, report, _ = run_cli(
         capsys, ["cech"], stdin_text="{not json", monkeypatch=monkeypatch
@@ -309,11 +332,12 @@ command_fields = {
         "ring": st.sampled_from(ring_names),
     },
 }
+moduli = st.one_of(st.integers(-2, 9), st.integers(10, 2**64))
 bad_fields = st.one_of(
     any_json,
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["IntInf", "FpTriv", "ZmodTriv", "ZmodQuot", "Q"])},
-        optional={"p": st.integers(-2, 9), "n": st.integers(-2, 9)},
+        optional={"p": moduli, "n": moduli},
     ),
     st.sampled_from(["FpTriv(4)", "Q", "ZmodTriv(0)", "ZmodQuot(-1)"]),
 )

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -12,15 +13,14 @@ from dbl.modtensor import (
     TensorElement,
     WeightedFreeModule,
     absorbing_counterexample,
+    QuotientModule,
     absorbing_map,
-    base_change_quotient,
     cfin_module,
     elem,
     free_base_change,
     representation_cost,
-    tensor_elem_norm_arch_upper,
-    tensor_nonarch,
-    tensor_norm_nonarch,
+    tensor_norm,
+    tensor_product_module,
     tensor_rank_lower_bound,
 )
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue
@@ -56,12 +56,12 @@ def test_module_isolation():
 def test_tensor_nonarch_examples():
     m0 = WeightedFreeModule(ZT, {"a": 1}, NONARCH)
     m1 = WeightedFreeModule(ZT, {"b": 1}, NONARCH)
-    t = tensor_nonarch(m0, m1)
+    t = tensor_product_module(m0, m1)
     assert t.symbols == (("a", "b"),) and t.weight(("a", "b")) == NV_ONE
 
     m0 = WeightedFreeModule(ZT, {"a": 1, "b": 1}, NONARCH)
     m1 = WeightedFreeModule(ZT, {"c": 2}, NONARCH)
-    t = tensor_nonarch(m0, m1)
+    t = tensor_product_module(m0, m1)
     assert {s: t.weight(s) for s in t.symbols} == {
         ("a", "c"): NormValue.from_fraction(2),
         ("b", "c"): NormValue.from_fraction(2),
@@ -70,14 +70,14 @@ def test_tensor_nonarch_examples():
     te = TensorElement.from_pairs(
         m0, m1, [(elem({"a": 1}), elem({"c": 1})), (elem({"b": 1}), elem({"c": 1}))]
     )
-    assert tensor_norm_nonarch(te) == NormValue.from_fraction(2)
+    assert tensor_norm(te) == NormValue.from_fraction(2)
 
 
 def test_tensor_mode_guard():
     m0 = WeightedFreeModule(ZT, {"a": 1}, NONARCH)
     m1 = WeightedFreeModule(ZT, {"b": 1}, ARCH)
     with pytest.raises(ModeMismatch):
-        tensor_nonarch(m0, m1)
+        tensor_product_module(m0, m1)
 
 
 def test_tensor_element_representation_independence():
@@ -90,35 +90,45 @@ def test_tensor_element_representation_independence():
 
 
 def test_nonarch_norm_is_infimum_over_representations():
-    # the max formula is never beaten by alternative representations
+    # the singleton expansion attains tensor_norm and no regrouping beats it
     rng = random.Random(4)
-    m = WeightedFreeModule(ZT, {"a": 1, "b": Fraction(3, 2)}, NONARCH)
-    for combo in product(range(-2, 3), repeat=4):
-        keys = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-        t = TensorElement(m, m, elem(dict(zip(keys, combo))))
-        base = tensor_norm_nonarch(t)
-        pairs = [
-            (elem({s0: c}), m.basis_element(s1)) for (s0, s1), c in t.matrix
-        ]
-        if pairs:
-            assert representation_cost(t, pairs) >= base
-        # a few randomized regroupings
-        for _ in range(3):
-            u = elem({"a": rng.randint(-2, 2), "b": rng.randint(-2, 2)})
-            v = elem({"a": rng.randint(-2, 2), "b": rng.randint(-2, 2)})
-            if not u or not v:
-                continue
-            shifted = dict(t.matrix)
-            for (s0, c0) in u:
-                for (s1, c1) in v:
-                    key = (s0, s1)
-                    shifted[key] = shifted.get(key, 0) - c0 * c1
-            rest = [
-                (elem({s0: c}), m.basis_element(s1))
-                for (s0, s1), c in elem(shifted)
+    keys = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    rings = (ZI, ZT, fp_triv(3), zmod_triv(4), zmod_quot(6), zmod_quot(1))
+    for ring, mode in product(rings, (ARCH, NONARCH)):
+        m = WeightedFreeModule(ring, {"a": 1, "b": Fraction(3, 2)}, mode)
+        if mode == NONARCH and not (ring.non_archimedean or ring.is_zero_ring):
+            # the max of term norms is beaten: 2 (a (x) a) costs 1 as a sum
+            a = m.basis_element("a")
+            t = TensorElement.from_pairs(m, m, [(a, a), (a, a)])
+            assert representation_cost(t, [(a, a), (a, a)]) == NV_ONE
+            with pytest.raises(ModeMismatch):
+                tensor_norm(t)
+            continue
+        for combo in product(range(-2, 3), repeat=4):
+            t = TensorElement(m, m, elem({k: ring.reduce(c) for k, c in zip(keys, combo)}))
+            base = tensor_norm(t)
+            pairs = [
+                (elem({s0: c}), m.basis_element(s1)) for (s0, s1), c in t.matrix
             ]
-            cost = representation_cost(t, [(u, v)] + rest)
-            assert cost >= base
+            assert representation_cost(t, pairs) == base
+            if mode == ARCH and ring.kind in ("IntInf", "IntTriv", "FpTriv"):
+                assert tensor_rank_lower_bound(t) <= base
+            # randomized regroupings: u (x) v plus singletons of the rest
+            for _ in range(3):
+                u = elem({s: ring.reduce(rng.randint(-2, 2)) for s in "ab"})
+                v = elem({s: ring.reduce(rng.randint(-2, 2)) for s in "ab"})
+                if not u or not v:
+                    continue
+                shifted = dict(t.matrix)
+                for (s0, c0) in u:
+                    for (s1, c1) in v:
+                        key = (s0, s1)
+                        shifted[key] = ring.sub(shifted.get(key, 0), ring.mul(c0, c1))
+                rest = [
+                    (elem({s0: c}), m.basis_element(s1))
+                    for (s0, s1), c in elem(shifted)
+                ]
+                assert representation_cost(t, [(u, v)] + rest) >= base, (ring, mode)
 
 
 def test_rank_lower_bound_examples():
@@ -152,36 +162,28 @@ def test_rank_lower_bound_over_fp_counts_factors_prime_to_p():
         assert tensor_rank_lower_bound(t) == NormValue.from_fraction(rank), str(ring)
 
 
-def test_arch_upper_bound():
+def test_arch_tensor_norm():
     m = WeightedFreeModule(ZI, {"e0": 1, "e1": 1, "e2": 1}, ARCH)
     t = TensorElement.from_pairs(
         m, m, [(elem({f"e{i}": 1}), elem({f"e{i}": 1})) for i in range(3)]
     )
-    up = tensor_elem_norm_arch_upper(t, budget=50)
-    assert up == NormValue.from_fraction(3)
-    assert tensor_elem_norm_arch_upper(TensorElement.zero(m, m)) == NV_ZERO
+    assert tensor_norm(t) == NormValue.from_fraction(3)
+    assert tensor_norm(TensorElement.zero(m, m)) == NV_ZERO
     one = TensorElement.from_pairs(m, m, [(elem({"e0": 1}), elem({"e1": 1}))])
-    assert tensor_elem_norm_arch_upper(one, budget=10) == NV_ONE
+    assert tensor_norm(one) == NV_ONE
+    # (e0 + e1) (x) (e0 - 2 e1): one term of cost 2 * 3, and exactly 6
+    rank_one = TensorElement.from_pairs(
+        m, m, [(elem({"e0": 1, "e1": 1}), elem({"e0": 1, "e1": -2}))]
+    )
+    assert tensor_norm(rank_one) == NormValue.from_fraction(6)
 
 
-def test_upper_bound_monotone_and_above_lower():
-    m = WeightedFreeModule(ZI, {"a": 1, "b": 1}, ARCH)
-    keys = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-    for combo in product(range(-1, 2), repeat=4):
-        t = TensorElement(m, m, elem(dict(zip(keys, combo))))
-        if t.is_zero():
-            continue
-        lo = tensor_rank_lower_bound(t)
-        up_small = tensor_elem_norm_arch_upper(t, budget=5)
-        up_big = tensor_elem_norm_arch_upper(t, budget=400)
-        assert lo <= up_big <= up_small
-
-
-def test_arch_upper_requires_rational():
-    m = WeightedFreeModule(ZI, {"a": NormValue.from_pow(2, Fraction(1, 2))}, ARCH)
-    t = TensorElement.from_pairs(m, m, [(elem({"a": 1}), elem({"a": 1}))])
+def test_arch_tensor_norm_requires_rational():
+    m0 = WeightedFreeModule(ZI, {"a": NormValue.from_pow(2, Fraction(1, 2))}, ARCH)
+    m1 = WeightedFreeModule(ZI, {"b": 1}, ARCH)
+    t = TensorElement.from_pairs(m0, m1, [(elem({"a": 1}), elem({"b": 1}))])
     with pytest.raises(UnsupportedValue):
-        tensor_elem_norm_arch_upper(t)
+        tensor_norm(t)
 
 
 def test_absorbing_map_roundtrip_and_isometry():
@@ -194,7 +196,7 @@ def test_absorbing_map_roundtrip_and_isometry():
         t = TensorElement(cfm0, m1, elem(dict(zip(keys, combo))))
         f = forward(t)
         assert backward(f) == t
-        assert f.sup_norm() == tensor_norm_nonarch(t)
+        assert f.sup_norm() == tensor_norm(t)
 
 
 def test_absorbing_indicator_case():
@@ -214,30 +216,31 @@ def test_absorbing_counterexample_growth():
     for n in (1, 4, 16):
         _, _, _, f_n, forward, backward = absorbing_counterexample(n)
         assert tensor_rank_lower_bound(f_n) == NormValue.from_fraction(n + 1)
+        assert tensor_norm(f_n) == NormValue.from_fraction(n + 1)
         assert forward(f_n).sup_norm() == NV_ONE
         assert backward(forward(f_n)) == f_n
 
 
 def test_base_change_quotient():
     m = WeightedFreeModule(ZI, {"a": 1}, ARCH)
-    q = base_change_quotient(m, 2)
+    q = QuotientModule(m, 2)
     assert q.ring == zmod_quot(2) and q.rank == 1
-    q5 = base_change_quotient(m, 5)
+    q5 = QuotientModule(m, 5)
     assert q5.norm(elem({"a": 3})) == NormValue.from_fraction(2)
-    zero = base_change_quotient(m, 1)
+    zero = QuotientModule(m, 1)
     assert zero.rank == 0
     assert zero.project(elem({"a": 7})) == ()
 
 
 def test_quotient_norm_matches_scan_oracle():
     m = WeightedFreeModule(ZI, {"a": 1, "b": Fraction(3)}, ARCH)
-    q = base_change_quotient(m, 6)
+    q = QuotientModule(m, 6)
     for ca in range(6):
         for cb in range(6):
             e = elem({"a": ca, "b": cb})
             assert q.norm(e) == q.norm_by_scan(e, radius=2)
     mt = WeightedFreeModule(ZT, {"a": 1, "b": Fraction(1, 2)}, NONARCH)
-    qt = base_change_quotient(mt, 4)
+    qt = QuotientModule(mt, 4)
     assert qt.ring == zmod_triv(4)
     for ca in range(4):
         for cb in range(4):
@@ -247,7 +250,7 @@ def test_quotient_norm_matches_scan_oracle():
 
 def test_quotient_norm_below_lifts():
     m = WeightedFreeModule(ZI, {"a": 1}, ARCH)
-    q = base_change_quotient(m, 5)
+    q = QuotientModule(m, 5)
     for c in range(5):
         cls = elem({"a": c})
         for k in range(-3, 4):
@@ -299,7 +302,7 @@ def test_cfin_module_shape():
 
 def test_quotient_module_isolation_gap():
     m = WeightedFreeModule(ZI, {"a": 1, "b": Fraction(1, 2)}, ARCH)
-    q = base_change_quotient(m, 6)
+    q = QuotientModule(m, 6)
     gap = q.isolation_gap()
     for ca in range(6):
         for cb in range(6):
@@ -307,5 +310,11 @@ def test_quotient_module_isolation_gap():
             if q.project(e):
                 assert q.norm(e) >= gap
     mt = WeightedFreeModule(ZT, {"a": 1}, NONARCH)
-    qt = base_change_quotient(mt, 4)
+    qt = QuotientModule(mt, 4)
     assert qt.isolation_gap() == NV_ONE
+    # the gap reads |1| = 1 without scanning the residues
+    big = QuotientModule(m, 4294967291)
+    started = time.perf_counter()
+    assert big.isolation_gap() == q.isolation_gap() == NormValue.from_fraction(Fraction(1, 2))
+    assert time.perf_counter() - started < 1.0
+    assert QuotientModule(m, 1).isolation_gap() == NV_ONE
