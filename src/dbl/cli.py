@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dbl",
         description="exact computations with discretely normed rings",
     )
-    parser.add_argument("--json", action="store_true", help="JSON output only")
     parser.add_argument("--quiet", action="store_true", help="no stderr summary")
     parser.add_argument("--seed", type=int, default=0, help="seed echo for reports")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .normvalue import NV_ZERO, nv_max
 from .scalars import RingDescriptor
-from .spaces import FiniteSpace, PointMap, banaschewski, zeta_embedding_check
+from .spaces import FiniteSpace, PointMap, banaschewski
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,7 @@ def restrict(f: CfinFunction, j: PointMap) -> CfinFunction:
     """Pullback f∘j along a continuous map into f's space."""
     if j.target != f.space:
         raise SpaceMismatch("map does not land in the function's space")
-    j.check_continuous()
-    pts = tuple(f.eval(j(x)) for x in range(j.source.n))
-    return CfinFunction.from_point_values(j.source, f.coeff, pts)
+    return CfinFunction(j.source, f.coeff, tuple(f.values[t] for t in j.component_map()))
 
 
 def extend_banaschewski(f: CfinFunction) -> CfinFunction:
@@ -207,12 +205,11 @@ def tietze_extend(f: CfinFunction, j: PointMap) -> CfinFunction:
     """Extend f along an embedding by zero, preserving the sup norm."""
     if j.source != f.space:
         raise SpaceMismatch("function does not live on the map's source")
-    ok, witness = zeta_embedding_check(j)
-    if not ok:
-        raise NotEmbedding(f"components {witness} merged in the target")
-    cmap = j.component_map()
     vals = [f.coeff.zero] * len(j.target.quasi_components)
-    for i, t in enumerate(cmap):
+    first: dict[int, int] = {}
+    for i, t in enumerate(j.component_map()):
+        if first.setdefault(t, i) != i:
+            raise NotEmbedding(f"components {(first[t], i)} merged in the target")
         vals[t] = f.values[i]
     return CfinFunction(j.target, f.coeff, tuple(vals))
 

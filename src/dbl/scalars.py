@@ -12,18 +12,20 @@ Every nonzero element has norm >= 1, so the norm topology is discrete.
 Elements are plain Python ints, reduced to [0, n) for the Z/n variants.
 n = 1 is allowed for the Z/n variants and gives the zero ring.  Moduli
 above MAX_MODULUS are rejected, which bounds the trial division that
-checks primality and factors n.
+checks primality and factors n.  Element samples list every residue of
+Z/n, so a ring refuses to list more than MAX_ELEMENTS of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ElementOutOfRange, UnsupportedRing, ValidationFailure
+from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing, ValidationFailure
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 
 _KINDS = ("IntInf", "IntTriv", "FpTriv", "ZmodTriv", "ZmodQuot")
 MAX_MODULUS = 2**32
+MAX_ELEMENTS = 2**16
 
 
 def quotient_norm(n: int, a: int) -> NormValue:
@@ -108,14 +110,20 @@ class RingDescriptor:
         return len(factor_int(m)) == 1 if m > 1 else False
 
     def nontrivial_idempotent(self) -> int | None:
-        """An idempotent other than 0, 1 when the ring has one."""
+        """The least idempotent other than 0, 1 when the ring has one.
+
+        The idempotents of Z/n are the CRT solutions of e = 0 or 1 modulo
+        each prime-power factor q of n: sums of the unit vectors u_q.
+        """
         m = self.modulus
-        if m is None or m <= 1:
+        if m is None:
             return None
-        for e in range(2, m):
-            if (e * e - e) % m == 0:
-                return e
-        return None
+        idempotents = {0}
+        for p, k in factor_int(m):
+            q = p**k
+            u = m // q * pow(m // q, -1, q)
+            idempotents |= {(e + u) % m for e in idempotents}
+        return min(idempotents - {0, 1}, default=None)
 
     # -- element arithmetic ----------------------------------------------
 
@@ -157,11 +165,17 @@ class RingDescriptor:
         return self.reduce(a) == self.reduce(b)
 
     def elements(self, bound: int):
-        """Sample of elements: all of Z/n, or |a| <= bound for Z."""
+        """Sample of elements: all of Z/n, or |a| <= bound for Z.
+
+        SizeExceeded when that is more than MAX_ELEMENTS elements.
+        """
         m = self.modulus
-        if m is not None:
-            return list(range(m))
-        return list(range(-bound, bound + 1))
+        sample = range(m) if m is not None else range(-bound, bound + 1)
+        if len(sample) > MAX_ELEMENTS:
+            raise SizeExceeded(
+                f"{self} sample of {len(sample)} elements exceeds MAX_ELEMENTS = 2**16"
+            )
+        return list(sample)
 
     # -- norms -----------------------------------------------------------
 

@@ -204,17 +204,16 @@ class PointMap:
             raise NotContinuous(f"{self.images} is not continuous")
 
     def component_map(self) -> tuple[int, ...]:
-        """Induced map on quasi-components (source block -> target block)."""
+        """Induced map on quasi-components (source block -> target block).
+
+        A continuous map sends each quasi-component into one
+        quasi-component, so a block is read at its least point.
+        """
         self.check_continuous()
-        out = []
-        for block in self.source.quasi_components:
-            tgt = {self.target.component_index(self.images[x]) for x in block}
-            if len(tgt) != 1:
-                # cannot happen for a continuous map: the image of a
-                # quasi-component meets a single quasi-component
-                raise NotContinuous("quasi-component split by the map")
-            out.append(tgt.pop())
-        return tuple(out)
+        return tuple(
+            self.target.component_index(self.images[min(block)])
+            for block in self.source.quasi_components
+        )
 
 
 def inclusion_map(subset, space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:

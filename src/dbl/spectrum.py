@@ -2,10 +2,13 @@
 
 Points of the spectrum of a base ring are drawn from a parameterized
 admissible family (powers of the Euclidean absolute value, p-adic powers,
-p-residue seminorms, the trivial seminorm).  A point of the spectrum of
-C_fin(X, R) is a pair (quasi-component ultrafilter, base point); G_inverse
-builds the evaluation seminorm from the pair and G_split recovers the pair
-from any seminorm oracle, rejecting oracles outside the family.
+p-residue seminorms, the trivial seminorm); the family is one rule keyed
+on the ring's modulus.  A point of the spectrum of C_fin(X, R) is a pair
+(quasi-component ultrafilter, base point); G_inverse builds the
+evaluation seminorm from the pair and G_split recovers the pair from any
+seminorm oracle, reading the base point off the oracle's values on the
+constants of one sample (every residue of Z/n, or -12..13 for Z) and
+rejecting oracles outside the family.
 """
 
 from __future__ import annotations
@@ -21,11 +24,14 @@ from .errors import (
     ValidationFailure,
 )
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
-from .scalars import RingDescriptor
+from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
 from .functions import CfinFunction, indicator, limit_along
 
+# probe primes of Z for _identify_base, and the grid of admissible_points
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13)
+_GRID_PRIMES = (2, 3, 5)
+_GRID_EPS = (Fraction(1, 2), Fraction(1))
 
 
 def _vp(a: int, p: int) -> int:
@@ -43,12 +49,22 @@ class BasePoint:
     """An admissible multiplicative seminorm on a base ring.
 
     kind is one of 'trivial', 'arch', 'padic', 'residue'.  Construction
-    canonicalizes: arch/padic with exponent 0 become trivial.
+    canonicalizes: arch/padic with exponent 0 become trivial.  The p of a
+    padic or residue point is a prime int <= MAX_MODULUS.
     """
 
     kind: str
     p: int | None = None
     eps: Fraction | None = None
+
+    def __post_init__(self):
+        if self.kind in ("padic", "residue"):
+            p = self.p
+            is_int = isinstance(p, int) and not isinstance(p, bool)
+            if not (is_int and p <= MAX_MODULUS and _is_prime(p)):
+                raise UnrecognizedBasePoint(
+                    f"{self.kind} points need a prime p <= MAX_MODULUS, got {p!r}"
+                )
 
     @staticmethod
     def trivial() -> "BasePoint":
@@ -116,57 +132,42 @@ def canonical_point(ring: RingDescriptor, point: BasePoint) -> BasePoint:
     residue form is canonical for Z/n rings, the trivial form for F_p.
     """
     m = ring.modulus
-    if m is None:
-        return point
-    if ring.kind == "FpTriv" and point == BasePoint.residue(ring.p):
+    if ring.kind == "FpTriv" and point.kind == "residue" and point.p == m:
         return BasePoint.trivial()
-    if ring.kind in ("ZmodTriv", "ZmodQuot"):
-        if point.kind == "trivial" and m >= 2 and len(factor_int(m)) == 1 and factor_int(m)[0][1] == 1:
-            return BasePoint.residue(m)
+    if ring.kind in ("ZmodTriv", "ZmodQuot") and point.kind == "trivial" and _is_prime(m):
+        return BasePoint.residue(m)
     return point
 
 
-def admissible_points(ring: RingDescriptor, primes=(2, 3, 5), eps_grid=(Fraction(1, 2), Fraction(1))) -> list[BasePoint]:
-    """The standard sample grid of admissible points for a ring."""
-    out: list[BasePoint] = []
-    if ring.kind == "IntInf":
-        out.append(BasePoint.trivial())
-        out.extend(BasePoint.arch(e) for e in eps_grid if 0 < e <= 1)
-        for p in primes:
-            out.extend(BasePoint.padic(p, e) for e in eps_grid if e > 0)
-            out.append(BasePoint.residue(p))
-    elif ring.kind == "IntTriv":
-        out.append(BasePoint.trivial())
-        for p in primes:
-            out.extend(BasePoint.padic(p, e) for e in eps_grid if e > 0)
-            out.append(BasePoint.residue(p))
-    elif ring.kind == "FpTriv":
-        out.append(BasePoint.trivial())
-    else:
-        m = ring.modulus
-        if m is not None and m > 1:
-            out.extend(BasePoint.residue(p) for p, _ in factor_int(m))
-    return out
+def admissible_points(ring: RingDescriptor) -> list[BasePoint]:
+    """The standard sample grid of admissible points for a ring, canonical."""
+    m = ring.modulus
+    primes = _GRID_PRIMES if m is None else [q for q, _ in factor_int(m)]
+    grid = [BasePoint.trivial(), *(BasePoint.arch(e) for e in _GRID_EPS)]
+    for p in primes:
+        grid += [*(BasePoint.padic(p, e) for e in _GRID_EPS), BasePoint.residue(p)]
+    admissible = (canonical_point(ring, b) for b in grid if is_admissible(ring, b))
+    return list(dict.fromkeys(admissible))
 
 
 def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
-    point = canonical_point(ring, point)
-    if ring.kind == "IntInf":
-        if point.kind == "arch":
-            return 0 < point.eps <= 1
-        if point.kind == "padic":
-            return point.eps > 0
-        return point.kind in ("trivial", "residue")
-    if ring.kind == "IntTriv":
-        if point.kind == "padic":
-            return point.eps > 0
-        return point.kind in ("trivial", "residue")
-    if ring.kind == "FpTriv":
-        return point.kind == "trivial"
+    """Whether the point belongs to the ring's admissible family.
+
+    One rule keyed on the modulus: Z has the trivial, p-adic and residue
+    points, and IntInf also the arch points with 0 < eps <= 1; Z/n has the
+    residue points of the primes dividing n, which for a prime n include
+    the trivial point.
+    """
     m = ring.modulus
-    if m == 1:
-        return False
-    return point.kind == "residue" and m % point.p == 0
+    if m is not None:
+        if point.kind == "trivial":
+            return _is_prime(m)
+        return point.kind == "residue" and m % point.p == 0
+    if point.kind == "arch":
+        return ring.kind == "IntInf" and 0 < point.eps <= 1
+    if point.kind == "padic":
+        return point.eps > 0
+    return True
 
 
 def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
@@ -264,62 +265,40 @@ def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDes
 
 
 def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
-    """Match the oracle's values on constants against the admissible family."""
+    """Match the oracle's values on constants against the admissible family.
 
-    def const_val(a: int) -> NormValue:
-        return oracle(CfinFunction.constant(space, ring, ring.reduce(a)))
-
-    if ring.modulus is not None:
-        sample = ring.elements(0)
-    else:
-        sample = [a for a in range(-12, 13)]
-    candidate = None
-    if ring.modulus is None:
-        prime_vals = {p: const_val(p) for p in _SAMPLE_PRIMES}
-        nontriv = {p: v for p, v in prime_vals.items() if not v.is_one}
-        if not nontriv:
-            candidate = BasePoint.trivial()
-        elif all(not v.is_zero and v > NV_ONE for v in nontriv.values()):
-            # Archimedean power: solve 2^eps = value at 2
-            v2 = prime_vals[2]
-            base, exp = v2.canonical_pow()
-            if base != 2:
-                raise UnrecognizedBasePoint("constants do not follow |.|^eps")
-            candidate = BasePoint.arch(exp)
-        elif len(nontriv) == 1:
-            p, v = next(iter(nontriv.items()))
-            if v.is_zero:
-                candidate = BasePoint.residue(p)
-            else:
-                base, exp = v.canonical_pow()
-                if base != Fraction(1, p):
-                    raise UnrecognizedBasePoint(
-                        "constants do not follow a p-adic power"
-                    )
+    The probe primes are those of _SAMPLE_PRIMES for Z and the prime
+    divisors of n for Z/n.  The first probe with a value other than 1
+    names the candidate (value 0: residue; p**eps: arch; p**-eps: p-adic);
+    with none it is the trivial point.  The candidate must be admissible
+    and match the oracle on every constant of the sample.
+    """
+    m = ring.modulus
+    primes = _SAMPLE_PRIMES if m is None else [q for q, _ in factor_int(m)]
+    sample = dict.fromkeys(map(ring.reduce, (*ring.elements(12), *primes)))
+    table = {a: oracle(CfinFunction.constant(space, ring, a)) for a in sample}
+    candidate = BasePoint.trivial()
+    for p in primes:
+        v = table[ring.reduce(p)]
+        if v.is_one:
+            continue
+        if v.is_zero:
+            candidate = BasePoint.residue(p)
+        else:
+            base, exp = v.canonical_pow()
+            if base == p:
+                candidate = BasePoint.arch(exp)
+            elif base == Fraction(1, p):
                 candidate = BasePoint.padic(p, exp)
-        else:
-            raise UnrecognizedBasePoint("several primes have nontrivial value")
-    else:
-        m = ring.modulus
-        zero_primes = [
-            p
-            for p, _ in (factor_int(m) if m > 1 else ())
-            if const_val(ring.reduce(p)).is_zero
-        ]
-        if len(zero_primes) == 1:
-            candidate = BasePoint.residue(zero_primes[0])
-        elif not zero_primes and ring.kind == "FpTriv":
-            candidate = BasePoint.trivial()
-        else:
-            raise UnrecognizedBasePoint("no admissible point matches")
+            else:
+                raise UnrecognizedBasePoint(f"value {v} at {p} is no admissible power")
+        break
     candidate = canonical_point(ring, candidate)
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
-    for a in sample:
-        if const_val(a) != base_eval(candidate, ring, ring.reduce(a)):
-            raise UnrecognizedBasePoint(
-                f"constant {a} disagrees with {candidate}"
-            )
+    for a, v in table.items():
+        if v != base_eval(candidate, ring, a):
+            raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
     return candidate
 
 
@@ -328,25 +307,21 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
 
     Tests the oracle on every clopen indicator; the clopens with nonzero
     value must form the principal ultrafilter of exactly one
-    quasi-component.  The base point is identified from the values on
-    constants, then verified on the whole constant sample.
+    quasi-component, the one holding the points common to them all.  The
+    base point is identified from the values on constants, then verified
+    on the whole constant sample.
     """
     space, ring = oracle.space, oracle.ring
-    hits = []
-    for U in space.clopens:
-        v = oracle(indicator(space, ring, U))
-        if not v.is_zero:
-            hits.append(U)
-    hit_set = frozenset(hits)
-    if frozenset() in hit_set:
+    hits = frozenset(
+        U for U in space.clopens if not oracle(indicator(space, ring, U)).is_zero
+    )
+    if frozenset() in hits:
         raise NotUltrafilter("the empty clopen has nonzero value")
-    selected = None
-    for i, block in enumerate(space.quasi_components):
-        expected = frozenset(U for U in space.clopens if block <= U)
-        if expected == hit_set:
-            selected = i
-            break
-    if selected is None:
+    common = frozenset(space.points).intersection(*hits)
+    selected = space.component_index(min(common)) if common else None
+    if selected is None or hits != frozenset(
+        U for U in space.clopens if space.quasi_components[selected] <= U
+    ):
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"
         )

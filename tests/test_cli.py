@@ -154,6 +154,22 @@ def test_ring_moduli_above_the_cap_exit_2_quickly(capsys, monkeypatch, ring, cod
         assert report["verdicts"][0]["pass"]
 
 
+@pytest.mark.parametrize(
+    "ring, code", [("FpTriv(65521)", 0), ("FpTriv(1000003)", 2), ("FpTriv(4294967291)", 2)]
+)
+def test_spectrum_rings_above_max_elements_exit_2_quickly(capsys, monkeypatch, ring, code):
+    started = time.perf_counter()
+    got, report, _ = run_cli(
+        capsys, ["spectrum", "--ring", ring], stdin_text="", monkeypatch=monkeypatch
+    )
+    assert got == code
+    if code == 2:
+        assert time.perf_counter() - started < 1.0
+        assert report["error"].startswith("SizeExceeded")
+    else:
+        assert report["verdicts"][0]["recovered_classes"] == [0, 1]
+
+
 def test_malformed_json_exits_2(capsys, monkeypatch):
     code, report, _ = run_cli(
         capsys, ["cech"], stdin_text="{not json", monkeypatch=monkeypatch

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
-from dbl.errors import ElementOutOfRange, UnsupportedRing
+from dbl.errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue
 from dbl.scalars import (
+    MAX_ELEMENTS,
     RingDescriptor,
     fp_triv,
     int_inf,
@@ -99,3 +102,25 @@ def test_norm_definiteness_exhaustive():
     for ring in (int_inf(), int_triv(), fp_triv(5), zmod_triv(8), zmod_quot(9)):
         for a in ring.elements(10):
             assert (ring.norm(a) == NV_ZERO) == (a == 0)
+
+
+def test_nontrivial_idempotent_is_the_least_one():
+    for n in range(1, 400):
+        scan = next((e for e in range(2, n) if (e * e - e) % n == 0), None)
+        assert zmod_triv(n).nontrivial_idempotent() == scan
+    assert int_inf().nontrivial_idempotent() is None
+    assert fp_triv(7).nontrivial_idempotent() is None
+
+
+def test_nontrivial_idempotent_under_the_modulus_cap_is_quick():
+    started = time.perf_counter()
+    assert zmod_triv(2 * (2**31 - 1)).nontrivial_idempotent() == 2**31 - 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_element_samples_stop_at_max_elements():
+    assert len(zmod_triv(MAX_ELEMENTS).elements(0)) == MAX_ELEMENTS
+    assert len(int_inf().elements(MAX_ELEMENTS // 2 - 1)) == MAX_ELEMENTS - 1
+    for ring, bound in ((fp_triv(65537), 0), (zmod_quot(2**32), 0), (int_triv(), MAX_ELEMENTS // 2)):
+        with pytest.raises(SizeExceeded):
+            ring.elements(bound)

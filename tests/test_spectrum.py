@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,7 @@ from dbl.spectrum import (
     g_inverse,
     g_split,
     gelfand_roundtrip,
+    is_admissible,
     validate_point,
 )
 
@@ -173,6 +175,79 @@ def test_gelfand_roundtrip():
 def test_base_point_json():
     for b in (BasePoint.trivial(), BasePoint.arch(Fraction(1, 2)), BasePoint.padic(5, 2), BasePoint.residue(7)):
         assert BasePoint.from_json(b.to_json()) == b
+
+
+def test_base_points_need_a_prime():
+    for make in (
+        lambda: BasePoint.residue(4),
+        lambda: BasePoint.padic(0, 1),
+        lambda: BasePoint.padic(1, 1),
+        lambda: BasePoint.residue(2**61 - 1),
+    ):
+        with pytest.raises(UnrecognizedBasePoint):
+            make()
+    for p in ("3", 3.0, True, None):
+        with pytest.raises(UnrecognizedBasePoint):
+            BasePoint.from_json({"kind": "PadicResidue", "p": p})
+
+
+def _powered(b: BasePoint, k: int) -> BasePoint:
+    """The point whose values are those of b raised to the k-th power."""
+    if b.kind == "arch":
+        return BasePoint.arch(k * b.eps)
+    if b.kind == "padic":
+        return BasePoint.padic(b.p, k * b.eps)
+    return b
+
+
+def _split_or_none(oracle):
+    try:
+        return g_split(oracle)
+    except UnrecognizedBasePoint:
+        return None
+
+
+def test_g_split_on_honest_squared_and_max_oracles():
+    space = glued_pairs()
+    for ring in (Z, int_triv(), fp_triv(3), zmod_triv(6), zmod_quot(6)):
+        grid = admissible_points(ring)
+        sample = ring.elements(40)
+        for c in range(len(space.quasi_components)):
+            honest = {b: g_inverse(c, b, space, ring) for b in grid}
+            for b, x in honest.items():
+                assert g_split(x) == SpectrumPoint(c, b)
+                squared = SeminormOracle(space, ring, lambda f, x=x: x(f) * x(f))
+                b2 = _powered(b, 2)
+                want = SpectrumPoint(c, b2) if is_admissible(ring, b2) else None
+                assert _split_or_none(squared) == want, (ring, c, b)
+            for b1, b2 in combinations(grid, 2):
+                if {b1.p, b2.p} == {3, 5}:
+                    # their max fails multiplicativity only at multiples of
+                    # 15, which the constant sample -12..13 does not reach
+                    continue
+                x1, x2 = honest[b1], honest[b2]
+                top = SeminormOracle(space, ring, lambda f, x1=x1, x2=x2: max(x1(f), x2(f)))
+                # the max is in the family only when one of the two dominates
+                dominant = [
+                    b
+                    for b in (b1, b2)
+                    if all(
+                        base_eval(b, ring, a)
+                        == max(base_eval(b1, ring, a), base_eval(b2, ring, a))
+                        for a in sample
+                    )
+                ]
+                want = SpectrumPoint(c, dominant[0]) if dominant else None
+                assert _split_or_none(top) == want, (ring, c, b1, b2)
+
+    # an Archimedean oracle that is wrong only at the probe 13
+    d2 = FiniteSpace.discrete(2)
+    arch = g_inverse(1, BasePoint.arch(1), d2, Z)
+    off_at_13 = SeminormOracle(
+        d2, Z, lambda f: NormValue.from_fraction(14) if f.eval(1) == 13 else arch(f)
+    )
+    with pytest.raises(UnrecognizedBasePoint):
+        g_split(off_at_13)
 
 
 def test_g_split_off_grid_exponents():
