@@ -8,7 +8,9 @@ preorder by FiniteSpace.components without building a subspace.  The
 differentials are integer matrices: the rings here are discrete, so the
 complex over R is the integer complex tensored with R, and its homology
 over Z, F_p, Z/n and the zero ring is read off the invariant factors of
-each integer differential.  Covers are characterized by exactness, and
+each integer differential (intlinalg.invariant_factors, a sparse
+elimination that keeps no transforms).  The only cap on the points of a
+complex is spaces.MAX_POINTS.  Covers are characterized by exactness, and
 the constructive side is a selection homotopy whose per-stage constants
 are reported with the section matrices.
 """
@@ -40,7 +42,6 @@ from .scalars import RingDescriptor
 from .spaces import FiniteSpace
 
 MAX_FAMILY = 6
-MAX_COMPLEX_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,6 @@ def build_tate_cech(
     it lies in exactly one component of each face, the one holding its
     least point.
     """
-    if space.n > MAX_COMPLEX_POINTS:
-        raise SizeExceeded(f"{space.n} points > cap {MAX_COMPLEX_POINTS}")
     msyms = coefficients.symbols if coefficients is not None else (None,)
     sets = family.sets
     full = frozenset(space.points)
@@ -183,15 +182,15 @@ def exactness(complex_: ChainComplex) -> dict:
         summands = [n] * free + [gcd(e, n) for e in e_in]
         if n:
             summands += [gcd(e, n) for e in e_out]
-        finite = [m for m in summands if m > 1]
-        diagonal = tuple(
-            tuple(m if i == j else 0 for j in range(len(finite)))
-            for i, m in enumerate(finite)
-        )
-        h = {
-            "free_rank": summands.count(0),
-            "torsion": [e for e in invariant_factors(diagonal) if e > 1],
-        }
+        torsion = [m for m in summands if m > 1]
+        if len(torsion) > 1:
+            # the invariant factors of the diagonal matrix of the summands
+            diagonal = tuple(
+                tuple(m if i == j else 0 for j in range(len(torsion)))
+                for i, m in enumerate(torsion)
+            )
+            torsion = [e for e in invariant_factors(diagonal) if e > 1]
+        h = {"free_rank": summands.count(0), "torsion": torsion}
         vanished = h["free_rank"] == 0 and not h["torsion"]
         report["degrees"].append({"degree": k, **h, "vanishes": vanished})
         if not vanished:
@@ -322,13 +321,15 @@ def tate_equivalence_report(
     at component level; a disagreement raises EquivalenceViolation.
     """
     _check_embeddings(space, family)
+    # listing the opens may exceed spaces.MAX_LISTED: fail before the work
+    space_json = space.to_json()
     complex_ = build_tate_cech(space, family, ring)
     cover_points = is_cover(space, family)
     cover_zeta = zeta_is_cover(space, family)
     hom = exactness(complex_)
     expected = cover_zeta or ring.is_zero_ring
     report = {
-        "space": space.to_json(),
+        "space": space_json,
         "family": [sorted(K) for K in family.sets],
         "ring": str(ring),
         "cover_points": cover_points,

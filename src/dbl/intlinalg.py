@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Matrices are tuples of tuples of ints.  Everything here is big-integer
-exact: Bareiss determinants, Smith normal form with unimodular transforms
-and its invariant factors, and inverses of unimodular matrices.  Ranks and
-homology over Q, F_p and Z/n are read off invariant factors by callers.
+exact: Bareiss determinants, invariant factors (the Smith diagonal, found
+by sparse row elimination without transforms), and inverses of unimodular
+matrices.  Ranks and homology over Q, F_p and Z/n are read off invariant
+factors by callers.
 """
 
 from __future__ import annotations
@@ -70,103 +71,79 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def smith_normal_form(a):
-    """Smith normal form: returns (d, s, t) with s*a*t = d.
-
-    d is diagonal with d[i] | d[i+1] and nonnegative entries; s and t are
-    unimodular.
-    """
-    m = [list(row) for row in a]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    s = [list(row) for row in identity(nr)]
-    t = [list(row) for row in identity(nc)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-
-    def add_col(src, dst, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in t:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        s[i] = [-x for x in s[i]]
-
-    k = 0
-    while k < min(nr, nc):
-        # find a pivot
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if m[i][j] != 0:
-                    if piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        while True:
-            # clear column k
-            dirty = False
-            for i in range(k + 1, nr):
-                if m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
-                    add_row(k, i, -q)
-                    if m[i][k] != 0:
-                        swap_rows(k, i)
-                        dirty = True
-            for j in range(k + 1, nc):
-                if m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
-                    add_col(k, j, -q)
-                    if m[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-            if not dirty:
-                break
-        if m[k][k] < 0:
-            negate_row(k)
-        # enforce divisibility of later entries by m[k][k]
-        fixed = False
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if m[i][j] % m[k][k] != 0:
-                    add_row(i, k, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        k += 1
-    return (
-        tuple(tuple(row) for row in m),
-        tuple(tuple(row) for row in s),
-        tuple(tuple(row) for row in t),
-    )
-
-
 def invariant_factors(a) -> list[int]:
-    d, _, _ = smith_normal_form(a)
+    """The nonzero Smith diagonal of an integer matrix, without transforms.
+
+    Returns the positive invariant factors d_1 | d_2 | ... .  Rows are
+    kept sparse, as dicts from column to nonzero entry (Dumas, Saunders
+    and Villard 2001), and every step is unimodular (Kannan and Bachem
+    1979).  A step takes an entry p of least absolute value as the pivot
+    and reduces the rows that meet its column.  Once p is alone in its
+    column, the column operations that clear its row only reduce the
+    row's entries mod p, since every other row is 0 there.  A row with an
+    entry that p does not divide is added to the pivot row, and reduced
+    mod p, before p is emitted.  A step that leaves a nonzero remainder
+    starts again from a pivot smaller than |p|, so the loop ends; an
+    emitted p divides every entry left, so the factors come out in
+    divisibility order.
+    """
+    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in a) if r]
     out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
+    while rows:
+        pr, pc, p = _least_entry(rows)
+        prow = rows.pop(pr)
+        # reduce the rows that meet the pivot column
+        alone = True
+        for row in rows:
+            x = row.get(pc)
+            if x is None:
+                continue
+            q = x // p
+            for j, y in prow.items():
+                z = row.get(j, 0) - q * y
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            alone = alone and pc not in row
+        rows = [r for r in rows if r]
+        if alone:
+            _reduce_mod(prow, pc, p)
+            if len(prow) == 1 and p not in (1, -1):
+                # p must divide every entry left; a row with an entry that
+                # it does not divide is added to the pivot row, as a remainder
+                bad = next((r for r in rows if any(y % p for y in r.values())), None)
+                if bad is not None:
+                    prow.update(bad)
+                    _reduce_mod(prow, pc, p)
+            if len(prow) == 1:
+                out.append(abs(p))
+                continue
+        rows.append(prow)
     return out
+
+
+def _reduce_mod(row: dict, pc: int, p: int):
+    """Reduce every entry of row outside column pc mod p, dropping zeros."""
+    for j, y in list(row.items()):
+        if j != pc:
+            z = y % p
+            if z:
+                row[j] = z
+            else:
+                del row[j]
+
+
+def _least_entry(rows) -> tuple[int, int, int]:
+    """(row index, column, entry) of an entry of least absolute value."""
+    best = None
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x in (1, -1):
+                return i, j, x
+            if best is None or abs(x) < abs(best[2]):
+                best = (i, j, x)
+    return best
 
 
 def inverse_unimodular(a):

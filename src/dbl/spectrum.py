@@ -7,7 +7,7 @@ on the ring's modulus.  A point of the spectrum of C_fin(X, R) is a pair
 (quasi-component ultrafilter, base point); G_inverse builds the
 evaluation seminorm from the pair and G_split recovers the pair from any
 seminorm oracle, reading the base point off the oracle's values on the
-constants of one sample (every residue of Z/n, or -12..13 for Z) and
+constants of one sample (every residue of Z/n, or -12..13 and 15 for Z) and
 rejecting oracles outside the family.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     DisconnectedSpectrum,
@@ -28,7 +29,8 @@ from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
 from .functions import CfinFunction, indicator, limit_along
 
-# probe primes of Z for _identify_base, and the grid of admissible_points
+# probe primes of Z for _identify_base, and the primes of the grid of
+# admissible_points, whose pairwise products _identify_base also samples
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13)
 _GRID_PRIMES = (2, 3, 5)
 _GRID_EPS = (Fraction(1, 2), Fraction(1))
@@ -271,11 +273,17 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     divisors of n for Z/n.  The first probe with a value other than 1
     names the candidate (value 0: residue; p**eps: arch; p**-eps: p-adic);
     with none it is the trivial point.  The candidate must be admissible
-    and match the oracle on every constant of the sample.
+    and match the oracle on every constant of the sample.  On Z the
+    sample also holds the products of two distinct _GRID_PRIMES, where the
+    max of two p-adic points of the grid first fails multiplicativity.
     """
     m = ring.modulus
-    primes = _SAMPLE_PRIMES if m is None else [q for q, _ in factor_int(m)]
-    sample = dict.fromkeys(map(ring.reduce, (*ring.elements(12), *primes)))
+    if m is None:
+        primes = _SAMPLE_PRIMES
+        probes = (*primes, *(p * q for p, q in combinations(_GRID_PRIMES, 2)))
+    else:
+        primes = probes = [q for q, _ in factor_int(m)]
+    sample = dict.fromkeys(map(ring.reduce, (*ring.elements(12), *probes)))
     table = {a: oracle(CfinFunction.constant(space, ring, a)) for a in sample}
     candidate = BasePoint.trivial()
     for p in primes:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from . import fixtures
 from .bases import (
@@ -24,7 +25,7 @@ from .bases import (
     vdp_reconstruct,
 )
 from .cech import CoverFamily, tate_equivalence_report
-from .errors import DisconnectedSpectrum
+from .errors import DisconnectedSpectrum, SizeExceeded
 from .functions import (
     CfinFunction,
     enumerate_functions,
@@ -60,25 +61,60 @@ from .weierstrass import sw_construct_indicator
 # -- 1. cover/acyclicity equivalence ---------------------------------------
 
 
+MAX_EXHAUSTIVE_CASES = 20_000
+
+
+def _check_case_count(max_points: int, max_sets: int, rings: int):
+    """Bound rings * (sum over n <= max_points, k <= max_sets of C(2**n, k)).
+
+    Stops at the first partial sum above MAX_EXHAUSTIVE_CASES, so a large
+    flag costs a few terms of the sum.  The case list is built even for no
+    rings, so that counts as one.
+    """
+    if max_points < 1 or max_sets < 1:
+        raise ValueError(
+            f"max_points and max_sets must be at least 1, not {max_points} and {max_sets}"
+        )
+    total = 0
+    for n in range(1, max_points + 1):
+        for k in range(1, min(max_sets, 2**n) + 1):
+            total += max(rings, 1) * comb(2**n, k)
+            if total > MAX_EXHAUSTIVE_CASES:
+                raise SizeExceeded(f"more than {MAX_EXHAUSTIVE_CASES} exhaustive cases")
+
+
 def _tate_cases(max_points: int, max_sets: int):
     cases = []
     for n in range(1, max_points + 1):
         subsets = [frozenset(c) for size in range(n + 1) for c in combinations(range(n), size)]
-        for fam_size in range(1, max_sets + 1):
+        for fam_size in range(1, min(max_sets, len(subsets)) + 1):
             for fam in combinations(subsets, fam_size):
                 cases.append((n, tuple(sorted(fam, key=lambda s: (len(s), sorted(s))))))
     return cases
 
 
 def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
-    """Exhaustive cover <=> vanishing-homology agreement on discrete spaces."""
+    """Exhaustive cover <=> vanishing-homology agreement on discrete spaces.
+
+    Every family of 1..max_sets subsets of discrete(n), n = 1..max_points,
+    over each ring.  The case count is checked before any case is built:
+    flags below 1 raise ValueError, and more than MAX_EXHAUSTIVE_CASES
+    cases or a space with more opens than a report can list raise
+    SizeExceeded.
+    """
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
+    _check_case_count(max_points, max_sets, len(rings))
+    # a report lists its space's opens: list them once per space, so that
+    # more than spaces.MAX_LISTED of them fail before any case runs
+    spaces = {n: FiniteSpace.discrete(n) for n in range(1, max_points + 1)}
+    for space in spaces.values():
+        space.opens
     cases = _tate_cases(max_points, max_sets)
     total = 0
     for ring in rings:
         for n, fam in cases:
-            space = FiniteSpace.discrete(n)
+            space = spaces[n]
             report = tate_equivalence_report(space, CoverFamily.make(space, fam), ring)
             if not report["agreement"]:
                 return {"name": "tate_equivalence", "pass": False}

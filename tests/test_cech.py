@@ -22,12 +22,12 @@ from dbl.intlinalg import (
     invariant_factors,
     matmul,
     matvec,
-    smith_normal_form,
     transpose,
 )
 from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace
+from snf_oracle import smith_normal_form
 
 Z = int_inf()
 D2 = FiniteSpace.discrete(2)
@@ -196,9 +196,11 @@ def test_theorem_b_module_coefficients():
 def test_size_caps():
     with pytest.raises(SizeExceeded):
         CoverFamily.make(D3, [frozenset({0})] * 7)
+    # spaces.MAX_POINTS is the only cap on the points of a complex
     big = FiniteSpace.discrete(13)
-    with pytest.raises(SizeExceeded):
-        build_tate_cech(big, CoverFamily.make(big, [frozenset(range(13))]), Z)
+    c = build_tate_cech(big, CoverFamily.make(big, [frozenset(range(13))]), Z)
+    assert [c.rank(k) for k in range(c.length)] == [13, 13]
+    assert exactness(c)["exact"]
 
 
 def test_descent_faithful_witness():
@@ -372,6 +374,57 @@ def test_cover_complex_at_the_caps_is_fast():
     rep = tate_equivalence_report(space, family, zmod_triv(4))
     assert time.perf_counter() - started < 2
     assert rep["exact"] and rep["agreement"]
+
+
+def test_exactness_at_the_caps_takes_under_a_tenth_of_a_second():
+    import time
+
+    space = FiniteSpace.discrete(12)
+    c = build_tate_cech(space, fam(space, *[range(12)] * 6), zmod_triv(4))
+    assert max(map(len, c.terms)) == 240
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        rep = exactness(c)
+        times.append(time.perf_counter() - started)
+    assert min(times) < 0.1
+    assert rep["exact"]
+
+
+def test_cover_complexes_at_32_points_are_fast():
+    import time
+
+    ring = zmod_triv(4)
+    discrete = FiniteSpace.discrete(32)
+    # point 0 specializes to each of the closed points 1..31
+    connected = FiniteSpace(32, [{0}] + [{0, x} for x in range(1, 32)])
+    closed = set(range(1, 32))
+    cases = (
+        # six copies of the whole space: terms up to 640, exact
+        (discrete, fam(discrete, *[range(32)] * 6), {}, SizeExceeded),
+        # every point but 0 lies in five or six pieces; over Z the complex
+        # has H^1 = Z^31 / Z, the constants on each point mod the global ones
+        (connected, fam(connected, *(closed - {i} for i in range(1, 7))), {1: [4] * 30}, NotEmbedding),
+    )
+    for space, family, torsion, rejected in cases:
+        started = time.perf_counter()
+        c = build_tate_cech(space, family, ring)
+        rep = exactness(c)
+        assert time.perf_counter() - started < 3
+        assert [d["torsion"] for d in rep["degrees"]] == [
+            torsion.get(k, []) for k in range(7)
+        ]
+        assert all(d["free_rank"] == 0 for d in rep["degrees"])
+        started = time.perf_counter()
+        # the opens of either space are too many to list in a report, and
+        # the pieces of the connected one merge its quasi-component
+        with pytest.raises(rejected):
+            tate_equivalence_report(space, family, ring)
+        assert time.perf_counter() - started < 1
+    started = time.perf_counter()
+    sections = strict_sections(discrete, cases[0][1], ring)
+    assert time.perf_counter() - started < 5
+    assert [s["degree"] for s in sections] == [1, 2, 3, 4, 5, 6]
 
 
 def test_equivalence_on_non_discrete_spaces_with_embedding_pieces():

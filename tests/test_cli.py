@@ -272,6 +272,31 @@ def test_cech_exhaustive_case_count(capsys):
     assert report["verdicts"][0]["cases"] == 13  # 3 families on 1 point + 10 on 2
 
 
+@pytest.mark.parametrize(
+    "points, sets, error",
+    [
+        ("7", "3", "SizeExceeded"),  # 3 * 399,669 cases
+        ("1000000000", "1", "SizeExceeded"),
+        ("2", "1000000000", None),  # 3 + 15 families: none has more than 4 sets
+        ("13", "1", "SizeExceeded"),  # the opens of discrete(13) are not listed
+        ("-3", "0", "ValueError"),
+        ("0", "3", "ValueError"),
+        ("4", "0", "ValueError"),
+    ],
+)
+def test_cech_exhaustive_is_bounded_before_it_runs(capsys, points, sets, error):
+    argv = ["cech", "--exhaustive", "--max-points", points, "--max-sets", sets]
+    if error == "SizeExceeded" and points == "13":
+        argv += ["--ring", "IntInf"]  # 16,382 cases, under the case cap
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, argv)
+    assert time.perf_counter() - started < 1.0
+    if error is None:
+        assert code == 0 and report["verdicts"][0]["cases"] == 3 * 18
+    else:
+        assert code == 2 and report["error"].startswith(error)
+
+
 def test_cech_request_without_ring_uses_int_inf(capsys, monkeypatch):
     payload = {
         "space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},

@@ -1,4 +1,5 @@
-from math import gcd
+import time
+from math import gcd, isqrt, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,9 @@ from dbl.intlinalg import (
     invariant_factors,
     inverse_unimodular,
     matmul,
-    smith_normal_form,
     transpose,
 )
+from snf_oracle import smith_normal_form
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -87,6 +88,71 @@ def test_invariant_factors_match_minor_gcds(rows):
         dk = gcd_of_minors(rows, k)
         assert dk == prev * facs[k - 1]
         prev = dk
+
+
+@given(small_matrices)
+@settings(max_examples=120, deadline=None)
+def test_invariant_factors_match_the_transform_oracle(rows):
+    a = tuple(map(tuple, rows))
+    d, _, _ = smith_normal_form(a)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert invariant_factors(a) == [x for x in diag if x]
+
+
+@st.composite
+def dense_square_matrices(draw):
+    # a common factor k keeps the entries in [-50, 50] and gives d_1 = k
+    # more often than chance would
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.sampled_from((1, 1, 2, 6)))
+    entries = st.integers(min_value=-(50 // k), max_value=50 // k).map(lambda x: k * x)
+    return tuple(
+        tuple(draw(entries) for _ in range(n)) for _ in range(n)
+    )
+
+
+def minor(a, i, j):
+    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i)
+
+
+@given(dense_square_matrices())
+@settings(max_examples=100, deadline=None)
+def test_invariant_factors_of_dense_matrices_match_minors(a):
+    n = len(a)
+    started = time.perf_counter()
+    facs = invariant_factors(a)
+    assert time.perf_counter() - started < 1
+    assert all(e > 0 for e in facs)
+    assert all(b % e == 0 for e, b in zip(facs, facs[1:]))
+    entries_gcd = gcd(*(x for row in a for x in row))
+    assert (facs[0] if facs else 0) == entries_gcd
+    if facs:
+        # Hadamard: every nonzero minor is at most the product of the
+        # norms of the nonzero rows, and d_r divides an r-minor
+        hadamard_sq = prod(sum(x * x for x in row) for row in a if any(row))
+        assert facs[-1].bit_length() <= isqrt(hadamard_sq).bit_length()
+    det = bareiss_det(a)
+    if det:
+        assert len(facs) == n and prod(facs) == abs(det)
+        minors_gcd = gcd(*(bareiss_det(minor(a, i, j)) for i in range(n) for j in range(n)))
+        assert prod(facs[:-1]) == minors_gcd
+
+
+def test_dense_6x6_finishes_quickly():
+    # the first 6x6 draw of random.Random(6) with entries in [-50, 50]; the
+    # dense elimination with transforms did not finish it in a minute
+    a = (
+        (23, -40, 12, 47, -17, -46),
+        (-50, -32, 34, 25, 10, 47),
+        (44, -3, -10, 48, -48, -16),
+        (12, -25, 43, 2, 18, 19),
+        (37, -38, -26, 22, 20, 39),
+        (43, -17, 34, 28, 37, -39),
+    )
+    started = time.perf_counter()
+    facs = invariant_factors(a)
+    assert time.perf_counter() - started < 1
+    assert facs == [1, 1, 1, 1, 1, 42136588692] == [1] * 5 + [abs(bareiss_det(a))]
 
 
 def test_inverse_unimodular():
