@@ -310,6 +310,30 @@ def descent_faithful_witness(
     raise IsCover("the family covers every quasi-component")
 
 
+def tate_verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> dict:
+    """The cover test against the homology of the complex, without listings.
+
+    Pieces must embed at component level.  The keys are those of
+    tate_equivalence_report from "cover_components" to "agreement", in
+    its order; a disagreement is reported, not raised.
+    """
+    _check_embeddings(space, family)
+    return _verdict(space, family, ring)
+
+
+def _verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> dict:
+    """tate_verdict for a family whose pieces are known to embed."""
+    hom = exactness(build_tate_cech(space, family, ring))
+    cover_zeta = zeta_is_cover(space, family)
+    return {
+        "cover_components": cover_zeta,
+        "zero_ring": ring.is_zero_ring,
+        "exact": hom["exact"],
+        "homology": hom["degrees"],
+        "agreement": hom["exact"] == (cover_zeta or ring.is_zero_ring),
+    }
+
+
 def tate_equivalence_report(
     space: FiniteSpace, family: CoverFamily, ring: RingDescriptor
 ) -> dict:
@@ -317,29 +341,23 @@ def tate_equivalence_report(
 
     The complex only sees quasi-component data, so the cover side of the
     equivalence is the quasi-component-level test (equal to the point
-    test on discrete spaces, which is also reported).  Pieces must embed
-    at component level; a disagreement raises EquivalenceViolation.
+    test on discrete spaces, which is also reported).  The report is
+    tate_verdict with the space, the family and the point test listed
+    ahead of it and, for a non-cover, a witness after it; a disagreement
+    raises EquivalenceViolation.
     """
     _check_embeddings(space, family)
     # listing the opens may exceed spaces.MAX_LISTED: fail before the work
     space_json = space.to_json()
-    complex_ = build_tate_cech(space, family, ring)
-    cover_points = is_cover(space, family)
-    cover_zeta = zeta_is_cover(space, family)
-    hom = exactness(complex_)
-    expected = cover_zeta or ring.is_zero_ring
+    verdict = _verdict(space, family, ring)
     report = {
         "space": space_json,
         "family": [sorted(K) for K in family.sets],
         "ring": str(ring),
-        "cover_points": cover_points,
-        "cover_components": cover_zeta,
-        "zero_ring": ring.is_zero_ring,
-        "exact": hom["exact"],
-        "homology": hom["degrees"],
-        "agreement": hom["exact"] == expected,
+        "cover_points": is_cover(space, family),
+        **verdict,
     }
-    if not expected:
+    if not (verdict["cover_components"] or verdict["zero_ring"]):
         witness = descent_faithful_witness(space, family, ring)
         report["witness"] = list(witness.values)
     if not report["agreement"]:

@@ -214,6 +214,10 @@ class NormValue:
         """True when the value is an actual rational number."""
         return self._d == 1
 
+    def bit_length(self) -> int:
+        """The bits of r's numerator and denominator: the size of the value."""
+        return self._r.numerator.bit_length() + self._r.denominator.bit_length()
+
     def as_fraction(self) -> Fraction:
         if self._d != 1:
             raise UnsupportedValue(f"{self} is irrational")

@@ -8,7 +8,9 @@ on the ring's modulus.  A point of the spectrum of C_fin(X, R) is a pair
 evaluation seminorm from the pair and G_split recovers the pair from any
 seminorm oracle, reading the base point off the oracle's values on the
 constants of one sample (every residue of Z/n, or -12..13 and 15 for Z) and
-rejecting oracles outside the family.
+rejecting oracles outside the family.  The values of each (base point,
+ring) pair are memoized in a bounded table (see _point_values) that every
+evaluation reads, and an oracle of G_inverse looks its table up once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from threading import Lock
 
 from .errors import (
     DisconnectedSpectrum,
@@ -172,8 +175,14 @@ def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
     return True
 
 
-def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
-    """Evaluate the seminorm at a ring element, exactly."""
+# bounds of the value memo behind base_eval (see _point_values)
+MEMO_POINTS = 32
+MEMO_ELEMENTS = 512
+MEMO_KEY_BITS = 64
+MEMO_VALUE_BITS = 1024
+
+
+def _evaluate(point: BasePoint, ring: RingDescriptor, a) -> NormValue:
     a = ring.check_element(a)
     if ring.modulus is not None and point.kind == "padic":
         raise UnrecognizedBasePoint("p-adic powers need a Z-based ring")
@@ -189,6 +198,72 @@ def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
     return NV_ZERO if a % point.p == 0 else NV_ONE
 
 
+class _PointValues:
+    """The values of one base point on one ring, memoized per element.
+
+    A miss checks the element and the point as _evaluate does, so an
+    input that is rejected raises every time and is never stored.  Only a
+    plain int hits: True hashes like 1 but is no element.  At most
+    MEMO_ELEMENTS values are kept, the oldest dropped first, and only small
+    ones (see MEMO_KEY_BITS and MEMO_VALUE_BITS).
+    """
+
+    __slots__ = ("point", "ring", "memo")
+
+    def __init__(self, point: BasePoint, ring: RingDescriptor):
+        self.point = point
+        self.ring = ring
+        self.memo: dict[int, NormValue] = {}
+
+    def value(self, a) -> NormValue:
+        memo = self.memo
+        if type(a) is int:
+            v = memo.get(a)
+            if v is not None:
+                return v
+        v = _evaluate(self.point, self.ring, a)
+        if (
+            type(a) is int
+            and a.bit_length() <= MEMO_KEY_BITS
+            and v.bit_length() <= MEMO_VALUE_BITS
+        ):
+            with _MEMO_LOCK:
+                if len(memo) >= MEMO_ELEMENTS:
+                    del memo[next(iter(memo))]
+                memo[a] = v
+        return v
+
+
+_MEMOS: dict[tuple, _PointValues] = {}
+_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
+
+
+def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
+    """The shared value memo of a (point, ring) pair.
+
+    The memo holds at most MEMO_POINTS pairs, the oldest dropped first:
+    at most MEMO_POINTS * MEMO_ELEMENTS = 16,384 values in all, each of at
+    most MEMO_VALUE_BITS bits under a key of at most MEMO_KEY_BITS: about
+    5 MiB at worst.  An oracle of g_inverse keeps its pair's memo alive
+    after the pair leaves the table.
+    """
+    key = (point, ring)
+    values = _MEMOS.get(key)
+    if values is None:
+        with _MEMO_LOCK:
+            values = _MEMOS.get(key)
+            if values is None:
+                if len(_MEMOS) >= MEMO_POINTS:
+                    del _MEMOS[next(iter(_MEMOS))]
+                values = _MEMOS[key] = _PointValues(point, ring)
+    return values
+
+
+def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
+    """Evaluate the seminorm at a ring element, exactly (memoized)."""
+    return _point_values(point, ring).value(a)
+
+
 def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 20) -> dict:
     """Check multiplicativity, boundedness, unit norms and the triangle law.
 
@@ -199,21 +274,22 @@ def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 2
     if not is_admissible(ring, point):
         raise ValidationFailure("admissibility", str(point))
     point = canonical_point(ring, point)
+    value = _point_values(point, ring).value
     sample = ring.elements(sample_bound)
-    if base_eval(point, ring, ring.zero) != NV_ZERO:
+    if value(ring.zero) != NV_ZERO:
         raise ValidationFailure("zero", 0)
-    if not ring.is_zero_ring and base_eval(point, ring, ring.one) != NV_ONE:
+    if not ring.is_zero_ring and value(ring.one) != NV_ONE:
         raise ValidationFailure("unit", 1)
     for a in sample:
-        va = base_eval(point, ring, a)
+        va = value(a)
         if va > ring.norm(a):
             raise ValidationFailure("boundedness", a)
         for b in sample:
-            vb = base_eval(point, ring, b)
-            vab = base_eval(point, ring, ring.mul(a, b))
+            vb = value(b)
+            vab = value(ring.mul(a, b))
             if vab != va * vb:
                 raise ValidationFailure("multiplicativity", (a, b))
-            vsum = base_eval(point, ring, ring.add(a, b))
+            vsum = value(ring.add(a, b))
             if point.kind == "arch":
                 # base-level check; subadditivity of t^eps does the rest
                 if abs(ring.add(a, b)) > abs(a) + abs(b):
@@ -246,7 +322,10 @@ class SeminormOracle:
         self._fn = fn
 
     def __call__(self, f: CfinFunction) -> NormValue:
-        if f.space != self.space or f.coeff != self.ring:
+        space, coeff = f.space, f.coeff
+        if (space is not self.space and space != self.space) or (
+            coeff is not self.ring and coeff != self.ring
+        ):
             raise RingMismatch("oracle evaluated outside its algebra")
         return self._fn(f)
 
@@ -258,12 +337,16 @@ def eval_seminorm(point: SpectrumPoint, f: CfinFunction) -> NormValue:
 
 
 def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDescriptor) -> SeminormOracle:
-    """The seminorm f -> base(limit of f along the component)."""
+    """The seminorm f -> base(limit of f along the component).
+
+    The oracle looks the point's value memo up once, here, and reads the
+    component's value of f straight off it.
+    """
     base = canonical_point(ring, base)
     if not is_admissible(ring, base):
         raise ValidationFailure("admissibility", str(base))
-    pt = SpectrumPoint(component, base)
-    return SeminormOracle(space, ring, lambda f: eval_seminorm(pt, f))
+    value = _point_values(base, ring).value
+    return SeminormOracle(space, ring, lambda f: value(f.values[component]))
 
 
 def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
@@ -304,8 +387,9 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     candidate = canonical_point(ring, candidate)
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
+    value = _point_values(candidate, ring).value
     for a, v in table.items():
-        if v != base_eval(candidate, ring, a):
+        if v != value(a):
             raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
     return candidate
 

@@ -24,7 +24,7 @@ from .bases import (
     vdp_orthonormal_check,
     vdp_reconstruct,
 )
-from .cech import CoverFamily, tate_equivalence_report
+from .cech import CoverFamily, tate_verdict
 from .errors import DisconnectedSpectrum, SizeExceeded
 from .functions import (
     CfinFunction,
@@ -105,8 +105,8 @@ def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
     _check_case_count(max_points, max_sets, len(rings))
-    # a report lists its space's opens: list them once per space, so that
-    # more than spaces.MAX_LISTED of them fail before any case runs
+    # every case must be one that tate_equivalence_report could list: a
+    # space with more than spaces.MAX_LISTED opens fails before any case runs
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, max_points + 1)}
     for space in spaces.values():
         space.opens
@@ -115,9 +115,12 @@ def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     for ring in rings:
         for n, fam in cases:
             space = spaces[n]
-            report = tate_equivalence_report(space, CoverFamily.make(space, fam), ring)
-            if not report["agreement"]:
-                return {"name": "tate_equivalence", "pass": False}
+            if not tate_verdict(space, CoverFamily.make(space, fam), ring)["agreement"]:
+                return {
+                    "name": "tate_equivalence",
+                    "pass": False,
+                    "witness": [n, [sorted(K) for K in fam], str(ring)],
+                }
             total += 1
     return {
         "name": "tate_equivalence",

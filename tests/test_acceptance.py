@@ -32,6 +32,9 @@ def test_criterion_2_spectrum_homeomorphism():
     _report("2 spectrum homeomorphism", verdict, started)
     assert verdict["pass"], verdict
     assert verdict["roundtrips"] > 0 and verdict["value_pairs"] > 0
+    assert verdict["roundtrips"] == 286
+    assert verdict["value_pairs"] == 5096
+    assert verdict["function_pairs"] == 188552
 
 
 def test_criterion_3_sum_split_constant():

@@ -14,6 +14,7 @@ from dbl.cech import (
     is_cover,
     strict_sections,
     tate_equivalence_report,
+    tate_verdict,
     zeta_is_cover,
 )
 from dbl.errors import CocycleViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
@@ -178,6 +179,27 @@ def test_exhaustive_small_equivalence_discrete():
                 rep = tate_equivalence_report(space, family, Z)
                 assert rep["agreement"]
                 assert rep["exact"] == is_cover(space, family)
+
+
+def test_verdict_is_the_tail_of_the_report():
+    sier = FiniteSpace.sierpinski()
+    cases = [
+        (D3, fam(D3, {0, 1}, {1, 2}), Z),
+        (D2, fam(D2, {0}), fp_triv(2)),
+        (D2, fam(D2, {0}), zmod_triv(1)),
+        (sier, fam(sier, {0}), zmod_quot(6)),
+    ]
+    for space, family, ring in cases:
+        rep = tate_equivalence_report(space, family, ring)
+        verdict = tate_verdict(space, family, ring)
+        keys = list(rep)[4 : 4 + len(verdict)]
+        assert keys == list(verdict) == [
+            "cover_components", "zero_ring", "exact", "homology", "agreement"
+        ]
+        assert verdict == {k: rep[k] for k in keys}
+    space = FiniteSpace(3, [frozenset({0, 1}), frozenset({1, 2})])
+    with pytest.raises(NotEmbedding):
+        tate_verdict(space, fam(space, {0, 2}), Z)
 
 
 def test_theorem_b_module_coefficients():

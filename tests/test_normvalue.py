@@ -412,3 +412,9 @@ def test_from_json_reads_every_fraction_string():
     assert NormValue.from_json({"kind": "rational", "value": 3}) == NormValue.from_fraction(3)
     with pytest.raises(ValueError):
         NormValue.from_json({"kind": "rational", "value": "-7/5"})
+
+
+def test_bit_length_counts_both_parts_of_r():
+    assert NormValue.from_fraction(Fraction(3, 4)).bit_length() == 2 + 3
+    assert NormValue.from_pow(2, Fraction(1, 2)).bit_length() == 2 + 1
+    assert NV_ZERO.bit_length() == 0 + 1

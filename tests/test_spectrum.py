@@ -2,9 +2,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dbl import spectrum
 from dbl.errors import (
     DisconnectedSpectrum,
+    ElementOutOfRange,
     NotUltrafilter,
     RingMismatch,
     UnrecognizedBasePoint,
@@ -16,6 +20,10 @@ from dbl.normvalue import NV_ONE, NV_ZERO, NormValue
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace
 from dbl.spectrum import (
+    MEMO_ELEMENTS,
+    MEMO_KEY_BITS,
+    MEMO_POINTS,
+    MEMO_VALUE_BITS,
     BasePoint,
     SeminormOracle,
     SpectrumPoint,
@@ -270,3 +278,150 @@ def test_g_split_on_directly_built_oracles():
     )
     pt = g_split(trivial)
     assert pt == SpectrumPoint(0, BasePoint.trivial())
+
+
+# -- the value memo behind base_eval ------------------------------------------
+
+
+def _memo(point, ring) -> dict:
+    return spectrum._point_values(point, ring).memo
+
+
+def test_memo_never_lets_a_bool_hit():
+    p = BasePoint.arch(1)
+    point_space = FiniteSpace.discrete(1)
+    one, true = (CfinFunction.constant(point_space, Z, a) for a in (1, True))
+    oracle = g_inverse(0, p, point_space, Z)
+    assert base_eval(p, Z, 1) == oracle(one) == NV_ONE
+    assert 1 in _memo(p, Z)  # True hashes like 1
+    for _ in range(2):
+        with pytest.raises(ElementOutOfRange):
+            base_eval(p, Z, True)
+        with pytest.raises(ElementOutOfRange):
+            eval_seminorm(SpectrumPoint(0, p), true)
+        with pytest.raises(ElementOutOfRange):
+            oracle(true)
+
+
+def test_memo_still_rejects_unreduced_residues_and_padic_points_on_zmod():
+    ring = zmod_triv(6)
+    p = BasePoint.residue(2)
+    assert base_eval(p, ring, 2) == NV_ZERO
+    assert 2 in _memo(p, ring)
+    for a in (8, -4, 6):
+        with pytest.raises(ElementOutOfRange):
+            base_eval(p, ring, a)
+    padic = BasePoint.padic(2, 1)
+    for _ in range(2):  # a rejection is never stored
+        with pytest.raises(UnrecognizedBasePoint):
+            base_eval(padic, ring, 3)
+    assert not _memo(padic, ring)
+
+
+def test_memo_stays_within_its_bounds():
+    p = BasePoint.arch(Fraction(1, 3))
+    for a in range(MEMO_ELEMENTS + 100):
+        assert base_eval(p, Z, a) == (NormValue.from_pow(a, Fraction(1, 3)) if a else NV_ZERO)
+    memo = _memo(p, Z)
+    assert len(memo) == MEMO_ELEMENTS
+    assert MEMO_ELEMENTS + 99 in memo and 0 not in memo  # the oldest went first
+    for k in range(1, MEMO_POINTS + 10):
+        base_eval(BasePoint.padic(2, Fraction(1, k)), Z, 12)
+    assert len(spectrum._MEMOS) == MEMO_POINTS
+    # large elements and large values are computed but not kept
+    big = BasePoint.arch(Fraction(99, 100))
+    for a in (2**MEMO_KEY_BITS, 2**20 - 1):
+        want = NormValue.from_pow(a, Fraction(99, 100))
+        assert base_eval(big, Z, a) == want
+        assert want.bit_length() > MEMO_VALUE_BITS or a.bit_length() > MEMO_KEY_BITS
+    assert not _memo(big, Z)
+
+
+def test_memo_writes_from_threads_keep_the_bound():
+    import sys
+    import threading
+
+    p = BasePoint.arch(Fraction(1, 5))
+    errors = []
+
+    def work(offset):
+        try:
+            for a in range(offset, offset + 4 * MEMO_ELEMENTS, 3):
+                if base_eval(p, Z, a) != NormValue.from_pow(a, Fraction(1, 5)):
+                    errors.append(a)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k + 1,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(_memo(p, Z)) == MEMO_ELEMENTS
+
+
+def _reference(point: BasePoint, ring, a: int) -> NormValue:
+    """The value of an admissible point, built without the memo."""
+    if a == 0:
+        return NV_ZERO
+    if point.kind == "arch":
+        return NormValue.from_pow(abs(a), point.eps)
+    if point.kind == "padic":
+        v = 0
+        while a % point.p == 0:
+            a, v = a // point.p, v + 1
+        return NormValue.from_pow(Fraction(1, point.p), point.eps * v)
+    if point.kind == "residue":
+        return NV_ZERO if a % point.p == 0 else NV_ONE
+    return NV_ONE
+
+
+@st.composite
+def _ring_point_element(draw):
+    ring = draw(
+        st.sampled_from(
+            [Z, int_triv()]
+            + [fp_triv(p) for p in (2, 3, 5, 7, 31)]
+            + [make(n) for make in (zmod_triv, zmod_quot) for n in range(2, 37)]
+        )
+    )
+    point = draw(st.sampled_from(admissible_points(ring)))
+    m = ring.modulus
+    a = draw(st.integers(-(10**6), 10**6) if m is None else st.integers(0, m - 1))
+    return ring, point, a
+
+
+@given(_ring_point_element())
+@settings(max_examples=300, deadline=None)
+def test_memoized_base_eval_matches_a_direct_reference(case):
+    ring, point, a = case
+    want = _reference(point, ring, a)
+    assert base_eval(point, ring, a) == want
+    assert base_eval(point, ring, a) == want  # now a hit
+
+
+def test_oracle_reads_values_off_the_memo(monkeypatch):
+    calls = []
+    from_pow = NormValue.from_pow
+
+    def counted(base, exponent):
+        calls.append((base, exponent))
+        return from_pow(base, exponent)
+
+    monkeypatch.setattr(NormValue, "from_pow", staticmethod(counted))
+    space = glued_pairs()
+    for b in (BasePoint.arch(Fraction(2, 7)), BasePoint.padic(3, Fraction(5, 7))):
+        oracle = g_inverse(1, b, space, Z)
+        f = CfinFunction(space, Z, (5, 18))
+        first = oracle(f)
+        calls.clear()
+        assert oracle(f) == first
+        assert g_inverse(1, b, space, Z)(f) == first
+        assert calls == []
