@@ -27,7 +27,6 @@ from .spaces import (
     ball_tree,
     banaschewski,
     inclusion_map,
-    ultrafilters,
     zeta_embedding_check,
 )
 from .functions import (

@@ -347,11 +347,9 @@ def tate_equivalence_report(
     raises EquivalenceViolation.
     """
     _check_embeddings(space, family)
-    # listing the opens may exceed spaces.MAX_LISTED: fail before the work
-    space_json = space.to_json()
     verdict = _verdict(space, family, ring)
     report = {
-        "space": space_json,
+        "space": space.to_json(),
         "family": [sorted(K) for K in family.sets],
         "ring": str(ring),
         "cover_points": is_cover(space, family),
@@ -386,13 +384,6 @@ class GluedModule:
     ring: RingDescriptor
     fiber_rank: dict  # component index -> rank
     chart: dict  # component index -> chosen piece index
-
-    def restrict_to_piece(self, family: CoverFamily, i: int) -> dict:
-        comps = {}
-        for c, block in enumerate(self.space.quasi_components):
-            if block & family.sets[i]:
-                comps[c] = self.fiber_rank[c]
-        return comps
 
 
 def glue_modules(

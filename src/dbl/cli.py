@@ -22,7 +22,7 @@ from .spaces import FiniteSpace, banaschewski
 from .spectrum import gelfand_roundtrip
 from .weierstrass import sw_construct_indicator
 
-SCHEMA = "1"
+SCHEMA = "2"
 
 
 def _read_json_input(args) -> dict | None:
@@ -80,8 +80,7 @@ def cmd_space(args) -> list[dict]:
             "name": "space",
             "pass": True,
             "points": space.n,
-            "opens": len(space.opens),
-            "clopens": [sorted(U) for U in space.clopens],
+            "basis": space.to_json()["opens"],
             "quasi_components": [sorted(b) for b in space.quasi_components],
             "banaschewski_points": zeta.n,
         }

@@ -236,19 +236,6 @@ def tensor_norm(t: TensorElement) -> NormValue:
     return tensor_product_module(t.m0, t.m1).norm(t.matrix)
 
 
-def representation_cost(t: TensorElement, pairs) -> NormValue:
-    """Cost of one representation: sum (arch) or max (nonarch) of term norms."""
-    check = TensorElement.from_pairs(t.m0, t.m1, pairs)
-    if check.matrix != t.matrix:
-        raise ValueError("pairs do not represent the tensor")
-    terms = [t.m0.norm(e0) * t.m1.norm(e1) for e0, e1 in pairs]
-    if not terms:
-        return NV_ZERO
-    if t.m0.mode == ARCH:
-        return nv_sum(terms)
-    return nv_max(terms)
-
-
 def tensor_rank_lower_bound(t: TensorElement) -> NormValue:
     """Certified lower bound gap(M0) * gap(M1) * rank for the arch seminorm.
 
@@ -377,23 +364,6 @@ class QuotientModule:
 
     def norm(self, e: tuple) -> NormValue:
         return self.module.norm(self.project(e))
-
-    def norm_by_scan(self, e: tuple, radius: int) -> NormValue:
-        """Oracle: minimize over lifts with coefficients shifted by k*n."""
-        e = self.project(e)
-        coords = [(s, c) for s, c in e]
-        best = None
-        for shifts in product(range(-radius, radius + 1), repeat=len(coords)):
-            lift = elem(
-                {
-                    s: c + k * self.modulus
-                    for (s, c), k in zip(coords, shifts)
-                }
-            )
-            val = self.ambient.norm(lift)
-            if best is None or val < best:
-                best = val
-        return best if best is not None else NV_ZERO
 
     def isolation_gap(self) -> NormValue:
         # the smallest nonzero coordinate norm is |1| = 1 for n >= 2

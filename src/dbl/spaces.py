@@ -10,8 +10,9 @@ a point — are the connected components of the graph joining x to up[x]
 they are the finite-stage fibers of the map to the Banaschewski
 compactification, which here is just the discrete space of
 quasi-components, built once per space with its quotient map.  Spaces
-have at most MAX_POINTS points; listing opens or clopens stops at
-MAX_LISTED sets.
+have at most MAX_POINTS points, the one cap a command meets: a space goes
+on the wire as its minimal opens, and only an explicit listing of its
+opens or clopens stops at MAX_LISTED sets.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class FiniteSpace:
         return f"FiniteSpace(n={self.n}, up={[sorted(U) for U in self.up]})"
 
     def to_json(self):
-        return {"points": self.n, "opens": [sorted(U) for U in self.opens]}
+        """The points and the distinct minimal opens up[x], in canonical order."""
+        return {"points": self.n, "opens": sorted(map(sorted, set(self.up)))}
 
     @staticmethod
     def from_json(obj) -> "FiniteSpace":
@@ -239,18 +241,6 @@ def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
     return space._banaschewski
 
 
-def ultrafilters(space: FiniteSpace) -> list[frozenset]:
-    """All ultrafilters of the Boolean algebra of clopens.
-
-    One per quasi-component: the clopens containing that block.  Each
-    ultrafilter is returned as a frozenset of clopens.
-    """
-    out = []
-    for block in space.quasi_components:
-        out.append(frozenset(U for U in space.clopens if block <= U))
-    return out
-
-
 def zeta_embedding_check(j: PointMap) -> tuple[bool, tuple[int, int] | None]:
     """True when j is injective on quasi-components.
 
@@ -325,9 +315,6 @@ class UltrametricSpace:
 class BallNode:
     points: frozenset
     children: list
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def all_nodes(self):
         yield self

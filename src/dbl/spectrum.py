@@ -6,11 +6,12 @@ p-residue seminorms, the trivial seminorm); the family is one rule keyed
 on the ring's modulus.  A point of the spectrum of C_fin(X, R) is a pair
 (quasi-component ultrafilter, base point); G_inverse builds the
 evaluation seminorm from the pair and G_split recovers the pair from any
-seminorm oracle, reading the base point off the oracle's values on the
-constants of one sample (every residue of Z/n, or -12..13 and 15 for Z) and
-rejecting oracles outside the family.  The values of each (base point,
-ring) pair are memoized in a bounded table (see _point_values) that every
-evaluation reads, and an oracle of G_inverse looks its table up once.
+seminorm oracle, reading the component off 2k+1 clopen indicators and the
+base point off the constants of one sample (every residue of Z/n, or
+-12..13 and 15 for Z), and rejecting oracles outside the family.  The
+values of each (base point, ring) pair are memoized in a bounded table
+(see _point_values) that every evaluation reads, and an oracle of
+G_inverse looks its table up once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
-from .functions import CfinFunction, indicator, limit_along
+from .functions import CfinFunction, limit_along
 
 # probe primes of Z for _identify_base, and the primes of the grid of
 # admissible_points, whose pairwise products _identify_base also samples
@@ -397,28 +398,30 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
 def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     """Recover (ultrafilter component, base point) from a seminorm oracle.
 
-    Tests the oracle on every clopen indicator; the clopens with nonzero
-    value must form the principal ultrafilter of exactly one
-    quasi-component, the one holding the points common to them all.  The
-    base point is identified from the values on constants, then verified
-    on the whole constant sample.
+    The oracle is tested on 2k+1 clopen indicators of a space with k
+    quasi-components: the empty clopen, each component's e_i and each
+    1 - e_i.  In a multiplicative seminorm e_i e_j = 0 and sum e_i = 1, so
+    exactly one |e_c| is nonzero and |1_U| != 0 exactly when U holds that
+    component; a sample that shows otherwise raises NotUltrafilter.  No
+    other clopen is tested.  The base point is identified from the values
+    on constants, then verified on the whole constant sample.
     """
     space, ring = oracle.space, oracle.ring
-    hits = frozenset(
-        U for U in space.clopens if not oracle(indicator(space, ring, U)).is_zero
-    )
-    if frozenset() in hits:
+    k = len(space.quasi_components)
+
+    def nonzero(values) -> bool:
+        # component blocks are clopen, so every 0/1 tuple is an indicator
+        return not oracle(CfinFunction(space, ring, tuple(values))).is_zero
+
+    if nonzero([ring.zero] * k):
         raise NotUltrafilter("the empty clopen has nonzero value")
-    common = frozenset(space.points).intersection(*hits)
-    selected = space.component_index(min(common)) if common else None
-    if selected is None or hits != frozenset(
-        U for U in space.clopens if space.quasi_components[selected] <= U
-    ):
+    inside = [nonzero(ring.one if i == c else ring.zero for i in range(k)) for c in range(k)]
+    outside = [nonzero(ring.zero if i == c else ring.one for i in range(k)) for c in range(k)]
+    if inside.count(True) != 1 or outside != [not hit for hit in inside]:
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"
         )
-    base = _identify_base(space, ring, oracle)
-    return SpectrumPoint(selected, base)
+    return SpectrumPoint(inside.index(True), _identify_base(space, ring, oracle))
 
 
 def gelfand_roundtrip(space: FiniteSpace, ring: RingDescriptor) -> dict:

@@ -99,17 +99,12 @@ def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     Every family of 1..max_sets subsets of discrete(n), n = 1..max_points,
     over each ring.  The case count is checked before any case is built:
     flags below 1 raise ValueError, and more than MAX_EXHAUSTIVE_CASES
-    cases or a space with more opens than a report can list raise
-    SizeExceeded.
+    cases raise SizeExceeded.
     """
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
     _check_case_count(max_points, max_sets, len(rings))
-    # every case must be one that tate_equivalence_report could list: a
-    # space with more than spaces.MAX_LISTED opens fails before any case runs
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, max_points + 1)}
-    for space in spaces.values():
-        space.opens
     cases = _tate_cases(max_points, max_sets)
     total = 0
     for ring in rings:

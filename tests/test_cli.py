@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbl.cli import run
-from dbl.fixtures import glued_pairs
+from dbl.fixtures import chain_space, glued_pairs
+from dbl.spaces import FiniteSpace
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -24,7 +25,7 @@ def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
 def test_mahler_pairing_command(capsys):
     code, report, err = run_cli(capsys, ["mahler", "--pairing", "--max", "12"])
     assert code == 0
-    assert report["schema"] == "1"
+    assert report["schema"] == "2"
     assert report["status"] == "pass"
     assert report["verdicts"][0]["cases"] == 169
     assert "[PASS]" in err
@@ -66,6 +67,29 @@ def test_space_command(capsys, monkeypatch):
     v = report["verdicts"][0]
     assert v["banaschewski_points"] == 2
     assert v["quasi_components"] == [[0, 1], [2, 3]]
+    assert v["basis"] == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("argv", [["space"], ["spectrum", "--ring", "IntInf"], ["cech"]])
+@pytest.mark.parametrize(
+    "space", [FiniteSpace.discrete(32), chain_space(32)], ids=["discrete", "chain"]
+)
+def test_commands_answer_at_32_points(capsys, monkeypatch, argv, space):
+    # the whole space and the closed half {16..31} cover either space
+    payload = {"space": space.to_json(), "family": [list(range(32)), list(range(16, 32))]}
+    started = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, argv, stdin_text=json.dumps(payload), monkeypatch=monkeypatch
+    )
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    v = report["verdicts"][0]
+    if argv == ["space"]:
+        assert v["points"] == 32 and v["basis"] == payload["space"]["opens"]
+    elif argv[0] == "spectrum":
+        assert v["space_components"] == len(space.quasi_components)
+    else:
+        assert v["exact"] and v["space"] == payload["space"]
 
 
 def test_sw_command_default_trace(capsys, monkeypatch):
@@ -278,7 +302,7 @@ def test_cech_exhaustive_case_count(capsys):
         ("7", "3", "SizeExceeded"),  # 3 * 399,669 cases
         ("1000000000", "1", "SizeExceeded"),
         ("2", "1000000000", None),  # 3 + 15 families: none has more than 4 sets
-        ("13", "1", "SizeExceeded"),  # the opens of discrete(13) are not listed
+        ("13", "1", None),  # over IntInf: 16,382 cases, under the case cap
         ("-3", "0", "ValueError"),
         ("0", "3", "ValueError"),
         ("4", "0", "ValueError"),
@@ -286,13 +310,14 @@ def test_cech_exhaustive_case_count(capsys):
 )
 def test_cech_exhaustive_is_bounded_before_it_runs(capsys, points, sets, error):
     argv = ["cech", "--exhaustive", "--max-points", points, "--max-sets", sets]
-    if error == "SizeExceeded" and points == "13":
-        argv += ["--ring", "IntInf"]  # 16,382 cases, under the case cap
+    cases, seconds = (16_382, 5.0) if points == "13" else (3 * 18, 1.0)
+    if points == "13":
+        argv += ["--ring", "IntInf"]
     started = time.perf_counter()
     code, report, _ = run_cli(capsys, argv)
-    assert time.perf_counter() - started < 1.0
+    assert time.perf_counter() - started < seconds
     if error is None:
-        assert code == 0 and report["verdicts"][0]["cases"] == 3 * 18
+        assert code == 0 and report["verdicts"][0]["cases"] == cases
     else:
         assert code == 2 and report["error"].startswith(error)
 
@@ -387,7 +412,14 @@ bad_fields = st.one_of(
 @st.composite
 def cli_calls(draw):
     """argv and stdin for space, spectrum, cech or sw: a well-formed call
-    (its values still arbitrary) with at most one part of it spoilt."""
+    (its values still arbitrary) with at most one part of it spoilt; or a
+    small cech --exhaustive sweep over any ring name, good or bad."""
+    if draw(st.integers(0, 4)) == 0:
+        argv = ["cech", "--exhaustive", "--max-points", str(draw(st.integers(1, 3)))]
+        argv += ["--max-sets", str(draw(st.integers(1, 2)))]
+        if draw(st.booleans()):
+            argv += ["--ring", draw(st.sampled_from([*ring_names, "all", "FpTriv(4)", "Q"]))]
+        return argv, ""
     command = draw(st.sampled_from(sorted(command_fields)))
     fields = command_fields[command]
     request = {k: draw(strategy) for k, strategy in fields.items()}
@@ -417,7 +449,7 @@ def test_cli_answers_any_request_quickly(call):
     ), contextlib.redirect_stderr(err):
         code = run(argv)
     assert time.perf_counter() - started < 2.0
-    assert code in (0, 1, 2)
+    assert code in ((0, 2) if "--exhaustive" in argv else (0, 1, 2))
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue())

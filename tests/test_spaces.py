@@ -17,9 +17,9 @@ from dbl.spaces import (
     ball_tree,
     banaschewski,
     inclusion_map,
-    ultrafilters,
     zeta_embedding_check,
 )
+from oracles import ultrafilters
 
 
 def brute_clopens(space):
@@ -194,7 +194,7 @@ def test_ultrametric_validation():
 
 def test_ball_tree_examples():
     single = ball_tree(UltrametricSpace([[0]]))
-    assert single.points == frozenset({0}) and single.is_leaf()
+    assert single.points == frozenset({0}) and not single.children
 
     tree = ball_tree(three_point_um())
     assert tree.points == frozenset({0, 1, 2})
@@ -207,7 +207,7 @@ def test_ball_tree_examples():
     um = UltrametricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     tree = ball_tree(um)
     assert [sorted(c.points) for c in tree.children] == [[0], [1], [2]]
-    assert all(c.is_leaf() for c in tree.children)
+    assert not any(c.children for c in tree.children)
 
 
 def test_ball_tree_nested_or_disjoint():

@@ -14,7 +14,7 @@ from dbl.errors import (
     UnrecognizedBasePoint,
     ValidationFailure,
 )
-from dbl.fixtures import double_sierpinski, glued_pairs
+from dbl.fixtures import double_sierpinski, glued_pairs, standard_fixture_spaces
 from dbl.functions import CfinFunction, enumerate_functions
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
@@ -37,6 +37,7 @@ from dbl.spectrum import (
     is_admissible,
     validate_point,
 )
+from oracles import g_split_by_sweep, topologies
 
 Z = int_inf()
 
@@ -136,6 +137,65 @@ def test_g_split_rejects_adversarial_oracles():
     squared = SeminormOracle(space, Z, lambda f: honest(f) * honest(f))
     with pytest.raises(UnrecognizedBasePoint):
         g_split(squared)
+
+
+def _verdict(split, oracle):
+    try:
+        return split(oracle)
+    except (NotUltrafilter, UnrecognizedBasePoint) as err:
+        return type(err)
+
+
+def test_g_split_sample_agrees_with_the_full_sweep():
+    spaces = [s for n in range(5) for s in topologies(n)] + standard_fixture_spaces()
+    rings = (Z, int_triv(), fp_triv(3), zmod_quot(6))
+    for space in spaces:
+        for ring in rings:
+            for c in range(len(space.quasi_components)):
+                for b in admissible_points(ring):
+                    x = g_inverse(c, b, space, ring)
+                    assert _verdict(g_split, x) == _verdict(g_split_by_sweep, x)
+
+    # the oracles of test_g_split_rejects_adversarial_oracles
+    d2 = FiniteSpace.discrete(2)
+    a = g_inverse(0, BasePoint.trivial(), d2, Z)
+    b = g_inverse(1, BasePoint.trivial(), d2, Z)
+    honest = g_inverse(0, BasePoint.arch(1), d2, Z)
+    for fn, want in (
+        (lambda f: NV_ZERO, NotUltrafilter),
+        (lambda f: NV_ONE, NotUltrafilter),
+        (lambda f: max(a(f), b(f)), NotUltrafilter),
+        (lambda f: honest(f) * honest(f), UnrecognizedBasePoint),
+    ):
+        x = SeminormOracle(d2, Z, fn)
+        assert _verdict(g_split, x) == _verdict(g_split_by_sweep, x) == want
+
+    # on no point there is no ultrafilter, whatever the oracle says
+    empty = FiniteSpace(0)
+    for value in (NV_ZERO, NV_ONE):
+        x = SeminormOracle(empty, Z, lambda f, value=value: value)
+        assert _verdict(g_split, x) == _verdict(g_split_by_sweep, x) == NotUltrafilter
+
+    # the sample tests no union of two of four components: an oracle wrong
+    # only on {1, 2} passes it, and only the sweep rejects it
+    d4 = FiniteSpace.discrete(4)
+    first = g_inverse(0, BasePoint.trivial(), d4, Z)
+    odd = SeminormOracle(d4, Z, lambda f: NV_ONE if f.values == (0, 1, 1, 0) else first(f))
+    assert g_split(odd) == SpectrumPoint(0, BasePoint.trivial())
+    assert _verdict(g_split_by_sweep, odd) == NotUltrafilter
+
+
+def test_g_split_tests_2k_plus_1_indicators_before_the_constants():
+    for space in [*standard_fixture_spaces(), FiniteSpace.discrete(32)]:
+        k = len(space.quasi_components)
+        honest = g_inverse(k - 1, BasePoint.padic(2, 1), space, Z)
+        calls = []
+        counting = SeminormOracle(space, Z, lambda f: calls.append(f.values) or honest(f))
+        assert g_split(counting) == SpectrumPoint(k - 1, BasePoint.padic(2, 1))
+        e = [tuple(int(i == c) for i in range(k)) for c in range(k)]
+        want = [(0,) * k, *e, *(tuple(1 - v for v in row) for row in e)]
+        assert sorted(calls[: 2 * k + 1]) == sorted(want)
+        assert all(len(set(values)) == 1 for values in calls[2 * k + 1 :])
 
 
 def test_seminorm_multiplicative_exhaustive_small():
