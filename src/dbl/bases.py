@@ -192,15 +192,13 @@ def vdp_orthonormal_check(f: CfinFunction, family: BasisFamily) -> bool:
 
 
 def mahler_coeffs(values, ring: RingDescriptor | None = None) -> tuple:
-    """Forward finite differences a_n = sum (-1)^{n-j} C(n,j) f(j)."""
-    n = len(values)
-    out = []
-    for m in range(n):
-        acc = 0
-        for j in range(m + 1):
-            term = comb(m, j) * values[j]
-            acc += -term if (m - j) % 2 else term
-        out.append(ring.reduce(acc) if ring is not None else acc)
+    """Forward differences a_n = sum (-1)^{n-j} C(n,j) f(j), of at most MAX_MAHLER_LEVEL values."""
+    if len(values) > MAX_MAHLER_LEVEL:
+        raise SizeExceeded(f"{len(values)} values > MAX_MAHLER_LEVEL = {MAX_MAHLER_LEVEL}")
+    out, row = [], list(values)
+    while row:
+        out.append(row[0] if ring is None else ring.reduce(row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
     return tuple(out)
 
 

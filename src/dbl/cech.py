@@ -4,7 +4,9 @@ The complex of a finite family of closed subsets has degree-k term the
 product of function modules on the k-fold intersections (degree 0 is X)
 with alternating restriction differentials: one free summand per
 quasi-component of an intersection, read off the space's specialization
-preorder by FiniteSpace.components without building a subspace.  The
+preorder by FiniteSpace.components without building a subspace.  Each
+piece C(X, R) -> C(K, R) must be a homotopy epimorphism (zeta(K) -> zeta(X)
+injective), which tate_verdict reads off the complex's degree-1 labels.  The
 differentials are integer matrices: the rings here are discrete, so the
 complex over R is the integer complex tensored with R, and its homology
 over Z, F_p, Z/n and the zero ring is read off the invariant factors of
@@ -18,8 +20,9 @@ are reported with the section matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
+from operator import add, itemgetter
 
 from .errors import (
     CocycleViolation,
@@ -33,13 +36,14 @@ from .functions import CfinFunction, indicator
 from .intlinalg import (
     bareiss_det,
     identity,
+    inverse_unimodular,
     invariant_factors,
     is_zero_matrix,
     matmul,
 )
 from .modtensor import WeightedFreeModule
 from .scalars import RingDescriptor
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, merged_pair
 
 MAX_FAMILY = 6
 
@@ -122,22 +126,26 @@ def build_tate_cech(
     Degree k is the product over strictly increasing k-fold tuples of C
     of the intersection (tensored with the coefficient module when
     given); degree 0 is the empty tuple, whose intersection is X.
-    Intersections realize the tensor terms directly.  Differentials are
+    Intersections realize the tensor terms directly, X's components being
+    the cached space.quasi_components.  Differentials are
     signed restrictions: a component of an intersection is connected, so
     it lies in exactly one component of each face, the one holding its
     least point.
     """
     msyms = coefficients.symbols if coefficients is not None else (None,)
     sets = family.sets
-    full = frozenset(space.points)
 
     # labels per degree: (tuple_of_indices, component_frozenset, module_symbol)
     terms = []
     for k in range(len(sets) + 1):
         labels = []
         for tup in combinations(range(len(sets)), k):
-            inter = full.intersection(*(sets[i] for i in tup))
-            for c in space.components(inter):
+            comps = (
+                space.components(frozenset.intersection(*(sets[i] for i in tup)))
+                if tup
+                else space.quasi_components
+            )
+            for c in comps:
                 for s in msyms:
                     labels.append((tup, c, s))
         terms.append(tuple(labels))
@@ -206,21 +214,13 @@ def _selection_homotopy(space, family, terms, k):
     alternating sign.  Valid whenever the family covers every
     quasi-component.
     """
-    sets = family.sets
-
-    def select(component: frozenset) -> int | None:
-        for i, K in enumerate(sets):
-            if component <= K:
-                return i
-        return None
-
     src = terms[k + 1]
     dst = terms[k]
     col = _columns(src)
     rows = []
     for tup_d, comp_d, sym_d in dst:
         row = [0] * len(src)
-        i_sel = select(comp_d)
+        i_sel = next((i for i, K in enumerate(family.sets) if comp_d <= K), None)
         if i_sel is None:
             raise NoSection(f"no family set meets component {sorted(comp_d)}")
         if i_sel in tup_d:
@@ -264,38 +264,29 @@ def strict_sections(
     ]
     out = []
     for k, h in enumerate(homotopies):
-        constant = 0
-        for row in h:
-            constant = max(constant, sum(abs(x) for x in row))
+        constant = max((sum(map(abs, row)) for row in h), default=0)
         # verify the integer matrix identity d_k h_k (+ h_{k+1} d_{k+1}) = id,
         # which makes h_k a section of d_k on ker(d_{k+1})
-        nk1 = complex_.rank(k + 1)
-        total = [[0] * nk1 for _ in range(nk1)]
-        for i, row in enumerate(matmul(complex_.diffs[k], h)):
-            for j, x in enumerate(row):
-                total[i][j] += x
+        total = matmul(complex_.diffs[k], h)
         if k + 1 < len(complex_.diffs):
-            for i, row in enumerate(
-                matmul(homotopies[k + 1], complex_.diffs[k + 1])
-            ):
-                for j, x in enumerate(row):
-                    total[i][j] += x
-        if tuple(map(tuple, total)) != identity(nk1):
+            later = matmul(homotopies[k + 1], complex_.diffs[k + 1])
+            total = tuple(tuple(map(add, r, s)) for r, s in zip(total, later))
+        if total != identity(complex_.rank(k + 1)):
             raise NoSection(f"homotopy identity fails into degree {k + 1}")
         out.append({"degree": k + 1, "section": h, "constant": constant})
     return out
 
 
-def _check_embeddings(space: FiniteSpace, family: CoverFamily):
-    """Each piece's components must land in distinct components of X."""
-    for K in family.sets:
-        seen: dict[int, int] = {}
-        for i, block in enumerate(space.components(K)):
-            j = seen.setdefault(space.component_index(min(block)), i)
-            if j != i:
-                raise NotEmbedding(
-                    f"inclusion of {sorted(K)} merges quasi-components {(j, i)}"
-                )
+def _check_embeddings(space: FiniteSpace, family: CoverFamily, complex_: ChainComplex):
+    """Each piece's components, its degree-1 labels in the complex, land in distinct ones of X."""
+    pieces = complex_.terms[1] if complex_.length > 1 else ()
+    for (i,), labels in groupby(pieces, key=itemgetter(0)):
+        cmap = [space.component_index(min(block)) for _, block, _ in labels]
+        pair = merged_pair(cmap)
+        if pair is not None:
+            raise NotEmbedding(
+                f"inclusion of {sorted(family.sets[i])} merges quasi-components {pair}"
+            )
 
 
 def descent_faithful_witness(
@@ -313,17 +304,14 @@ def descent_faithful_witness(
 def tate_verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> dict:
     """The cover test against the homology of the complex, without listings.
 
-    Pieces must embed at component level.  The keys are those of
-    tate_equivalence_report from "cover_components" to "agreement", in
-    its order; a disagreement is reported, not raised.
+    Pieces must embed at component level, which is read off the degree-1
+    labels of the complex before its homology is computed.  The keys are
+    those of tate_equivalence_report from "cover_components" to
+    "agreement", in its order; a disagreement is reported, not raised.
     """
-    _check_embeddings(space, family)
-    return _verdict(space, family, ring)
-
-
-def _verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> dict:
-    """tate_verdict for a family whose pieces are known to embed."""
-    hom = exactness(build_tate_cech(space, family, ring))
+    complex_ = build_tate_cech(space, family, ring)
+    _check_embeddings(space, family, complex_)
+    hom = exactness(complex_)
     cover_zeta = zeta_is_cover(space, family)
     return {
         "cover_components": cover_zeta,
@@ -346,8 +334,7 @@ def tate_equivalence_report(
     ahead of it and, for a non-cover, a witness after it; a disagreement
     raises EquivalenceViolation.
     """
-    _check_embeddings(space, family)
-    verdict = _verdict(space, family, ring)
+    verdict = tate_verdict(space, family, ring)
     report = {
         "space": space.to_json(),
         "family": [sorted(K) for K in family.sets],
@@ -411,16 +398,8 @@ def glue_modules(
         r = by_index[i].rank
         if len(m) != r or any(len(row) != r for row in m):
             raise ValueError(f"transition {(i, j, c)} has the wrong shape")
-        det = bareiss_det(m)
-        modulus = ring.modulus
-        if modulus is None:
-            if det not in (1, -1):
-                raise ValueError(f"transition {(i, j, c)} is not invertible")
-        elif modulus > 1 and gcd(det % modulus, modulus) != 1:
-            raise ValueError(f"transition {(i, j, c)} is not invertible mod {modulus}")
-
-    def covers(i: int, c: int) -> bool:
-        return bool(space.quasi_components[c] & family.sets[i])
+        if gcd(bareiss_det(m), ring.modulus or 0) != 1:
+            raise ValueError(f"transition {(i, j, c)} is not invertible over {ring}")
 
     def t(i: int, j: int, c: int):
         if i == j:
@@ -430,36 +409,23 @@ def glue_modules(
             return m
         rev = transitions.get((j, i, c))
         if rev is not None:
-            from .intlinalg import inverse_unimodular
-
             return inverse_unimodular(rev)
         return identity(by_index[i].rank)
 
-    n_comp = len(space.quasi_components)
-    for c in range(n_comp):
-        living = [i for i in range(len(family.sets)) if covers(i, c)]
+    def reduced(m):
+        return tuple(tuple(map(ring.reduce, row)) for row in m)
+
+    fiber = {}
+    chart = {}
+    for c, block in enumerate(space.quasi_components):
+        living = [i for i, K in enumerate(family.sets) if block & K]
         for i in living:
             for j in living:
                 if by_index[i].rank != by_index[j].rank:
                     raise ValueError("overlapping pieces of different rank")
                 for k in living:
-                    lhs = matmul(t(j, k, c), t(i, j, c))
-                    if ring.modulus is not None:
-                        lhs = tuple(
-                            tuple(x % ring.modulus for x in row) for row in lhs
-                        )
-                        rhs = tuple(
-                            tuple(x % ring.modulus for x in row)
-                            for row in t(i, k, c)
-                        )
-                    else:
-                        rhs = t(i, k, c)
-                    if lhs != rhs:
+                    if reduced(matmul(t(j, k, c), t(i, j, c))) != reduced(t(i, k, c)):
                         raise CocycleViolation((i, j, k), c)
-    fiber = {}
-    chart = {}
-    for c in range(n_comp):
-        i = min(i for i in range(len(family.sets)) if covers(i, c))
-        fiber[c] = by_index[i].rank
-        chart[c] = i
+        chart[c] = living[0]
+        fiber[c] = by_index[living[0]].rank
     return GluedModule(space, ring, fiber, chart)

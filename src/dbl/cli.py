@@ -2,7 +2,8 @@
 
 Subcommands: space | spectrum | cech | tensor | basis | mahler | sw | suite.
 JSON report on stdout, a one-line-per-verdict summary on stderr (unless
---quiet).  Exit status: 0 all verdicts pass, 1 any violation, 2 bad input.
+--quiet).  Exit status: 0 all verdicts pass, 1 any violation, 2 bad input
+or a request outside a theorem's hypotheses (NotEmbedding).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from . import fixtures, suite
 from .bases import family_determinant, mahler_coeffs, mahler_pairing, vdp_basis_level
 from .cech import CoverFamily, tate_equivalence_report
-from .errors import DblError, NotClopen, SizeExceeded, SpaceMismatch, UnsupportedRing
+from .errors import DblError, NotClopen, NotEmbedding, SizeExceeded, SpaceMismatch, UnsupportedRing
 from .functions import CfinFunction
 from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, banaschewski
@@ -36,10 +37,6 @@ def _read_json_input(args) -> dict | None:
     if obj is not None and not isinstance(obj, dict):
         raise ValueError(f"the request must be a JSON object, not {type(obj).__name__}")
     return obj
-
-
-def _ring(args) -> RingDescriptor:
-    return RingDescriptor.parse(args.ring)
 
 
 def _request_ring(obj: dict, default: str) -> RingDescriptor:
@@ -88,12 +85,9 @@ def cmd_space(args) -> list[dict]:
 
 
 def cmd_spectrum(args) -> list[dict]:
-    ring = _ring(args)
     obj = _read_json_input(args)
-    space = (
-        FiniteSpace.from_json(obj["space"]) if obj else fixtures.glued_pairs()
-    )
-    report = gelfand_roundtrip(space, ring)
+    space = FiniteSpace.from_json(obj["space"]) if obj else fixtures.glued_pairs()
+    report = gelfand_roundtrip(space, _request_ring(obj or {}, args.ring))
     report.update({"name": "spectrum", "pass": True})
     return [report]
 
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_space)
 
     p = sub.add_parser("spectrum", help="duality round trip on a space")
-    p.add_argument("--ring", default="IntInf")
+    p.add_argument("--ring", default="IntInf", help="the ring of a request without one")
     p.add_argument("--space-file")
     p.set_defaults(fn=cmd_spectrum)
 
@@ -256,6 +250,7 @@ def run(argv=None) -> int:
         UnsupportedRing,
         SizeExceeded,
         NotClopen,
+        NotEmbedding,
         SpaceMismatch,
         KeyError,
         ValueError,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .normvalue import NV_ZERO, nv_max
 from .scalars import RingDescriptor
-from .spaces import FiniteSpace, PointMap, banaschewski
+from .spaces import FiniteSpace, PointMap, banaschewski, merged_pair
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,12 @@ def tietze_extend(f: CfinFunction, j: PointMap) -> CfinFunction:
     """Extend f along an embedding by zero, preserving the sup norm."""
     if j.source != f.space:
         raise SpaceMismatch("function does not live on the map's source")
+    cmap = j.component_map()
+    pair = merged_pair(cmap)
+    if pair is not None:
+        raise NotEmbedding(f"components {pair} merged in the target")
     vals = [f.coeff.zero] * len(j.target.quasi_components)
-    first: dict[int, int] = {}
-    for i, t in enumerate(j.component_map()):
-        if first.setdefault(t, i) != i:
-            raise NotEmbedding(f"components {(first[t], i)} merged in the target")
+    for i, t in enumerate(cmap):
         vals[t] = f.values[i]
     return CfinFunction(j.target, f.coeff, tuple(vals))
 

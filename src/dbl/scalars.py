@@ -58,6 +58,9 @@ class RingDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
+        for name, used in (("p", ("FpTriv",)), ("n", ("ZmodTriv", "ZmodQuot"))):
+            if getattr(self, name) is not None and self.kind not in used:
+                raise UnsupportedRing(f"{self.kind} takes no {name}")
         for m in (self.p, self.n):
             if m is not None and m > MAX_MODULUS:
                 raise UnsupportedRing(

@@ -241,19 +241,23 @@ def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
     return space._banaschewski
 
 
+def merged_pair(cmap) -> tuple[int, int] | None:
+    """(i, j) with i < j, cmap[i] == cmap[j] and j least; None when cmap is injective."""
+    seen: dict[int, int] = {}
+    for j, t in enumerate(cmap):
+        if seen.setdefault(t, j) != j:
+            return seen[t], j
+    return None
+
+
 def zeta_embedding_check(j: PointMap) -> tuple[bool, tuple[int, int] | None]:
     """True when j is injective on quasi-components.
 
     On failure returns a witness pair of source component indices merged
     in the target.  Raises NotContinuous for a discontinuous map.
     """
-    cmap = j.component_map()
-    seen: dict[int, int] = {}
-    for i, t in enumerate(cmap):
-        if t in seen:
-            return False, (seen[t], i)
-        seen[t] = i
-    return True, None
+    pair = merged_pair(j.component_map())
+    return pair is None, pair
 
 
 # -- ultrametric spaces -------------------------------------------------

@@ -62,6 +62,16 @@ from .weierstrass import sw_construct_indicator
 
 
 MAX_EXHAUSTIVE_CASES = 20_000
+MAX_MAHLER_PAIRING = 128  # 0.65 s on a 2-core machine; 160 takes 1.8 s
+MAX_BASIS_SEEDS = 100  # about 6 ms a seed
+
+
+def _check_flag(value: int, cap: int, name: str):
+    """ValueError below 0 and SizeExceeded above cap, before any work."""
+    if value < 0:
+        raise ValueError(f"{name} must be at least 0, not {value}")
+    if value > cap:
+        raise SizeExceeded(f"{name} = {value} > {cap}")
 
 
 def _check_case_count(max_points: int, max_sets: int, rings: int):
@@ -296,6 +306,7 @@ def absorbing_dichotomy(max_n: int = 16) -> dict:
 
 
 def mahler_identity(limit: int = 12) -> dict:
+    _check_flag(limit, MAX_MAHLER_PAIRING, "limit")
     cases = 0
     for n in range(limit + 1):
         for i in range(limit + 1):
@@ -320,6 +331,7 @@ def _products_in_family(family) -> bool:
 
 
 def basis_certificates(levels=None, seeds: int = 20, expansions: int = 100) -> dict:
+    _check_flag(seeds, MAX_BASIS_SEEDS, "seeds")
     if levels is None:
         levels = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
     dets = {}

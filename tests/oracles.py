@@ -8,7 +8,7 @@ inputs.
 from itertools import combinations, product
 
 from dbl.cech import CoverFamily, GluedModule
-from dbl.errors import NotUltrafilter
+from dbl.errors import NotEmbedding, NotUltrafilter
 from dbl.functions import indicator
 from dbl.modtensor import ARCH, QuotientModule, TensorElement, elem
 from dbl.normvalue import NV_ZERO, NormValue, nv_max, nv_sum
@@ -34,6 +34,22 @@ def topologies(n: int):
             ):
                 yield FiniteSpace(
                     n, [{x} | {y for a, y in rel if a == x} for x in range(n)]
+                )
+
+
+def check_embeddings_by_pieces(space: FiniteSpace, family: CoverFamily):
+    """The per-piece embedding check: each piece's components recomputed.
+
+    Raises NotEmbedding, with the message tate_verdict gives, at the first
+    piece whose components land in one component of the space.
+    """
+    for K in family.sets:
+        seen: dict[int, int] = {}
+        for i, block in enumerate(space.components(K)):
+            j = seen.setdefault(space.component_index(min(block)), i)
+            if j != i:
+                raise NotEmbedding(
+                    f"inclusion of {sorted(K)} merges quasi-components {(j, i)}"
                 )
 
 

@@ -1,6 +1,10 @@
+import random
+from math import comb
+
 import pytest
 
 from dbl.bases import (
+    MAX_MAHLER_LEVEL,
     basis_change_matrix,
     family_determinant,
     generalised_vdp,
@@ -21,7 +25,7 @@ from dbl.errors import SizeExceeded, SizeMismatch
 from dbl.fixtures import glued_pairs, seeded_ultrametric
 from dbl.functions import CfinFunction
 from dbl.intlinalg import bareiss_det, matmul, identity
-from dbl.scalars import fp_triv, int_inf, int_triv
+from dbl.scalars import fp_triv, int_inf, int_triv, zmod_triv
 from dbl.spaces import FiniteSpace, UltrametricSpace
 
 
@@ -147,6 +151,26 @@ def test_mahler_coeffs_examples():
 
     vals = [comb(x, 2) for x in range(5)]
     assert mahler_coeffs(vals) == (0, 0, 1, 0, 0)
+
+
+def test_mahler_coeffs_match_the_binomial_sum():
+    # the closed form a_m = sum_j (-1)^(m-j) C(m, j) f(j), term by term
+    rng = random.Random(5)
+    for n in range(40):
+        values = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        want = tuple(
+            sum((-1) ** (m - j) * comb(m, j) * values[j] for j in range(m + 1))
+            for m in range(n)
+        )
+        assert mahler_coeffs(values) == want
+        ring = zmod_triv(12)
+        assert mahler_coeffs(values, ring) == tuple(map(ring.reduce, want))
+
+
+def test_mahler_coeffs_cap():
+    assert len(mahler_coeffs([1] * MAX_MAHLER_LEVEL)) == MAX_MAHLER_LEVEL
+    with pytest.raises(SizeExceeded):
+        mahler_coeffs([1] * (MAX_MAHLER_LEVEL + 1))
 
 
 def test_mahler_reconstruction():

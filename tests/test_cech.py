@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import gcd
 
@@ -28,7 +29,7 @@ from dbl.intlinalg import (
 from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace
-from oracles import restrict_to_piece
+from oracles import check_embeddings_by_pieces, restrict_to_piece, topologies
 from snf_oracle import smith_normal_form
 
 Z = int_inf()
@@ -203,6 +204,57 @@ def test_verdict_is_the_tail_of_the_report():
         tate_verdict(space, fam(space, {0, 2}), Z)
 
 
+def test_embedding_check_matches_the_per_piece_check():
+    # every topology on <= 3 points, every family of <= 3 closed sets: the
+    # check on the complex's degree-1 labels raises what the per-piece
+    # check raises, and otherwise the verdict is the complex's homology
+    cases = rejected = 0
+    for n in range(4):
+        for space in topologies(n):
+            full = frozenset(space.points)
+            closed = [full - U for U in space.opens]
+            for size in (1, 2, 3):
+                for sets in combinations(closed, size):
+                    family = CoverFamily.make(space, sets)
+                    try:
+                        check_embeddings_by_pieces(space, family)
+                        want = None
+                    except NotEmbedding as err:
+                        want = str(err)
+                    for ring in (Z, zmod_triv(4)):
+                        cases += 1
+                        if want is not None:
+                            rejected += 1
+                            with pytest.raises(NotEmbedding) as got:
+                                tate_verdict(space, family, ring)
+                            assert str(got.value) == want
+                            continue
+                        verdict = tate_verdict(space, family, ring)
+                        hom = exactness(build_tate_cech(space, family, ring))
+                        assert verdict["homology"] == hom["degrees"]
+                        assert verdict["exact"] == hom["exact"]
+                        assert verdict["cover_components"] == zeta_is_cover(space, family)
+    assert cases > rejected > 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_verdict_computes_each_intersections_components_once(monkeypatch, r):
+    # one components call per tuple of the family, the empty tuple's being
+    # the space's quasi-components: 2^r in all, none for the embedding check
+    calls = []
+    components = FiniteSpace.components
+
+    def counted(self, subset):
+        calls.append(frozenset(subset))
+        return components(self, subset)
+
+    monkeypatch.setattr(FiniteSpace, "components", counted)
+    space = FiniteSpace(4, [{0}, {1}, {0, 1, 2}, {3}])
+    family = fam(space, *[{2, 3}, {1, 2}, {0, 1, 2}][:r])
+    tate_verdict(space, family, Z)
+    assert len(calls) == 2**r
+
+
 def test_theorem_b_module_coefficients():
     coeff = WeightedFreeModule(int_triv(), {"a": 1, "b": 1}, NONARCH)
     for n in (2, 3):
@@ -297,6 +349,16 @@ def test_glue_rejects_non_invertible_transition():
     transitions = {(0, 1, 1): ((2,),)}
     with pytest.raises(ValueError):
         glue_modules(D3, family, Z, [ModulePiece(0, 1), ModulePiece(1, 1)], transitions)
+
+
+def test_glue_invertibility_is_one_gcd_rule():
+    # gcd(det, n) == 1 with n = 0 over Z: det = +-1 over Z, a unit mod n
+    family = fam(D3, {0, 1}, {1, 2})
+    pieces = [ModulePiece(0, 1), ModulePiece(1, 1)]
+    for ring, det in ((Z, 2), (Z, 0), (zmod_triv(6), 3), (zmod_triv(6), -4)):
+        message = rf"transition \(0, 1, 1\) is not invertible over {re.escape(str(ring))}$"
+        with pytest.raises(ValueError, match=message):
+            glue_modules(D3, family, ring, pieces, {(0, 1, 1): ((det,),)})
 
 
 def brute_force_zn_torsion_orders(d_in, d_out, rank, n):

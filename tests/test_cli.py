@@ -223,6 +223,70 @@ def test_spectrum_disconnected_ring_exits_1(capsys, monkeypatch):
     assert "DisconnectedSpectrum" in report["verdicts"][0]["violation"]
 
 
+def test_spectrum_reads_the_request_ring(capsys, monkeypatch):
+    # the request's "ring" wins over --ring, as for cech and sw
+    request_ = {"space": TWO_POINTS, "ring": "ZmodTriv(6)"}
+    code, report, _ = run_cli(
+        capsys, ["spectrum"], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert "DisconnectedSpectrum" in report["verdicts"][0]["violation"]
+    request_ = {"space": TWO_POINTS, "ring": {"kind": "IntInf"}}
+    code, report, _ = run_cli(
+        capsys,
+        ["spectrum", "--ring", "ZmodTriv(6)"],
+        stdin_text=json.dumps(request_),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0  # under ZmodTriv(6) it would exit 1
+
+
+@pytest.mark.parametrize("ring", [{"kind": "IntInf", "p": 7}, {"kind": "FpTriv", "p": 7, "n": 3}])
+def test_ring_with_a_parameter_its_kind_does_not_use_exits_2(capsys, monkeypatch, ring):
+    request_ = {"space": TWO_POINTS, "family": [[0], [1]], "ring": ring}
+    code, report, _ = run_cli(
+        capsys, ["cech"], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"].startswith("UnsupportedRing")
+
+
+def test_cech_non_embedding_family_exits_2(capsys, monkeypatch):
+    # {0, 2} has two quasi-components inside the one quasi-component of the
+    # 3-point chain: the family is outside the theorem's hypotheses
+    request_ = {"space": {"points": 3, "opens": [[0, 1], [1, 2]]}, "family": [[0, 2]]}
+    code, report, _ = run_cli(
+        capsys, ["cech"], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"] == (
+        "NotEmbedding: inclusion of [0, 2] merges quasi-components (0, 1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["mahler", "--pairing", "--max", "128"], None),
+        (["mahler", "--pairing", "--max", "129"], "SizeExceeded"),
+        (["mahler", "--pairing", "--max", "-5"], "ValueError"),
+        (["mahler", "--coeffs", ",".join(["7"] * 1024)], None),
+        (["mahler", "--coeffs", ",".join(["7"] * 1025)], "SizeExceeded"),
+        (["basis", "--seeds", "100"], None),
+        (["basis", "--seeds", "101"], "SizeExceeded"),
+        (["basis", "--seeds", "-1"], "ValueError"),
+    ],
+)
+def test_mahler_and_basis_answer_within_their_caps(capsys, argv, error):
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, argv)
+    seconds = time.perf_counter() - started
+    if error is None:
+        assert code == 0 and seconds < 2.0
+    else:
+        assert code == 2 and report["error"].startswith(error) and seconds < 1.0
+
+
 def test_basis_command(capsys):
     code, report, _ = run_cli(capsys, ["basis", "--p", "2", "--k", "2"])
     assert code == 0

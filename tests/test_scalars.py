@@ -68,6 +68,23 @@ def test_ring_parse_and_json():
         fp_triv(6)
 
 
+@pytest.mark.parametrize(
+    "obj, unused",
+    [
+        ({"kind": "IntInf", "p": 7}, "p"),
+        ({"kind": "IntTriv", "n": 7}, "n"),
+        ({"kind": "FpTriv", "p": 7, "n": 7}, "n"),
+        ({"kind": "ZmodTriv", "n": 6, "p": 2}, "p"),
+        ({"kind": "ZmodQuot", "n": 6, "p": 3}, "p"),
+    ],
+)
+def test_ring_rejects_a_parameter_its_kind_does_not_use(obj, unused):
+    # otherwise {"kind": "IntInf", "p": 7} would print as IntInf but differ
+    # from int_inf()
+    with pytest.raises(UnsupportedRing, match=f"{obj['kind']} takes no {unused}$"):
+        RingDescriptor.from_json(obj)
+
+
 def test_flags():
     assert int_inf().ordered_ring and int_triv().ordered_ring
     assert not zmod_triv(6).ordered_ring

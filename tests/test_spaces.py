@@ -17,6 +17,7 @@ from dbl.spaces import (
     ball_tree,
     banaschewski,
     inclusion_map,
+    merged_pair,
     zeta_embedding_check,
 )
 from oracles import ultrafilters
@@ -170,6 +171,17 @@ def test_zeta_embedding_check():
     j = PointMap(sier, disc2, (0, 0))
     assert j.is_continuous()
     assert zeta_embedding_check(j) == (True, None)
+
+
+def test_merged_pair_is_the_first_repeat():
+    assert merged_pair([]) is None
+    assert merged_pair((0, 2, 1)) is None
+    assert merged_pair([0, 0]) == (0, 1)
+    assert merged_pair([0, 1, 0]) == (0, 2)
+    # the first index whose image repeats decides, then its first preimage
+    assert merged_pair([5, 1, 2, 1, 5]) == (1, 3)
+    assert merged_pair([1, 1, 0, 0]) == (0, 1)
+    assert merged_pair(iter([3, 4, 4])) == (1, 2)
 
 
 def test_zeta_embedding_requires_continuity():
