@@ -36,6 +36,7 @@ from .functions import CfinFunction, indicator
 from .intlinalg import (
     bareiss_det,
     identity,
+    inverse_mod,
     inverse_unimodular,
     invariant_factors,
     is_zero_matrix,
@@ -382,11 +383,12 @@ def glue_modules(
 ) -> GluedModule:
     """Glue per-piece free modules along a cover.
 
-    transitions maps (i, j, component) to an invertible integer matrix
-    identifying piece i with piece j over that component; identity when
-    omitted.  The cocycle condition is checked on all triple overlaps and
-    the glued module assembles each component's fiber from its smallest
-    covering piece.
+    transitions maps (i, j, component) to an integer matrix invertible
+    over the ring, identifying piece i with piece j over that component;
+    a missing one is the inverse of (j, i, component) over the ring
+    (modulo n over Z/n), else the identity.  The cocycle condition is
+    checked on all triple overlaps and the glued module assembles each
+    component's fiber from its smallest covering piece.
     """
     if not zeta_is_cover(space, family):
         raise NoSection("family does not cover; nothing to glue")
@@ -409,7 +411,7 @@ def glue_modules(
             return m
         rev = transitions.get((j, i, c))
         if rev is not None:
-            return inverse_unimodular(rev)
+            return inverse_unimodular(rev) if ring.modulus is None else inverse_mod(rev, ring.modulus)
         return identity(by_index[i].rank)
 
     def reduced(m):

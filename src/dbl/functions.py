@@ -99,9 +99,7 @@ class CfinFunction:
 
     def mul(self, other: "CfinFunction") -> "CfinFunction":
         self._compat(other)
-        vals = tuple(
-            self.coeff.mul(a, b) for a, b in zip(self.values, other.values)
-        )
+        vals = tuple(map(self.coeff.mul, self.values, other.values))
         return CfinFunction(self.space, self.coeff, vals)
 
     def scalar(self, a) -> "CfinFunction":

@@ -2,12 +2,16 @@
 
 Every such value v equals r**(1/d) for a rational r >= 0 and a least
 integer d >= 1: d generates {k : v**k rational} and r = v**d.  A NormValue
-stores that canonical pair, so equality compares pairs; products and powers
-combine pairs through the lcm of the d's.  Comparison raises both sides to
-a common power only when their d's differ, and then cross-multiplies
-integers: a/b < c/e exactly when a*e < c*b.  Only exponent denominators
-are factored.  Every power goes through one helper that raises
-SizeExceeded past MAX_BITS bits; MAX_BITS also bounds exponent denominators.
+stores that canonical pair, so equality compares pairs: identity first,
+then d and the integer numerator and denominator of r.  Products and
+powers combine pairs through the lcm of the d's; a product with the shared
+NV_ONE is the other factor, one with the shared NV_ZERO is NV_ZERO, and two
+rationals (d = 1) multiply their r's directly.  Comparison raises both
+sides to a common power only when their d's differ, and then
+cross-multiplies integers: a/b < c/e exactly when a*e < c*b.  Only
+exponent denominators are factored.  Every power goes through one helper
+that raises SizeExceeded past MAX_BITS bits; MAX_BITS also bounds exponent
+denominators.
 
 Values that happen to be rational numbers (d = 1) support exact addition;
 adding anything else raises UnsupportedValue, which keeps every operation
@@ -252,6 +256,12 @@ class NormValue:
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "NormValue") -> "NormValue":
+        if self is _ONE or other is _ZERO:
+            return other
+        if other is _ONE or self is _ZERO:
+            return self
+        if self._d == other._d == 1:
+            return NormValue(self._r * other._r)
         d = lcm(self._d, other._d)
         r = _power(self._r, d // self._d) * _power(other._r, d // other._d)
         return NormValue(r, d)
@@ -290,9 +300,12 @@ class NormValue:
         return (x > y) - (x < y)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, NormValue):
             return NotImplemented
-        return self._d == other._d and self._r == other._r
+        a, b = self._r, other._r
+        return self._d == other._d and a.numerator == b.numerator and a.denominator == b.denominator
 
     def __hash__(self):
         return hash((self._r, self._d))

@@ -367,8 +367,10 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
         probes = (*primes, *(p * q for p, q in combinations(_GRID_PRIMES, 2)))
     else:
         primes = probes = [q for q, _ in factor_int(m)]
-    sample = dict.fromkeys(map(ring.reduce, (*ring.elements(12), *probes)))
-    table = {a: oracle(CfinFunction.constant(space, ring, a)) for a in sample}
+    # ring.elements lists reduced elements; only the probes need reducing
+    sample = dict.fromkeys((*ring.elements(12), *map(ring.reduce, probes)))
+    k = len(space.quasi_components)
+    table = {a: oracle(CfinFunction(space, ring, (a,) * k)) for a in sample}
     candidate = BasePoint.trivial()
     for p in primes:
         v = table[ring.reduce(p)]
@@ -408,15 +410,16 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     """
     space, ring = oracle.space, oracle.ring
     k = len(space.quasi_components)
+    zero, one = ring.zero, ring.one
 
-    def nonzero(values) -> bool:
+    def nonzero(values: tuple) -> bool:
         # component blocks are clopen, so every 0/1 tuple is an indicator
-        return not oracle(CfinFunction(space, ring, tuple(values))).is_zero
+        return not oracle(CfinFunction(space, ring, values)).is_zero
 
-    if nonzero([ring.zero] * k):
+    if nonzero((zero,) * k):
         raise NotUltrafilter("the empty clopen has nonzero value")
-    inside = [nonzero(ring.one if i == c else ring.zero for i in range(k)) for c in range(k)]
-    outside = [nonzero(ring.zero if i == c else ring.one for i in range(k)) for c in range(k)]
+    inside = [nonzero((zero,) * c + (one,) + (zero,) * (k - 1 - c)) for c in range(k)]
+    outside = [nonzero((one,) * c + (zero,) + (one,) * (k - 1 - c)) for c in range(k)]
     if inside.count(True) != 1 or outside != [not hit for hit in inside]:
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"

@@ -361,6 +361,34 @@ def test_glue_invertibility_is_one_gcd_rule():
             glue_modules(D3, family, ring, pieces, {(0, 1, 1): ((det,),)})
 
 
+def test_glue_inverts_a_reverse_transition_modulo_n():
+    family = fam(D3, {0, 1}, {1, 2})
+    pieces = [ModulePiece(0, 1), ModulePiece(1, 1)]
+    # 5 is a unit mod 6 with det 5 != +-1, and every 1x1 matrix is a unit
+    # over the zero ring, so the reverse transition needs an inverse mod n
+    for ring, transition in ((zmod_triv(6), ((5,),)), (zmod_triv(1), ((2,),)), (zmod_triv(1), ((0,),))):
+        glued = glue_modules(D3, family, ring, pieces, {(0, 1, 1): transition})
+        assert glued.fiber_rank == {0: 1, 1: 1, 2: 1}
+        assert glued.chart == {0: 0, 1: 0, 2: 1}
+
+
+def test_glue_checks_cocycles_through_inverses_mod_n():
+    # three pieces over component 1 with 2x2 transitions over Z/7: only
+    # (i, j) with i < j are given, so t(j, i) is the inverse modulo 7
+    family = fam(D3, {0, 1}, {1, 2}, {1})
+    pieces = [ModulePiece(0, 2), ModulePiece(1, 2), ModulePiece(2, 2)]
+    ring = zmod_triv(7)
+    a, b = ((2, 3), (1, 4)), ((1, 1), (0, 3))  # det 5 and 3
+    ba = tuple(tuple(x % 7 for x in row) for row in matmul(b, a))
+    transitions = {(0, 1, 1): a, (1, 2, 1): b, (0, 2, 1): ba}
+    glued = glue_modules(D3, family, ring, pieces, transitions)
+    assert glued.fiber_rank == {0: 2, 1: 2, 2: 2}
+    transitions[(0, 2, 1)] = tuple(tuple(x % 7 for x in row) for row in matmul(a, b))
+    with pytest.raises(CocycleViolation) as err:
+        glue_modules(D3, family, ring, pieces, transitions)
+    assert err.value.component == 1
+
+
 def brute_force_zn_torsion_orders(d_in, d_out, rank, n):
     """|H[m]| = |{x in ker d_out : m x in im d_in}| / |im d_in| over Z/n
     for every divisor m of n (m = n gives |H|), by enumerating (Z/n)^rank;

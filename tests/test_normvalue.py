@@ -1,9 +1,11 @@
+import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbl.errors import SizeExceeded, UnsupportedValue
@@ -19,6 +21,17 @@ from dbl.normvalue import (
 )
 from dbl.scalars import int_inf
 from dbl.spectrum import BasePoint, base_eval
+
+
+@contextmanager
+def any_digit_count():
+    """Lift Python's limit on the digits of str(int), restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class VecNormValue:
@@ -130,6 +143,7 @@ class VecNormValue:
     def __eq__(self, other):
         return self._zero == other._zero and self._vec == other._vec
 
+    @any_digit_count()
     def __repr__(self):
         if self._zero:
             return "NormValue(0)"
@@ -138,6 +152,7 @@ class VecNormValue:
         base, exp = self.canonical_pow()
         return f"NormValue({base})" if exp == 1 else f"NormValue({base}^{exp})"
 
+    @any_digit_count()
     def to_json(self):
         if self._zero:
             return {"kind": "zero"}
@@ -276,6 +291,13 @@ def raised(v, e):
 
 @given(products, products, st.fractions(min_value=-4, max_value=4, max_denominator=6))
 @settings(max_examples=300, deadline=None)
+# u prints a base of 6145 digits, past Python's default str(int) limit
+@example(
+    [("pow", Fraction(1, 12), Fraction(1, 7)), ("pow", Fraction(1, 12), Fraction(1, 8)),
+     ("pow", Fraction(557, 12), Fraction(28, 9))],
+    [("fraction", Fraction(0))],
+    Fraction(0),
+)
 def test_pair_matches_exponent_vector_reference(pu, pv, e):
     u, v = build(NormValue, pu), build(NormValue, pv)
     ru, rv = build(VecNormValue, pu), build(VecNormValue, pv)
@@ -418,3 +440,63 @@ def test_bit_length_counts_both_parts_of_r():
     assert NormValue.from_fraction(Fraction(3, 4)).bit_length() == 2 + 3
     assert NormValue.from_pow(2, Fraction(1, 2)).bit_length() == 2 + 1
     assert NV_ZERO.bit_length() == 0 + 1
+
+
+def test_reference_restores_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    v = VecNormValue.from_pow(2 * 3**9100, Fraction(1, 2))
+    assert v.to_json()["base"] == f"{decimal_oracle(2 * 3**9100)}/1"
+    assert repr(v).startswith("NormValue(")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_products_with_shared_one_and_zero_return_a_factor(monkeypatch):
+    v = NormValue.from_pow(2, Fraction(1, 3))
+    built = []
+    init = NormValue.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(NormValue, "__init__", counted)
+    assert NV_ONE * v is v and v * NV_ONE is v
+    assert v * NV_ZERO is NV_ZERO and NV_ZERO * v is NV_ZERO
+    assert NV_ONE * NV_ZERO is NV_ZERO and NV_ZERO * NV_ONE is NV_ZERO
+    assert built == []
+    # a 1 or 0 that is not the shared value takes the general path, same value
+    assert NormValue(Fraction(1)) * v == v and v * NormValue(Fraction(0)) == NV_ZERO
+    assert built
+
+
+def test_equal_values_that_are_not_shared_compare_and_hash_alike():
+    pairs = [
+        (NormValue.from_pow(8, Fraction(1, 2)), NormValue.from_pow(2, Fraction(3, 2))),
+        (NormValue(Fraction(1)), NV_ONE),
+        (NormValue(Fraction(0)), NV_ZERO),
+        (NormValue.from_fraction(Fraction(6, 4)), NormValue.from_pow(Fraction(9, 4), Fraction(1, 2))),
+    ]
+    for u, v in pairs:
+        assert u is not v
+        assert u == v and v == u and not u != v
+        assert hash(u) == hash(v)
+    assert NormValue.from_fraction(2) != NormValue.from_pow(4, Fraction(1, 3))
+    assert NormValue.from_fraction(Fraction(2, 3)) != NormValue.from_fraction(Fraction(2, 5))
+    assert NormValue.from_fraction(3) != 3
+
+
+rationals = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+@given(rationals, rationals)
+@settings(max_examples=200, deadline=None)
+def test_rational_products_match_the_general_path(a, b):
+    u, v = NormValue.from_fraction(a), NormValue.from_fraction(b)
+    # square roots of non-squares have d = 2, so their product takes the lcm path
+    half = Fraction(1, 2)
+    general = (u**half * v**half) ** 2
+    product = u * v
+    assert product.is_rational()
+    assert product == general == NormValue.from_fraction(a * b)
+    assert hash(product) == hash(general)
+    assert product.to_json() == general.to_json()
