@@ -6,23 +6,37 @@ with alternating restriction differentials: one free summand per
 quasi-component of an intersection, read off the space's specialization
 preorder by FiniteSpace.components without building a subspace.  Each
 piece C(X, R) -> C(K, R) must be a homotopy epimorphism (zeta(K) -> zeta(X)
-injective), which tate_verdict reads off the complex's degree-1 labels.  The
+injective), which is read off the complex's degree-1 labels.  The
 differentials are integer matrices: the rings here are discrete, so the
 complex over R is the integer complex tensored with R, and its homology
 over Z, F_p, Z/n and the zero ring is read off the invariant factors of
 each integer differential (intlinalg.invariant_factors, a sparse
-elimination that keeps no transforms).  The only cap on the points of a
-complex is spaces.MAX_POINTS.  Covers are characterized by exactness, and
-the constructive side is a selection homotopy whose per-stage constants
-are reported with the section matrices.
+elimination that keeps no transforms) by one rule, _homology.
+
+tate_verdict therefore builds and eliminates the integer complex of a
+(space, family) pair once for every ring (see _integer_invariants): its
+term ranks, each differential's rank and invariant factors greater than 1
+and the quasi-component cover test, or the NotEmbedding message, are kept
+in a first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
+bitmasks of space.up and of the family's sets (spaces are equal when their
+up sets are, so the key is exact, and no space is kept alive).  An entry
+whose factors greater than 1 take more than MEMO_FACTOR_BITS bits in all is
+not stored.  A full table of 6-set families of discrete(32) takes 1.9 MiB
+(tracemalloc), and one with every key, rank and factor at its bound about
+3.3 MiB.
+
+The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
+characterized by exactness, and the constructive side is a selection
+homotopy whose per-stage constants are reported with the section matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, compress, groupby
 from math import gcd
 from operator import add, itemgetter
+from threading import Lock
 
 from .errors import (
     CocycleViolation,
@@ -39,14 +53,17 @@ from .intlinalg import (
     inverse_mod,
     inverse_unimodular,
     invariant_factors,
-    is_zero_matrix,
     matmul,
 )
 from .modtensor import WeightedFreeModule
-from .scalars import RingDescriptor
+from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, merged_pair
 
 MAX_FAMILY = 6
+
+# bounds of the integer-invariant memo behind tate_verdict (see _integer_invariants)
+MEMO_COMPLEXES = 1024
+MEMO_FACTOR_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -99,9 +116,19 @@ class ChainComplex:
     diffs: tuple
 
     def __post_init__(self):
+        # d_{k+1} d_k = 0, summed over the nonzero entries of both factors
+        sparse = [[list(compress(enumerate(row), row)) for row in d] for d in self.diffs]
         for k in range(len(self.diffs) - 1):
-            if not is_zero_matrix(matmul(self.diffs[k + 1], self.diffs[k])):
-                raise ValueError(f"d∘d nonzero between degrees {k} and {k + 2}")
+            first, second = sparse[k], self.diffs[k + 1]
+            if second and len(second[0]) != len(first):
+                raise ValueError(f"shape mismatch between degrees {k + 1} and {k + 2}")
+            for row in sparse[k + 1]:
+                acc = {}
+                for j, a in row:
+                    for c, x in first[j]:
+                        acc[c] = acc.get(c, 0) + a * x
+                if any(acc.values()):
+                    raise ValueError(f"d∘d nonzero between degrees {k} and {k + 2}")
 
     @property
     def length(self) -> int:
@@ -162,33 +189,49 @@ def build_tate_cech(
         rows = []
         for tup_d, comp_d, sym_d in dst:
             row = [0] * len(src)
+            least, sign = min(comp_d), 1
             for pos in range(len(tup_d)):
                 face = tup_d[:pos] + tup_d[pos + 1 :]
-                row[col[(face, min(comp_d), sym_d)]] += (-1) ** pos
+                row[col[(face, least, sym_d)]] += sign
+                sign = -sign
             rows.append(tuple(row))
         diffs.append(tuple(rows))
     return ChainComplex(ring, tuple(terms), tuple(diffs))
 
 
 def exactness(complex_: ChainComplex) -> dict:
-    """Per-degree homology report; vanishing in all degrees means exact.
+    """Per-degree homology report; vanishing in all degrees means exact (see _homology)."""
+    return _homology(
+        tuple(map(len, complex_.terms)),
+        tuple(map(_invariants, complex_.diffs)),
+        complex_.ring.modulus or 0,
+    )
 
-    The differentials are integer matrices and C(K, R) = C(K, Z) (x) R, so
-    the complex over R is the integer complex tensored with R = Z/n (n = 0
-    for Z).  Over Z the complex splits into pieces Z --e--> Z, one per
-    invariant factor e of a differential, and free pieces Z.  Tensored
-    with Z/n, a piece in degrees k, k+1 leaves Z/gcd(e, n) in degree k+1
-    and, when n > 0, its kernel Z/gcd(e, n) in degree k; each free piece
-    leaves Z/n (universal coefficients).  Here Z/0 = Z.
+
+def _invariants(d) -> tuple[int, tuple[int, ...]]:
+    """The rank of an integer matrix and its invariant factors greater than 1."""
+    factors = invariant_factors(d)
+    return len(factors), tuple(e for e in factors if e > 1)
+
+
+def _homology(ranks, factors, n: int) -> dict:
+    """Per-degree homology over Z/n (n = 0 for Z) of an integer complex.
+
+    ranks[k] is the rank of the degree-k term and factors[k] is
+    _invariants of the differential out of it.  The complex over R is the
+    integer complex tensored with R = Z/n, since C(K, R) = C(K, Z) (x) R.
+    Over Z it splits into pieces Z --e--> Z, one per invariant factor e of
+    a differential, and free pieces Z.  Tensored with Z/n, a piece in
+    degrees k, k+1 leaves Z/gcd(e, n) in degree k+1 and, when n > 0, its
+    kernel Z/gcd(e, n) in degree k; each free piece leaves Z/n (universal
+    coefficients).  Here Z/0 = Z, and a unit factor leaves Z/1 = 0, so it
+    counts only in the rank.
     """
-    n = complex_.ring.modulus or 0
-    factors = [invariant_factors(d) for d in complex_.diffs]
     report = {"degrees": [], "exact": True}
-    for k in range(complex_.length):
-        e_out = factors[k] if k < len(factors) else []
-        e_in = factors[k - 1] if k >= 1 else []
-        free = complex_.rank(k) - len(e_out) - len(e_in)
-        summands = [n] * free + [gcd(e, n) for e in e_in]
+    for k, rank in enumerate(ranks):
+        r_out, e_out = factors[k] if k < len(factors) else (0, ())
+        r_in, e_in = factors[k - 1] if k >= 1 else (0, ())
+        summands = [n] * (rank - r_out - r_in) + [gcd(e, n) for e in e_in]
         if n:
             summands += [gcd(e, n) for e in e_out]
         torsion = [m for m in summands if m > 1]
@@ -205,6 +248,52 @@ def exactness(complex_: ChainComplex) -> dict:
         if not vanished:
             report["exact"] = False
     return report
+
+
+_MEMO: dict[tuple, tuple] = {}
+_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
+
+
+def _mask(points) -> int:
+    return sum(map((1).__lshift__, points))
+
+
+def _integer_invariants(space: FiniteSpace, family: CoverFamily):
+    """The ring-free part of tate_verdict, memoized per (space, family).
+
+    Returns the term ranks of the integer complex, _invariants of each
+    differential and zeta_is_cover, or raises NotEmbedding when a piece
+    merges quasi-components.  A miss builds the complex over Z (which
+    checks d∘d), checks the embeddings on its degree-1 labels and
+    eliminates each differential.  The result, or the NotEmbedding
+    message, goes into a table of at most MEMO_COMPLEXES entries, the
+    oldest dropped first, keyed on the point bitmasks of space.up and
+    family.sets; no exception object is kept.  An entry whose factors
+    greater than 1 take more than MEMO_FACTOR_BITS bits in all is
+    recomputed every time.
+    """
+    key = (tuple(map(_mask, space.up)), tuple(map(_mask, family.sets)))
+    entry = _MEMO.get(key)
+    if entry is None:
+        complex_ = build_tate_cech(space, family, int_inf())
+        try:
+            _check_embeddings(space, family, complex_)
+        except NotEmbedding as err:
+            entry = ((), (), False, str(err))
+        else:
+            ranks = tuple(map(len, complex_.terms))
+            factors = tuple(map(_invariants, complex_.diffs))
+            entry = (ranks, factors, zeta_is_cover(space, family), None)
+        if sum(e.bit_length() for _, big in entry[1] for e in big) <= MEMO_FACTOR_BITS:
+            with _MEMO_LOCK:
+                if key not in _MEMO:
+                    if len(_MEMO) >= MEMO_COMPLEXES:
+                        del _MEMO[next(iter(_MEMO))]
+                    _MEMO[key] = entry
+    *invariants, rejected = entry
+    if rejected is not None:
+        raise NotEmbedding(rejected)
+    return invariants
 
 
 def _selection_homotopy(space, family, terms, k):
@@ -306,14 +395,14 @@ def tate_verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) 
     """The cover test against the homology of the complex, without listings.
 
     Pieces must embed at component level, which is read off the degree-1
-    labels of the complex before its homology is computed.  The keys are
-    those of tate_equivalence_report from "cover_components" to
-    "agreement", in its order; a disagreement is reported, not raised.
+    labels of the complex before its homology is computed.  The integer
+    complex is built and eliminated once per (space, family) for every
+    ring (see _integer_invariants).  The keys are those of
+    tate_equivalence_report from "cover_components" to "agreement", in
+    its order; a disagreement is reported, not raised.
     """
-    complex_ = build_tate_cech(space, family, ring)
-    _check_embeddings(space, family, complex_)
-    hom = exactness(complex_)
-    cover_zeta = zeta_is_cover(space, family)
+    ranks, factors, cover_zeta = _integer_invariants(space, family)
+    hom = _homology(ranks, factors, ring.modulus or 0)
     return {
         "cover_components": cover_zeta,
         "zero_ring": ring.is_zero_ring,

@@ -43,10 +43,6 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
-def is_zero_matrix(a) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def bareiss_det(a) -> int:
     """Determinant of a square integer matrix, fraction-free."""
     n = len(a)

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+from dbl import cech
 from dbl.cech import (
+    MEMO_COMPLEXES,
     ChainComplex,
     CoverFamily,
     ModulePiece,
@@ -39,6 +41,14 @@ D3 = FiniteSpace.discrete(3)
 
 def fam(space, *sets):
     return CoverFamily.make(space, [frozenset(s) for s in sets])
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty table of integer invariants for the test, the module's restored after it."""
+    table = {}
+    monkeypatch.setattr(cech, "_MEMO", table)
+    return table
 
 
 def test_is_cover():
@@ -204,10 +214,20 @@ def test_verdict_is_the_tail_of_the_report():
         tate_verdict(space, fam(space, {0, 2}), Z)
 
 
-def test_embedding_check_matches_the_per_piece_check():
+def _verdict_or_message(space, sets, ring):
+    try:
+        return tate_verdict(space, CoverFamily.make(space, sets), ring)
+    except NotEmbedding as err:
+        return str(err)
+
+
+def test_embedding_check_matches_the_per_piece_check(memo):
     # every topology on <= 3 points, every family of <= 3 closed sets: the
     # check on the complex's degree-1 labels raises what the per-piece
-    # check raises, and otherwise the verdict is the complex's homology
+    # check raises, and otherwise the verdict is the complex's homology.
+    # Each ring's cold verdict is taken on an empty table; the warm ones
+    # then read the one entry the last ring left, on a fresh but equal space
+    rings = (Z, zmod_triv(4), int_triv(), fp_triv(2), zmod_quot(6), zmod_triv(1))
     cases = rejected = 0
     for n in range(4):
         for space in topologies(n):
@@ -221,26 +241,31 @@ def test_embedding_check_matches_the_per_piece_check():
                         want = None
                     except NotEmbedding as err:
                         want = str(err)
-                    for ring in (Z, zmod_triv(4)):
+                    cold = {}
+                    for ring in rings:
+                        memo.clear()
+                        cold[ring] = verdict = _verdict_or_message(space, sets, ring)
                         cases += 1
                         if want is not None:
                             rejected += 1
-                            with pytest.raises(NotEmbedding) as got:
-                                tate_verdict(space, family, ring)
-                            assert str(got.value) == want
+                            assert verdict == want
                             continue
-                        verdict = tate_verdict(space, family, ring)
                         hom = exactness(build_tate_cech(space, family, ring))
                         assert verdict["homology"] == hom["degrees"]
                         assert verdict["exact"] == hom["exact"]
                         assert verdict["cover_components"] == zeta_is_cover(space, family)
+                    same = FiniteSpace(space.n, space.up)
+                    for ring in rings:
+                        assert _verdict_or_message(same, sets, ring) == cold[ring]
+                    assert len(memo) == 1
     assert cases > rejected > 0
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_verdict_computes_each_intersections_components_once(monkeypatch, r):
+def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, r):
     # one components call per tuple of the family, the empty tuple's being
-    # the space's quasi-components: 2^r in all, none for the embedding check
+    # the space's quasi-components: 2^r in all, none for the embedding
+    # check; a fresh but equal space over a second ring reads the table
     calls = []
     components = FiniteSpace.components
 
@@ -249,10 +274,131 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, r):
         return components(self, subset)
 
     monkeypatch.setattr(FiniteSpace, "components", counted)
-    space = FiniteSpace(4, [{0}, {1}, {0, 1, 2}, {3}])
-    family = fam(space, *[{2, 3}, {1, 2}, {0, 1, 2}][:r])
-    tate_verdict(space, family, Z)
+    sets = [{2, 3}, {1, 2}, {0, 1, 2}][:r]
+    opens = [{0}, {1}, {0, 1, 2}, {3}]
+    space = FiniteSpace(4, opens)
+    tate_verdict(space, fam(space, *sets), Z)
     assert len(calls) == 2**r
+    calls.clear()
+    again = FiniteSpace(4, opens)
+    tate_verdict(again, fam(again, *sets), zmod_triv(4))
+    assert calls == []
+
+
+def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
+    # MEMO_COMPLEXES + 1 distinct 6-set families of discrete(32), each set
+    # {a, 31}, so every complex has all seven terms: reading the first
+    # entry does not move it, and the next miss drops it
+    import gc
+    import pickle
+    import tracemalloc
+
+    built = []
+    build = cech.build_tate_cech
+
+    def counted(space, family, ring):
+        built.append(family)
+        return build(space, family, ring)
+
+    monkeypatch.setattr(cech, "build_tate_cech", counted)
+    space = FiniteSpace.discrete(32)
+    families = (
+        CoverFamily.make(space, sets)
+        for sets in combinations([{a, 31} for a in range(31)], 6)
+    )
+    first = next(families)
+    assert len(tate_verdict(space, first, Z)["homology"]) == 7
+    for _ in range(MEMO_COMPLEXES - 1):
+        tate_verdict(space, next(families), Z)
+    assert len(memo) == len(built) == MEMO_COMPLEXES
+    tate_verdict(space, first, zmod_triv(4))
+    assert len(built) == MEMO_COMPLEXES
+    tate_verdict(space, next(families), Z)
+    tate_verdict(space, first, zmod_triv(4))
+    assert len(memo) == MEMO_COMPLEXES
+    assert len(built) == MEMO_COMPLEXES + 2 and built[-1] == first
+    # the full table, measured as the allocations of an equal copy, stays
+    # under the seminorm memo's 5 MiB (about 1.9 MiB)
+    data = pickle.dumps(memo)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        copy = pickle.loads(data)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert copy == memo
+    assert size < 5 * 2**20
+
+
+def test_memo_writes_from_threads_keep_the_bound(memo):
+    # four threads share a table of families of discrete(11), 1,600
+    # distinct in all and each thread's overlapping the next one's
+    import sys
+    import threading
+
+    space = FiniteSpace.discrete(11)
+    subsets = [frozenset(x for x in range(11) if m >> x & 1) for m in range(2**11)]
+    errors = []
+
+    def work(start):
+        try:
+            for K in subsets[start : start + 700]:
+                verdict = tate_verdict(space, fam(space, K), Z)
+                if verdict["exact"] != (len(K) == 11) or not verdict["agreement"]:
+                    errors.append(K)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(1348 - 300 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo) == MEMO_COMPLEXES
+
+
+def rp2_star_cover():
+    """The six vertex stars of the 6-vertex RP^2, on its 31-point face poset.
+
+    The smallest open around a face is its set of subfaces, so the stars
+    are closed and each intersection is the (connected) star of a face or
+    empty: the integer complex is the augmented cochain complex of RP^2,
+    with H^3 = H^2(RP^2; Z) = Z/2.
+    """
+    tri = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+           (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    edges = {frozenset(e) for t in tri for e in combinations(t, 2)}
+    faces = [frozenset({v}) for v in range(6)] + list(edges) + list(map(frozenset, tri))
+    space = FiniteSpace(len(faces), [[i for i, g in enumerate(faces) if g <= f] for f in faces])
+    stars = [[i for i, f in enumerate(faces) if v in f] for v in range(6)]
+    return space, CoverFamily.make(space, stars)
+
+
+def test_memo_skips_entries_past_the_factor_bits(monkeypatch, memo):
+    # the factor 2 of the RP^2 star cover is stored under the default cap
+    # and recomputed when the cap is 1 bit; the verdicts are the same
+    space, family = rp2_star_cover()
+    rings = (Z, fp_triv(2), fp_triv(3), zmod_triv(4))
+    want = {r: exactness(build_tate_cech(space, family, r)) for r in rings}
+    assert [d["torsion"] for d in want[Z]["degrees"]] == [[], [], [], [2]]
+    assert want[fp_triv(3)]["exact"] and not want[fp_triv(2)]["exact"]
+    for bits, stored in ((1, 0), (cech.MEMO_FACTOR_BITS, 1)):
+        monkeypatch.setattr(cech, "MEMO_FACTOR_BITS", bits)
+        memo.clear()
+        for r in rings:
+            verdict = tate_verdict(space, family, r)
+            assert verdict["homology"] == want[r]["degrees"]
+            assert verdict["cover_components"] and verdict["agreement"] == want[r]["exact"]
+        assert len(memo) == stored
 
 
 def test_theorem_b_module_coefficients():
@@ -476,6 +622,24 @@ def test_complex_rejects_composition_vanishing_only_mod_n():
     # d1 d0 = (4): zero over Z/4 but not over Z, so not an integer complex
     with pytest.raises(ValueError):
         ChainComplex(zmod_triv(4), (("a",), ("b",), ("c",)), (((2,),), ((2,),)))
+
+
+def test_complex_checks_d_squared_like_the_dense_product():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(300):
+        n0, n1, n2 = (rng.randint(0, 4) for _ in range(3))
+        a = tuple(tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n0)) for _ in range(n1))
+        b = tuple(tuple(rng.choice((0, 0, 1, -1, 3)) for _ in range(n1)) for _ in range(n2))
+        terms = (("x",) * n0, ("y",) * n1, ("z",) * n2)
+        if any(map(any, matmul(b, a))):
+            with pytest.raises(ValueError, match="d∘d nonzero"):
+                ChainComplex(Z, terms, (a, b))
+        else:
+            ChainComplex(Z, terms, (a, b))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ChainComplex(Z, (("x",), ("y",), ("z",)), (((1,),), ((1, 0),)))
 
 
 def test_cover_complex_at_the_caps_is_fast():
