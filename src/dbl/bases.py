@@ -4,8 +4,8 @@ A basis family carries an evaluation matrix (members x quasi-components);
 a unimodularity certificate is its determinant being +-1, which proves
 Z-linear basis status over any coefficient ring.  Van der Put families
 consist of nested-or-disjoint clopen indicators (pair products land in
-{e0, e1, 0}); Mahler families are truncated binomial coefficients, lower
-unitriangular on 0..p^k-1.
+{e0, e1, 0}); the Mahler matrix of truncated binomial coefficients is
+lower unitriangular on 0..p^k-1.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NotClopen, SizeExceeded, SizeMismatch
-from .intlinalg import bareiss_det, inverse_unimodular, matmul, matvec, transpose
+from .errors import SizeExceeded, SizeMismatch
+from .intlinalg import bareiss_det, inverse_unimodular, matvec, transpose
 from .normvalue import NV_ZERO
 from .scalars import RingDescriptor
 from .spaces import MAX_POINTS, BallNode, FiniteSpace, UltrametricSpace, ball_tree
@@ -44,7 +44,7 @@ class BasisFamily:
     records the point set.
     """
 
-    kind: str  # 'partition' | 'vanDerPut' | 'generalisedVdP' | 'mahler'
+    kind: str  # 'partition' | 'vanDerPut' | 'generalisedVdP'
     space: FiniteSpace
     rows: tuple
     clopens: tuple | None = None
@@ -86,20 +86,6 @@ def partition_basis(space: FiniteSpace) -> BasisFamily:
     return BasisFamily(
         "partition", space, _indicator_rows(space, clopens), clopens
     )
-
-
-def is_unimodular_basis(space: FiniteSpace, clopens) -> tuple[bool, int]:
-    """Determinant test for a family of clopen indicators."""
-    clopens = tuple(frozenset(U) for U in clopens)
-    if len(clopens) != len(space.quasi_components):
-        raise SizeMismatch(
-            f"{len(clopens)} members for {len(space.quasi_components)} components"
-        )
-    for U in clopens:
-        if not space.is_clopen(U):
-            raise NotClopen(f"{sorted(U)} is not clopen")
-    det = bareiss_det(_indicator_rows(space, clopens))
-    return det in (1, -1), det
 
 
 def family_determinant(family: BasisFamily) -> int:
@@ -202,13 +188,6 @@ def mahler_coeffs(values, ring: RingDescriptor | None = None) -> tuple:
     return tuple(out)
 
 
-def mahler_eval(coeffs, x: int, ring: RingDescriptor | None = None):
-    acc = 0
-    for n, a in enumerate(coeffs):
-        acc += a * comb(x, n)
-    return ring.reduce(acc) if ring is not None else acc
-
-
 def mahler_pairing(n: int, i: int) -> int:
     """sum_{j<=i} (-1)^{n-j} C(i,j) C(j,n); the Kronecker delta of (n, i)."""
     if n < 0 or i < 0:
@@ -241,25 +220,3 @@ def mahler_level_unimodular(p: int, k: int) -> dict:
             if m[i][n] != 0:
                 return {"size": size, "unimodular": False, "det": None}
     return {"size": size, "unimodular": True, "det": 1, "triangular": True}
-
-
-def mahler_family(p: int, k: int) -> BasisFamily:
-    """Truncated binomials as a basis family on the discrete space Z/p^k."""
-    size = _level_size(p, k, MAX_POINTS)
-    space = FiniteSpace.discrete(size)
-    rows = tuple(
-        tuple(comb(x, n) for x in range(size)) for n in range(size)
-    )
-    return BasisFamily("mahler", space, rows, None)
-
-
-def basis_change_matrix(f: BasisFamily, g: BasisFamily):
-    """The unimodular matrix C with C * eval(G) = eval(F)."""
-    if f.space != g.space or f.size != g.size:
-        raise SizeMismatch("families live on different spaces or sizes")
-    detf = family_determinant(f)
-    detg = family_determinant(g)
-    if detf not in (1, -1) or detg not in (1, -1):
-        raise SizeMismatch("both families must be unimodular")
-    c = matmul(f.rows, inverse_unimodular(g.rows))
-    return c

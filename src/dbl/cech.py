@@ -1,4 +1,4 @@
-"""Closed-cover complexes, exactness by normal forms, and descent.
+"""Closed-cover complexes, exactness by normal forms, and strict sections.
 
 The complex of a finite family of closed subsets has degree-k term the
 product of function modules on the k-fold intersections (degree 0 is X)
@@ -26,8 +26,11 @@ not stored.  A full table of 6-set families of discrete(32) takes 1.9 MiB
 3.3 MiB.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
-characterized by exactness, and the constructive side is a selection
-homotopy whose per-stage constants are reported with the section matrices.
+characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
+The constructive side is strict_sections, a selection homotopy whose
+per-stage constants are reported with the section matrices; the other
+side is descent_faithful_witness, a nonzero function that restricts to
+zero on every set of a non-cover.
 """
 
 from __future__ import annotations
@@ -38,23 +41,9 @@ from math import gcd
 from operator import add, itemgetter
 from threading import Lock
 
-from .errors import (
-    CocycleViolation,
-    EquivalenceViolation,
-    IsCover,
-    NoSection,
-    NotEmbedding,
-    SizeExceeded,
-)
+from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
 from .functions import CfinFunction, indicator
-from .intlinalg import (
-    bareiss_det,
-    identity,
-    inverse_mod,
-    inverse_unimodular,
-    invariant_factors,
-    matmul,
-)
+from .intlinalg import identity, invariant_factors, matmul
 from .modtensor import WeightedFreeModule
 from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, merged_pair
@@ -325,12 +314,7 @@ def _selection_homotopy(space, family, terms, k):
     return tuple(rows)
 
 
-def strict_sections(
-    space: FiniteSpace,
-    family: CoverFamily,
-    ring: RingDescriptor,
-    complex_: ChainComplex | None = None,
-) -> list[dict]:
+def strict_sections(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> list[dict]:
     """Explicit sections with norm constants for an exact cover complex.
 
     For each stage k >= 1 the selection homotopy h satisfies
@@ -339,10 +323,10 @@ def strict_sections(
     selections).  The selection needs every quasi-component inside some
     family set (true for point covers, in particular on discrete spaces);
     otherwise NoSection is raised even when the complex happens to be
-    exact for other reasons.
+    exact for other reasons.  The homotopy is an integer matrix, so its
+    identity checked over Z holds over every ring.
     """
-    if complex_ is None:
-        complex_ = build_tate_cech(space, family, ring)
+    complex_ = build_tate_cech(space, family, ring)
     if ring.is_zero_ring:
         return []
     homology = exactness(complex_)
@@ -440,83 +424,3 @@ def tate_equivalence_report(
             f"cover test and homology disagree: {report}"
         )
     return report
-
-
-# -- gluing (non-derived effective descent, constructive side) -----------
-
-
-@dataclass(frozen=True)
-class ModulePiece:
-    """A free module over C(K, R): one free fiber per quasi-component of K."""
-
-    set_index: int
-    rank: int
-
-
-@dataclass(frozen=True)
-class GluedModule:
-    """Result of gluing pieces along a cover: a fiber per quasi-component."""
-
-    space: FiniteSpace
-    ring: RingDescriptor
-    fiber_rank: dict  # component index -> rank
-    chart: dict  # component index -> chosen piece index
-
-
-def glue_modules(
-    space: FiniteSpace,
-    family: CoverFamily,
-    ring: RingDescriptor,
-    pieces: list[ModulePiece],
-    transitions: dict | None = None,
-) -> GluedModule:
-    """Glue per-piece free modules along a cover.
-
-    transitions maps (i, j, component) to an integer matrix invertible
-    over the ring, identifying piece i with piece j over that component;
-    a missing one is the inverse of (j, i, component) over the ring
-    (modulo n over Z/n), else the identity.  The cocycle condition is
-    checked on all triple overlaps and the glued module assembles each
-    component's fiber from its smallest covering piece.
-    """
-    if not zeta_is_cover(space, family):
-        raise NoSection("family does not cover; nothing to glue")
-    transitions = transitions or {}
-    by_index = {p.set_index: p for p in pieces}
-    if set(by_index) != set(range(len(family.sets))):
-        raise ValueError("exactly one piece per family set required")
-    for (i, j, c), m in transitions.items():
-        r = by_index[i].rank
-        if len(m) != r or any(len(row) != r for row in m):
-            raise ValueError(f"transition {(i, j, c)} has the wrong shape")
-        if gcd(bareiss_det(m), ring.modulus or 0) != 1:
-            raise ValueError(f"transition {(i, j, c)} is not invertible over {ring}")
-
-    def t(i: int, j: int, c: int):
-        if i == j:
-            return identity(by_index[i].rank)
-        m = transitions.get((i, j, c))
-        if m is not None:
-            return m
-        rev = transitions.get((j, i, c))
-        if rev is not None:
-            return inverse_unimodular(rev) if ring.modulus is None else inverse_mod(rev, ring.modulus)
-        return identity(by_index[i].rank)
-
-    def reduced(m):
-        return tuple(tuple(map(ring.reduce, row)) for row in m)
-
-    fiber = {}
-    chart = {}
-    for c, block in enumerate(space.quasi_components):
-        living = [i for i, K in enumerate(family.sets) if block & K]
-        for i in living:
-            for j in living:
-                if by_index[i].rank != by_index[j].rank:
-                    raise ValueError("overlapping pieces of different rank")
-                for k in living:
-                    if reduced(matmul(t(j, k, c), t(i, j, c))) != reduced(t(i, k, c)):
-                        raise CocycleViolation((i, j, k), c)
-        chart[c] = living[0]
-        fiber[c] = by_index[living[0]].rank
-    return GluedModule(space, ring, fiber, chart)

@@ -101,16 +101,6 @@ class EquivalenceViolation(DblError):
     pass
 
 
-class CocycleViolation(DblError):
-    def __init__(self, triple, component, message=None):
-        self.triple = triple
-        self.component = component
-        super().__init__(
-            message
-            or f"cocycle fails on triple {triple} at component {component}"
-        )
-
-
 class IsCover(DblError):
     pass
 

@@ -6,26 +6,18 @@ Coefficients live in a RingDescriptor or in any module-like object exposing
 zero/add/norm/eq (weighted free modules qualify), so C_fin(X, M) and
 C_fin(X, R) share one representation.
 
-The ideal operations implement the constructive splittings behind closed
-covers: a product split f = 1_U * f off the support, and a sum split
-f = f0 + f1 through a separating clopen with the exact norm bound
-|f0| + |f1| <= 2 |f|.
+The ideal sum split behind closed covers cuts f = f0 + f1 through a
+separating clopen with the exact norm bound |f0| + |f1| <= 2 |f|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CannotSeparate,
-    NotEmbedding,
-    NotInIdeal,
-    RingMismatch,
-    SpaceMismatch,
-)
+from .errors import CannotSeparate, NotInIdeal, RingMismatch, SpaceMismatch
 from .normvalue import NV_ZERO, nv_max
 from .scalars import RingDescriptor
-from .spaces import FiniteSpace, PointMap, banaschewski, merged_pair
+from .spaces import FiniteSpace, PointMap, banaschewski
 
 
 @dataclass(frozen=True)
@@ -160,32 +152,6 @@ def indicator(space: FiniteSpace, coeff, U) -> CfinFunction:
     return CfinFunction(space, coeff, vals)
 
 
-def decompose(f: CfinFunction) -> list[tuple[frozenset, object]]:
-    """Partition of the space into level sets: [(U_m, m)] with sum 1_U*m = f.
-
-    Blocks are ordered by their minimal point; each block is a nonempty
-    clopen, blocks are disjoint, and their union is the whole space.
-    """
-    groups: dict = {}
-    for i, block in enumerate(f.space.quasi_components):
-        groups.setdefault(f.values[i], []).append(block)
-    out = []
-    for value, blocks in groups.items():
-        U = frozenset().union(*blocks)
-        out.append((U, value))
-    out.sort(key=lambda pair: min(pair[0]) if pair[0] else -1)
-    return out
-
-
-def reconstruct(space: FiniteSpace, coeff, pieces) -> CfinFunction:
-    """Inverse of decompose: sum of value * indicator over the pieces."""
-    vals = [coeff.zero] * len(space.quasi_components)
-    for U, value in pieces:
-        for i in space.clopen_component_indices(U):
-            vals[i] = coeff.add(vals[i], value)
-    return CfinFunction(space, coeff, tuple(vals))
-
-
 def restrict(f: CfinFunction, j: PointMap) -> CfinFunction:
     """Pullback f∘j along a continuous map into f's space."""
     if j.target != f.space:
@@ -197,44 +163,6 @@ def extend_banaschewski(f: CfinFunction) -> CfinFunction:
     """The unique function on the component space pulling back to f."""
     zeta, _ = banaschewski(f.space)
     return CfinFunction(zeta, f.coeff, f.values)
-
-
-def tietze_extend(f: CfinFunction, j: PointMap) -> CfinFunction:
-    """Extend f along an embedding by zero, preserving the sup norm."""
-    if j.source != f.space:
-        raise SpaceMismatch("function does not live on the map's source")
-    cmap = j.component_map()
-    pair = merged_pair(cmap)
-    if pair is not None:
-        raise NotEmbedding(f"components {pair} merged in the target")
-    vals = [f.coeff.zero] * len(j.target.quasi_components)
-    for i, t in enumerate(cmap):
-        vals[t] = f.values[i]
-    return CfinFunction(j.target, f.coeff, tuple(vals))
-
-
-def dominating_idempotent(fs, X0) -> frozenset:
-    """The clopen U with 1_U * f = f for every f, disjoint from X0."""
-    X0 = frozenset(X0)
-    U = frozenset()
-    for f in fs:
-        if not f.vanishes_on(X0):
-            raise NotInIdeal(f"a function does not vanish on {sorted(X0)}")
-        U |= f.support()
-    return U
-
-
-def ideal_product_split(f: CfinFunction, K0, K1):
-    """Factor f = f0 * f1 with f0 vanishing on K0 and f1 on K1.
-
-    Requires f to vanish on K0 ∪ K1; f0 is the support indicator, f1 = f.
-    """
-    K0, K1 = frozenset(K0), frozenset(K1)
-    if not f.vanishes_on(K0 | K1):
-        raise NotInIdeal("f does not vanish on the union")
-    U = f.support()
-    f0 = indicator(f.space, f.coeff, U)
-    return f0, f
 
 
 def ideal_sum_split(f: CfinFunction, K0, K1):
@@ -263,11 +191,6 @@ def ideal_sum_split(f: CfinFunction, K0, K1):
     f0 = f.mul(one.sub(ind_v))
     f1 = f.mul(ind_v)
     return f0, f1
-
-
-def limit_along(component_index: int, f: CfinFunction):
-    """Value of f on the quasi-component picked by an ultrafilter."""
-    return f.values[component_index]
 
 
 def separates_points(functions, space: FiniteSpace):

@@ -2,15 +2,14 @@
 
 Matrices are tuples of tuples of ints.  Everything here is big-integer
 exact: Bareiss determinants, invariant factors (the Smith diagonal, found
-by sparse row elimination without transforms), inverses of unimodular
-matrices and inverses mod n.  Ranks and homology over Q, F_p and Z/n are
-read off invariant factors by callers.
+by sparse row elimination without transforms) and inverses of unimodular
+matrices.  Ranks and homology over Q, F_p and Z/n are read off invariant
+factors by callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def identity(n: int):
@@ -143,8 +142,12 @@ def _least_entry(rows) -> tuple[int, int, int]:
     return best
 
 
-def _inverse_q(a) -> list[list[Fraction]]:
-    """The inverse over Q of a nonsingular square integer matrix (Gauss-Jordan)."""
+def inverse_unimodular(a):
+    """Exact inverse of an integer matrix with determinant +-1."""
+    det = bareiss_det(a)
+    if det not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det {det})")
+    # a**-1 = det * adj(a) is integral; Gauss-Jordan over Q finds it
     n = len(a)
     rows = [list(map(Fraction, row)) + list(map(Fraction, e)) for row, e in zip(a, identity(n))]
     for col in range(n):
@@ -156,25 +159,4 @@ def _inverse_q(a) -> list[list[Fraction]]:
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def inverse_mod(a, n: int):
-    """The inverse of a over Z/n, entries in [0, n), when det(a) is a unit mod n."""
-    det = bareiss_det(a)
-    if gcd(det, n) != 1:
-        raise ValueError(f"matrix is not invertible mod {n} (det {det})")
-    if n == 1:  # the zero ring, where a singular a is invertible too
-        return tuple((0,) * len(a) for _ in a)
-    # adj(a) = det(a) * a**-1 over Q, and the inverse mod n is adj(a) * det(a)**-1
-    u = pow(det, -1, n)
-    return tuple(tuple(int(x * det) * u % n for x in row) for row in _inverse_q(a))
-
-
-def inverse_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det = bareiss_det(a)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    # a**-1 = det * adj(a) is integral
-    return tuple(tuple(map(int, row)) for row in _inverse_q(a))
+    return tuple(tuple(map(int, row[n:])) for row in rows)

@@ -370,34 +370,3 @@ class QuotientModule:
         if self.modulus == 1:
             return NV_ONE
         return self.module.isolation_gap()
-
-
-_SUPPORTED_HOMS = {
-    ("IntInf", "ZmodQuot"),
-    ("IntTriv", "FpTriv"),
-    ("IntTriv", "ZmodTriv"),
-}
-
-
-def free_base_change(m: WeightedFreeModule, target: RingDescriptor) -> dict:
-    """The basis-to-basis map ℓ(S, R) ⊗ A -> ℓ(S, A) and its isometry verdict.
-
-    Both sides weigh coordinates the same way, so the map is isometric
-    exactly when every basis vector keeps its weight; it fails over the
-    zero ring, where the basis vectors vanish.  Supported reductions only;
-    anything else (including IntInf -> IntTriv) raises UnsupportedHom.
-    """
-    pair = (m.ring.kind, target.kind)
-    if pair not in _SUPPORTED_HOMS:
-        raise UnsupportedHom(f"{m.ring} -> {target} is not a supported reduction")
-    result = WeightedFreeModule(
-        target, {s: m.weight(s) for s in m.symbols}, m.mode
-    )
-    return {
-        "source": m,
-        "target": result,
-        "basis_map": {s: s for s in m.symbols},
-        "isometric": all(
-            result.norm(result.basis_element(s)) == m.weight(s) for s in m.symbols
-        ),
-    }

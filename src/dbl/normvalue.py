@@ -359,12 +359,6 @@ NV_ZERO = _ZERO
 NV_ONE = _ONE
 
 
-def nv_compare(u: NormValue, v: NormValue) -> str:
-    """Ordering of two norm values: 'less' | 'equal' | 'greater'."""
-    c = u.compare(v)
-    return "less" if c < 0 else ("equal" if c == 0 else "greater")
-
-
 def nv_max(values, default=None):
     out = default
     for v in values:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing, ValidationFailure
+from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 
 _KINDS = ("IntInf", "IntTriv", "FpTriv", "ZmodTriv", "ZmodQuot")
@@ -248,45 +248,3 @@ def zmod_triv(n: int) -> RingDescriptor:
 
 def zmod_quot(n: int) -> RingDescriptor:
     return RingDescriptor("ZmodQuot", n=n)
-
-
-def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
-    """Check the normed-ring laws on all pairs of sampled elements.
-
-    Verifies submultiplicativity, the triangle inequality (strong form when
-    the ring is declared non-Archimedean), the norm gap, and norm(a) = 0
-    iff a = 0.  Raises ValidationFailure with the first witness pair.
-    """
-    if sample_bound < 2:
-        raise ValueError("sample_bound must be >= 2")
-    sample = ring.elements(sample_bound)
-    gap = ring.isolation_gap
-    for a in sample:
-        na = ring.norm(a)
-        if (a == ring.zero) != na.is_zero:
-            raise ValidationFailure("definiteness", a)
-        if a != ring.zero and na < gap:
-            raise ValidationFailure("isolation", a)
-    for a in sample:
-        na = ring.norm(a)
-        for b in sample:
-            nb = ring.norm(b)
-            nprod = ring.norm(ring.mul(a, b))
-            if nprod > na * nb:
-                raise ValidationFailure("submultiplicativity", (a, b))
-            nsum = ring.norm(ring.add(a, b))
-            if ring.non_archimedean:
-                bigger = na if na >= nb else nb
-                if nsum > bigger:
-                    raise ValidationFailure("strong triangle", (a, b))
-            elif nsum.as_fraction() > na.as_fraction() + nb.as_fraction():
-                raise ValidationFailure("triangle", (a, b))
-    return {
-        "ring": str(ring),
-        "sample_bound": sample_bound,
-        "pairs_checked": len(sample) ** 2,
-        "submultiplicative": True,
-        "triangle": "strong" if ring.non_archimedean else "weak",
-        "isolation_gap": ring.isolation_gap.to_json(),
-        "one_norm": ring.one_norm.to_json(),
-    }

@@ -218,21 +218,6 @@ class PointMap:
         )
 
 
-def inclusion_map(subset, space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
-    """Subspace on a point subset, with its inclusion into space.
-
-    The subspace's smallest opens are up[x] & subset, renumbered.
-    """
-    pts = sorted(frozenset(subset))
-    idx = {x: i for i, x in enumerate(pts)}
-    if not idx.keys() <= set(space.points):
-        raise ValueError(f"{pts} not within the space")
-    sub = FiniteSpace(
-        len(pts), [frozenset(idx[y] for y in space.up[x] if y in idx) for x in pts]
-    )
-    return sub, PointMap(sub, space, tuple(pts))
-
-
 def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
     """The discrete space of quasi-components with the quotient map.
 
@@ -248,16 +233,6 @@ def merged_pair(cmap) -> tuple[int, int] | None:
         if seen.setdefault(t, j) != j:
             return seen[t], j
     return None
-
-
-def zeta_embedding_check(j: PointMap) -> tuple[bool, tuple[int, int] | None]:
-    """True when j is injective on quasi-components.
-
-    On failure returns a witness pair of source component indices merged
-    in the target.  Raises NotContinuous for a discontinuous map.
-    """
-    pair = merged_pair(j.component_map())
-    return pair is None, pair
 
 
 # -- ultrametric spaces -------------------------------------------------

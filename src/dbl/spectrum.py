@@ -31,7 +31,7 @@ from .errors import (
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
-from .functions import CfinFunction, limit_along
+from .functions import CfinFunction
 
 # probe primes of Z for _identify_base, and the primes of the grid of
 # admissible_points, whose pairwise products _identify_base also samples
@@ -265,49 +265,6 @@ def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
     return _point_values(point, ring).value(a)
 
 
-def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 20) -> dict:
-    """Check multiplicativity, boundedness, unit norms and the triangle law.
-
-    The triangle inequality for arch points is certified by the base-level
-    criterion: |a+b| <= |a| + |b| for the Euclidean value on the samples
-    together with eps in [0, 1] (t -> t^eps is subadditive there).
-    """
-    if not is_admissible(ring, point):
-        raise ValidationFailure("admissibility", str(point))
-    point = canonical_point(ring, point)
-    value = _point_values(point, ring).value
-    sample = ring.elements(sample_bound)
-    if value(ring.zero) != NV_ZERO:
-        raise ValidationFailure("zero", 0)
-    if not ring.is_zero_ring and value(ring.one) != NV_ONE:
-        raise ValidationFailure("unit", 1)
-    for a in sample:
-        va = value(a)
-        if va > ring.norm(a):
-            raise ValidationFailure("boundedness", a)
-        for b in sample:
-            vb = value(b)
-            vab = value(ring.mul(a, b))
-            if vab != va * vb:
-                raise ValidationFailure("multiplicativity", (a, b))
-            vsum = value(ring.add(a, b))
-            if point.kind == "arch":
-                # base-level check; subadditivity of t^eps does the rest
-                if abs(ring.add(a, b)) > abs(a) + abs(b):
-                    raise ValidationFailure("triangle(base)", (a, b))
-            else:
-                bigger = va if va >= vb else vb
-                if vsum > bigger:
-                    raise ValidationFailure("strong triangle", (a, b))
-    return {
-        "ring": str(ring),
-        "point": point.to_json(),
-        "samples": len(sample),
-        "multiplicative": True,
-        "bounded": True,
-    }
-
-
 @dataclass(frozen=True)
 class SpectrumPoint:
     component: int
@@ -329,12 +286,6 @@ class SeminormOracle:
         ):
             raise RingMismatch("oracle evaluated outside its algebra")
         return self._fn(f)
-
-
-def eval_seminorm(point: SpectrumPoint, f: CfinFunction) -> NormValue:
-    if not isinstance(f.coeff, RingDescriptor):
-        raise RingMismatch("seminorms act on ring-valued functions")
-    return base_eval(point.base, f.coeff, limit_along(point.component, f))
 
 
 def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDescriptor) -> SeminormOracle:

@@ -24,8 +24,8 @@ from .bases import (
     vdp_orthonormal_check,
     vdp_reconstruct,
 )
-from .cech import CoverFamily, tate_verdict
-from .errors import DisconnectedSpectrum, SizeExceeded
+from .cech import CoverFamily, strict_sections, tate_verdict
+from .errors import DisconnectedSpectrum, NoSection, SizeExceeded
 from .functions import (
     CfinFunction,
     enumerate_functions,
@@ -107,30 +107,50 @@ def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     """Exhaustive cover <=> vanishing-homology agreement on discrete spaces.
 
     Every family of 1..max_sets subsets of discrete(n), n = 1..max_points,
-    over each ring.  The case count is checked before any case is built:
-    flags below 1 raise ValueError, and more than MAX_EXHAUSTIVE_CASES
-    cases raise SizeExceeded.
+    over each ring.  Each family whose verdict covers also gets its strict
+    sections over Z (cech.strict_sections, the constructive side of the
+    equivalence), once for all rings since the homotopy is an integer
+    matrix; "section_constant" is the largest constant of a section.  The
+    case count is checked before any case is built: flags below 1 raise
+    ValueError, and more than MAX_EXHAUSTIVE_CASES cases raise
+    SizeExceeded.
     """
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
     _check_case_count(max_points, max_sets, len(rings))
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, max_points + 1)}
-    cases = _tate_cases(max_points, max_sets)
-    total = 0
-    for ring in rings:
-        for n, fam in cases:
-            space = spaces[n]
-            if not tate_verdict(space, CoverFamily.make(space, fam), ring)["agreement"]:
+    total = sections = constant = 0
+    for n, fam in _tate_cases(max_points, max_sets):
+        space = spaces[n]
+        family = CoverFamily.make(space, fam)
+        covers = False
+        for ring in rings:
+            verdict = tate_verdict(space, family, ring)
+            if not verdict["agreement"]:
                 return {
                     "name": "tate_equivalence",
                     "pass": False,
                     "witness": [n, [sorted(K) for K in fam], str(ring)],
                 }
+            covers = verdict["cover_components"]
             total += 1
+        if covers:
+            try:
+                stages = strict_sections(space, family, int_inf())
+            except NoSection as err:
+                return {
+                    "name": "tate_equivalence",
+                    "pass": False,
+                    "witness": [n, [sorted(K) for K in fam], f"NoSection: {err}"],
+                }
+            sections += 1
+            constant = max([constant] + [s["constant"] for s in stages])
     return {
         "name": "tate_equivalence",
         "pass": True,
         "cases": total,
+        "sections": sections,
+        "section_constant": constant,
         "rings": [str(r) for r in rings],
         "max_points": max_points,
         "max_sets": max_sets,

@@ -1,19 +1,29 @@
-"""Brute-force references that only the tests need.
+"""Brute-force references and law checks that only the tests need.
 
 Each one lists or scans what the library reads off directly: every clopen,
-every lift, every representation.  They cross-check the library on small
-inputs.
+every lift, every representation, every sampled pair of a ring or a
+seminorm.  They cross-check the library on small inputs.
 """
 
 from itertools import combinations, product
+from math import comb
 
-from dbl.cech import CoverFamily, GluedModule
-from dbl.errors import NotEmbedding, NotUltrafilter
+from dbl.cech import CoverFamily
+from dbl.errors import NotEmbedding, NotUltrafilter, ValidationFailure
 from dbl.functions import indicator
 from dbl.modtensor import ARCH, QuotientModule, TensorElement, elem
-from dbl.normvalue import NV_ZERO, NormValue, nv_max, nv_sum
-from dbl.spaces import FiniteSpace
-from dbl.spectrum import SeminormOracle, SpectrumPoint, _identify_base
+from dbl.normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
+from dbl.scalars import RingDescriptor
+from dbl.spaces import FiniteSpace, PointMap
+from dbl.spectrum import (
+    BasePoint,
+    SeminormOracle,
+    SpectrumPoint,
+    _identify_base,
+    base_eval,
+    canonical_point,
+    is_admissible,
+)
 
 
 def topologies(n: int):
@@ -103,10 +113,113 @@ def representation_cost(t: TensorElement, pairs) -> NormValue:
     return nv_sum(terms) if t.m0.mode == ARCH else nv_max(terms)
 
 
-def restrict_to_piece(glued: GluedModule, family: CoverFamily, i: int) -> dict:
-    """The fiber ranks of the components that meet piece i."""
+
+def inclusion_map(subset, space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:
+    """Subspace on a point subset, with its inclusion into space.
+
+    The subspace's smallest opens are up[x] & subset, renumbered.
+    """
+    pts = sorted(frozenset(subset))
+    idx = {x: i for i, x in enumerate(pts)}
+    if not idx.keys() <= set(space.points):
+        raise ValueError(f"{pts} not within the space")
+    sub = FiniteSpace(
+        len(pts), [frozenset(idx[y] for y in space.up[x] if y in idx) for x in pts]
+    )
+    return sub, PointMap(sub, space, tuple(pts))
+
+
+def mahler_eval(coeffs, x: int, ring: RingDescriptor | None = None):
+    """sum a_n C(x, n): the function with Mahler coefficients a_n, at x."""
+    acc = 0
+    for n, a in enumerate(coeffs):
+        acc += a * comb(x, n)
+    return ring.reduce(acc) if ring is not None else acc
+
+
+def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
+    """Check the normed-ring laws on all pairs of sampled elements.
+
+    Verifies submultiplicativity, the triangle inequality (strong form when
+    the ring is declared non-Archimedean), the norm gap, and norm(a) = 0
+    iff a = 0.  Raises ValidationFailure with the first witness pair.
+    """
+    if sample_bound < 2:
+        raise ValueError("sample_bound must be >= 2")
+    sample = ring.elements(sample_bound)
+    gap = ring.isolation_gap
+    for a in sample:
+        na = ring.norm(a)
+        if (a == ring.zero) != na.is_zero:
+            raise ValidationFailure("definiteness", a)
+        if a != ring.zero and na < gap:
+            raise ValidationFailure("isolation", a)
+    for a in sample:
+        na = ring.norm(a)
+        for b in sample:
+            nb = ring.norm(b)
+            nprod = ring.norm(ring.mul(a, b))
+            if nprod > na * nb:
+                raise ValidationFailure("submultiplicativity", (a, b))
+            nsum = ring.norm(ring.add(a, b))
+            if ring.non_archimedean:
+                bigger = na if na >= nb else nb
+                if nsum > bigger:
+                    raise ValidationFailure("strong triangle", (a, b))
+            elif nsum.as_fraction() > na.as_fraction() + nb.as_fraction():
+                raise ValidationFailure("triangle", (a, b))
     return {
-        c: glued.fiber_rank[c]
-        for c, block in enumerate(glued.space.quasi_components)
-        if block & family.sets[i]
+        "ring": str(ring),
+        "sample_bound": sample_bound,
+        "pairs_checked": len(sample) ** 2,
+        "submultiplicative": True,
+        "triangle": "strong" if ring.non_archimedean else "weak",
+        "isolation_gap": ring.isolation_gap.to_json(),
+        "one_norm": ring.one_norm.to_json(),
+    }
+
+
+def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 20) -> dict:
+    """Check multiplicativity, boundedness, unit norms and the triangle law.
+
+    The triangle inequality for arch points is certified by the base-level
+    criterion: |a+b| <= |a| + |b| for the Euclidean value on the samples
+    together with eps in [0, 1] (t -> t^eps is subadditive there).
+    """
+    if not is_admissible(ring, point):
+        raise ValidationFailure("admissibility", str(point))
+    point = canonical_point(ring, point)
+    sample = ring.elements(sample_bound)
+
+    def value(a):
+        return base_eval(point, ring, a)
+
+    if value(ring.zero) != NV_ZERO:
+        raise ValidationFailure("zero", 0)
+    if not ring.is_zero_ring and value(ring.one) != NV_ONE:
+        raise ValidationFailure("unit", 1)
+    for a in sample:
+        va = value(a)
+        if va > ring.norm(a):
+            raise ValidationFailure("boundedness", a)
+        for b in sample:
+            vb = value(b)
+            vab = value(ring.mul(a, b))
+            if vab != va * vb:
+                raise ValidationFailure("multiplicativity", (a, b))
+            vsum = value(ring.add(a, b))
+            if point.kind == "arch":
+                # base-level check; subadditivity of t^eps does the rest
+                if abs(ring.add(a, b)) > abs(a) + abs(b):
+                    raise ValidationFailure("triangle(base)", (a, b))
+            else:
+                bigger = va if va >= vb else vb
+                if vsum > bigger:
+                    raise ValidationFailure("strong triangle", (a, b))
+    return {
+        "ring": str(ring),
+        "point": point.to_json(),
+        "samples": len(sample),
+        "multiplicative": True,
+        "bounded": True,
     }

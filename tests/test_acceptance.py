@@ -8,6 +8,7 @@ are pinned in the assertions.
 import time
 
 from dbl import suite
+from dbl.errors import NoSection
 
 
 def _report(name, verdict, started):
@@ -23,7 +24,24 @@ def test_criterion_1_tate_acyclicity_equivalence():
     _report("1 tate-acyclicity equivalence", verdict, started)
     assert verdict["pass"], verdict
     assert verdict["cases"] == 2415  # 805 families x 3 rings, zero disagreements
+    # every family that covers has strict sections over Z, all of constant 1
+    assert verdict["sections"] == 470
+    assert verdict["section_constant"] == 1
     assert time.monotonic() - started < 60
+
+
+def test_criterion_1_fails_on_a_cover_without_sections(monkeypatch):
+    def no_section(space, family, ring):
+        raise NoSection("no section")
+
+    monkeypatch.setattr(suite, "strict_sections", no_section)
+    verdict = suite.tate_exhaustive(max_points=1, max_sets=1)
+    # on one point the family {∅} does not cover and {{0}} does
+    assert verdict == {
+        "name": "tate_equivalence",
+        "pass": False,
+        "witness": [1, [[0]], "NoSection: no section"],
+    }
 
 
 def test_criterion_2_spectrum_homeomorphism():

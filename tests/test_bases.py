@@ -5,13 +5,10 @@ import pytest
 
 from dbl.bases import (
     MAX_MAHLER_LEVEL,
-    basis_change_matrix,
+    BasisFamily,
     family_determinant,
     generalised_vdp,
-    is_unimodular_basis,
     mahler_coeffs,
-    mahler_eval,
-    mahler_family,
     mahler_level_unimodular,
     mahler_matrix,
     mahler_pairing,
@@ -23,10 +20,11 @@ from dbl.bases import (
 )
 from dbl.errors import SizeExceeded, SizeMismatch
 from dbl.fixtures import glued_pairs, seeded_ultrametric
-from dbl.functions import CfinFunction
-from dbl.intlinalg import bareiss_det, matmul, identity
+from dbl.functions import CfinFunction, indicator
+from dbl.intlinalg import bareiss_det
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_triv
 from dbl.spaces import FiniteSpace, UltrametricSpace
+from oracles import mahler_eval
 
 
 def test_partition_basis():
@@ -40,16 +38,20 @@ def test_partition_basis():
     assert family_determinant(glued) in (1, -1)
 
 
+def indicator_family(space, clopens) -> BasisFamily:
+    clopens = tuple(map(frozenset, clopens))
+    rows = tuple(indicator(space, int_inf(), U).values for U in clopens)
+    return BasisFamily("vanDerPut", space, rows, clopens)
+
+
 def test_is_unimodular_basis():
+    # a family of clopen indicators is a basis exactly when its determinant is +-1
     d3 = FiniteSpace.discrete(3)
-    ok, det = is_unimodular_basis(d3, [{0}, {1}, {2}])
-    assert ok and det in (1, -1)
-    ok, det = is_unimodular_basis(d3, [{0, 1, 2}, {1}, {2}])
-    assert ok and det in (1, -1)  # triangular
-    ok, det = is_unimodular_basis(d3, [{0, 1, 2}, {0, 1}, {0, 1}])
-    assert not ok and det == 0  # repeated member
+    assert family_determinant(indicator_family(d3, [{0}, {1}, {2}])) in (1, -1)
+    assert family_determinant(indicator_family(d3, [{0, 1, 2}, {1}, {2}])) in (1, -1)  # triangular
+    assert family_determinant(indicator_family(d3, [{0, 1, 2}, {0, 1}, {0, 1}])) == 0  # repeated member
     with pytest.raises(SizeMismatch):
-        is_unimodular_basis(d3, [{0}, {1}])
+        family_determinant(indicator_family(d3, [{0}, {1}]))
 
 
 def test_vdp_level_21():
@@ -85,8 +87,6 @@ def test_vdp_level_cap():
         vdp_basis_level(2, 6)
     with pytest.raises(SizeExceeded):
         vdp_basis_level(10, 9)  # rejected before a point is built
-    with pytest.raises(SizeExceeded):
-        mahler_family(2, 6)
 
 
 def test_generalised_vdp_examples():
@@ -211,32 +211,6 @@ def test_mahler_matrix_22_frozen():
         (1, 2, 1, 0),
         (1, 3, 3, 1),
     )
-
-
-def test_basis_change_matrix():
-    d2 = FiniteSpace.discrete(2)
-    part = partition_basis(d2)
-    assert basis_change_matrix(part, part) == identity(2)
-
-    vdp = vdp_basis_level(2, 1)
-    c = basis_change_matrix(vdp, partition_basis(vdp.space))
-    assert bareiss_det(c) in (1, -1)
-    assert matmul(c, partition_basis(vdp.space).rows) == vdp.rows
-    assert sorted(x for row in c for x in row) == [0, 1, 1, 1]
-
-    v22 = vdp_basis_level(2, 2)
-    m22 = mahler_family(2, 2)
-    c = basis_change_matrix(v22, m22)
-    assert bareiss_det(c) in (1, -1)
-    assert matmul(c, m22.rows) == v22.rows
-    # and the inverse change composes back to the identity
-    cinv = basis_change_matrix(m22, v22)
-    assert matmul(c, cinv) == identity(4)
-
-
-def test_basis_change_requires_same_space():
-    with pytest.raises(SizeMismatch):
-        basis_change_matrix(partition_basis(FiniteSpace.discrete(2)), partition_basis(FiniteSpace.discrete(3)))
 
 
 def test_vdp_expand_over_residue_rings():

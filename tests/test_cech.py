@@ -1,4 +1,3 @@
-import re
 from itertools import combinations
 from math import gcd
 
@@ -9,18 +8,16 @@ from dbl.cech import (
     MEMO_COMPLEXES,
     ChainComplex,
     CoverFamily,
-    ModulePiece,
     build_tate_cech,
     descent_faithful_witness,
     exactness,
-    glue_modules,
     is_cover,
     strict_sections,
     tate_equivalence_report,
     tate_verdict,
     zeta_is_cover,
 )
-from dbl.errors import CocycleViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
+from dbl.errors import IsCover, NoSection, NotEmbedding, SizeExceeded
 from dbl.intlinalg import (
     identity,
     invariant_factors,
@@ -31,7 +28,7 @@ from dbl.intlinalg import (
 from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace
-from oracles import check_embeddings_by_pieces, restrict_to_piece, topologies
+from oracles import check_embeddings_by_pieces, topologies
 from snf_oracle import smith_normal_form
 
 Z = int_inf()
@@ -115,8 +112,7 @@ def test_zn_homology_detects_torsion():
 
 def test_strict_sections_cover():
     family = fam(D3, {0, 1}, {1, 2})
-    c = build_tate_cech(D3, family, Z)
-    secs = strict_sections(D3, family, Z, c)
+    secs = strict_sections(D3, family, Z)
     assert [s["degree"] for s in secs] == [1, 2]
     assert all(s["constant"] <= 2 for s in secs)
     # identity stage has an identity-like section of constant 1
@@ -128,7 +124,7 @@ def test_strict_sections_cover():
 def test_strict_sections_verifies_on_kernel():
     family = fam(D3, {0, 1}, {1, 2}, {2})
     c = build_tate_cech(D3, family, Z)
-    secs = strict_sections(D3, family, Z, c)
+    secs = strict_sections(D3, family, Z)
     for s in secs:
         k = s["degree"]
         h = s["section"]
@@ -435,104 +431,10 @@ def test_descent_faithful_witness():
         descent_faithful_witness(D2, fam(D2, {0}), zmod_triv(1))
 
 
-def test_glue_modules_single_piece():
-    family = fam(D3, {0, 1, 2})
-    glued = glue_modules(D3, family, Z, [ModulePiece(0, 2)])
-    assert glued.fiber_rank == {0: 2, 1: 2, 2: 2}
-    assert glued.chart == {0: 0, 1: 0, 2: 0}
-
-
-def test_glue_modules_identity_transitions():
-    family = fam(D3, {0, 1}, {1, 2})
-    glued = glue_modules(D3, family, Z, [ModulePiece(0, 1), ModulePiece(1, 1)])
-    assert glued.fiber_rank == {0: 1, 1: 1, 2: 1}
-    assert glued.chart == {0: 0, 1: 0, 2: 1}
-    restricted = restrict_to_piece(glued, family, 1)
-    assert restricted == {1: 1, 2: 1}
-
-
-def test_glue_modules_sign_flip():
-    family = fam(D3, {0, 1}, {1, 2})
-    transitions = {(0, 1, 1): ((-1,),)}  # flip on the overlap component
-    glued = glue_modules(
-        D3, family, Z, [ModulePiece(0, 1), ModulePiece(1, 1)], transitions
-    )
-    assert glued.fiber_rank == {0: 1, 1: 1, 2: 1}
-
-
-def test_glue_modules_cocycle_violation():
-    family = fam(D3, {0, 1}, {1, 2}, {1})
-    transitions = {
-        (0, 1, 1): ((1,),),
-        (1, 2, 1): ((1,),),
-        (0, 2, 1): ((-1,),),  # breaks t02 = t12 t01 on the triple overlap
-    }
-    with pytest.raises(CocycleViolation) as err:
-        glue_modules(
-            D3,
-            family,
-            Z,
-            [ModulePiece(0, 1), ModulePiece(1, 1), ModulePiece(2, 1)],
-            transitions,
-        )
-    assert err.value.component == 1
-
-
-def test_glue_modules_needs_cover():
-    family = fam(D3, {0})
-    with pytest.raises(NoSection):
-        glue_modules(D3, family, Z, [ModulePiece(0, 1)])
-
-
 def test_zeta_cover_vs_point_cover():
     sier = FiniteSpace.sierpinski()
     assert zeta_is_cover(sier, fam(sier, {0}))
     assert not is_cover(sier, fam(sier, {0}))
-
-
-def test_glue_rejects_non_invertible_transition():
-    family = fam(D3, {0, 1}, {1, 2})
-    transitions = {(0, 1, 1): ((2,),)}
-    with pytest.raises(ValueError):
-        glue_modules(D3, family, Z, [ModulePiece(0, 1), ModulePiece(1, 1)], transitions)
-
-
-def test_glue_invertibility_is_one_gcd_rule():
-    # gcd(det, n) == 1 with n = 0 over Z: det = +-1 over Z, a unit mod n
-    family = fam(D3, {0, 1}, {1, 2})
-    pieces = [ModulePiece(0, 1), ModulePiece(1, 1)]
-    for ring, det in ((Z, 2), (Z, 0), (zmod_triv(6), 3), (zmod_triv(6), -4)):
-        message = rf"transition \(0, 1, 1\) is not invertible over {re.escape(str(ring))}$"
-        with pytest.raises(ValueError, match=message):
-            glue_modules(D3, family, ring, pieces, {(0, 1, 1): ((det,),)})
-
-
-def test_glue_inverts_a_reverse_transition_modulo_n():
-    family = fam(D3, {0, 1}, {1, 2})
-    pieces = [ModulePiece(0, 1), ModulePiece(1, 1)]
-    # 5 is a unit mod 6 with det 5 != +-1, and every 1x1 matrix is a unit
-    # over the zero ring, so the reverse transition needs an inverse mod n
-    for ring, transition in ((zmod_triv(6), ((5,),)), (zmod_triv(1), ((2,),)), (zmod_triv(1), ((0,),))):
-        glued = glue_modules(D3, family, ring, pieces, {(0, 1, 1): transition})
-        assert glued.fiber_rank == {0: 1, 1: 1, 2: 1}
-        assert glued.chart == {0: 0, 1: 0, 2: 1}
-
-
-def test_glue_checks_cocycles_through_inverses_mod_n():
-    # three pieces over component 1 with 2x2 transitions over Z/7: only
-    # (i, j) with i < j are given, so t(j, i) is the inverse modulo 7
-    family = fam(D3, {0, 1}, {1, 2}, {1})
-    pieces = [ModulePiece(0, 2), ModulePiece(1, 2), ModulePiece(2, 2)]
-    ring = zmod_triv(7)
-    a, b = ((2, 3), (1, 4)), ((1, 1), (0, 3))  # det 5 and 3
-    ba = tuple(tuple(x % 7 for x in row) for row in matmul(b, a))
-    transitions = {(0, 1, 1): a, (1, 2, 1): b, (0, 2, 1): ba}
-    glued = glue_modules(D3, family, ring, pieces, transitions)
-    assert glued.fiber_rank == {0: 2, 1: 2, 2: 2}
-    transitions[(0, 2, 1)] = tuple(tuple(x % 7 for x in row) for row in matmul(a, b))
-    with pytest.raises(CocycleViolation) as err:
-        glue_modules(D3, family, ring, pieces, transitions)
-    assert err.value.component == 1
 
 
 def brute_force_zn_torsion_orders(d_in, d_out, rank, n):

@@ -1,25 +1,20 @@
 import pytest
 
-from dbl.errors import NotClopen, NotEmbedding, NotInIdeal, SpaceMismatch
+from dbl.errors import NotClopen, NotInIdeal, SpaceMismatch
 from dbl.fixtures import double_sierpinski, glued_pairs, standard_fixture_spaces
 from dbl.functions import (
     CfinFunction,
-    decompose,
-    dominating_idempotent,
     enumerate_functions,
     extend_banaschewski,
-    ideal_product_split,
     ideal_sum_split,
     indicator,
-    limit_along,
-    reconstruct,
     restrict,
     separates_points,
-    tietze_extend,
 )
 from dbl.normvalue import NV_ZERO, NormValue, nv_sum
 from dbl.scalars import int_inf, int_triv, zmod_quot
-from dbl.spaces import FiniteSpace, PointMap, banaschewski, inclusion_map
+from dbl.spaces import FiniteSpace, PointMap, banaschewski
+from oracles import inclusion_map
 
 D3 = FiniteSpace.discrete(3)
 Z = int_inf()
@@ -66,26 +61,6 @@ def test_sup_norm():
     assert F((0, 0, 0)).sup_norm() == NV_ZERO
     f = CfinFunction(FiniteSpace.discrete(2), zmod_quot(5), (3, 1))
     assert f.sup_norm() == NormValue.from_fraction(2)
-
-
-def test_decompose_examples():
-    assert decompose(F((2, 2, 5))) == [(frozenset({0, 1}), 2), (frozenset({2}), 5)]
-    assert decompose(F((7, 7, 7))) == [(frozenset({0, 1, 2}), 7)]
-    f = CfinFunction(FiniteSpace.discrete(4), Z, (0, 1, 0, 1))
-    assert decompose(f) == [(frozenset({0, 2}), 0), (frozenset({1, 3}), 1)]
-
-
-def test_decompose_reconstruct_identity_exhaustive():
-    for space in (D3, glued_pairs(), FiniteSpace.sierpinski()):
-        for f in enumerate_functions(space, Z, range(-2, 3)):
-            pieces = decompose(f)
-            blocks = [U for U, _ in pieces]
-            assert frozenset().union(*blocks) == frozenset(range(space.n))
-            for i, a in enumerate(blocks):
-                assert a, "blocks must be nonempty"
-                for b in blocks[i + 1 :]:
-                    assert not (a & b)
-            assert reconstruct(space, Z, pieces) == f
 
 
 def test_restrict():
@@ -146,60 +121,6 @@ def test_from_point_values_needs_one_value_per_point():
     assert CfinFunction.from_point_values(sier, Z, (1, 1)).values == (1,)
 
 
-def test_tietze_extend():
-    disc2 = FiniteSpace.discrete(2)
-    sub, incl = inclusion_map({0}, disc2)
-    f = CfinFunction(sub, Z, (5,))
-    ext = tietze_extend(f, incl)
-    assert ext.values == (5, 0)
-    assert ext.sup_norm() == f.sup_norm()
-    # identity embedding extends to the same function
-    same, ident = inclusion_map({0, 1}, disc2)
-    g = CfinFunction(same, Z, (3, -1))
-    assert tietze_extend(g, ident).values == (3, -1)
-    # two points into a 4-point discrete space
-    d4 = FiniteSpace.discrete(4)
-    sub, incl = inclusion_map({1, 3}, d4)
-    h = CfinFunction(sub, Z, (8, -9))
-    ext = tietze_extend(h, incl)
-    assert ext.values == (0, 8, 0, -9)
-    assert ext.sup_norm() == h.sup_norm()
-
-
-def test_tietze_rejects_non_embedding():
-    collapse = PointMap(FiniteSpace.discrete(2), FiniteSpace.discrete(1), (0, 0))
-    f = CfinFunction(FiniteSpace.discrete(2), Z, (1, 2))
-    with pytest.raises(NotEmbedding):
-        tietze_extend(f, collapse)
-
-
-def test_dominating_idempotent():
-    d2 = FiniteSpace.discrete(2)
-    u = dominating_idempotent([CfinFunction(d2, Z, (0, 3))], {0})
-    assert u == frozenset({1})
-    assert dominating_idempotent([CfinFunction.zero(d2, Z)], {0, 1}) == frozenset()
-    fs = [F((0, 1, 0)), F((0, 0, 2))]
-    u = dominating_idempotent(fs, {0})
-    assert u == frozenset({1, 2})
-    for f in fs:
-        assert indicator(D3, Z, u).mul(f) == f
-    with pytest.raises(NotInIdeal):
-        dominating_idempotent([F((1, 0, 0))], {0})
-
-
-def test_ideal_product_split():
-    f = F((0, 0, 6))
-    f0, f1 = ideal_product_split(f, {0}, {1})
-    assert f0 == indicator(D3, Z, {2}) and f1 == f
-    assert f0.mul(f1) == f
-    z = CfinFunction.zero(D3, Z)
-    f0, f1 = ideal_product_split(z, {0, 1, 2}, {0})
-    assert f0 == indicator(D3, Z, frozenset()) and f1 == z
-    g = F((1, 2, 3))
-    g0, g1 = ideal_product_split(g, frozenset(), frozenset())
-    assert g0 == indicator(D3, Z, {0, 1, 2}) and g1 == g
-
-
 def test_ideal_sum_split_proof_trace():
     f = F((0, 4, 0))
     f0, f1 = ideal_sum_split(f, {0}, {2})
@@ -212,6 +133,9 @@ def test_ideal_sum_split_proof_trace():
     h0, h1 = ideal_sum_split(h, {1}, {1})
     assert h0.add(h1) == h
     assert nv_sum([h0.sup_norm(), h1.sup_norm()]) <= NormValue.from_fraction(2) * h.sup_norm()
+    # f must vanish on the intersection of the two closed sets
+    with pytest.raises(NotInIdeal):
+        ideal_sum_split(F((1, 0, 0)), {0, 1}, {0})
 
 
 def test_ideal_sum_split_properties_exhaustive():
@@ -240,21 +164,14 @@ def test_ideal_arithmetic_exhaustive():
         assert in_union == in_meet
         if in_union:
             union_ideal.append(f)
-            f0, f1 = ideal_product_split(f, k0, k1)
-            assert f0.vanishes_on(k0) and f1.vanishes_on(k1)
-            assert f0.mul(f1) == f
+            # f = 1_U * f with U = supp(f), and 1_U vanishes on K0
+            f0 = indicator(space, Z, f.support())
+            assert f0.vanishes_on(k0) and f.vanishes_on(k1)
+            assert f0.mul(f) == f
     # products of members land back in the union ideal
     for f in union_ideal[:12]:
         for g in union_ideal[:12]:
             assert f.mul(g).vanishes_on(k0 | k1)
-
-
-def test_limit_along():
-    f = CfinFunction(glued_pairs(), Z, (1, 7))
-    assert limit_along(0, f) == 1
-    assert limit_along(1, f) == 7
-    sier = FiniteSpace.sierpinski()
-    assert limit_along(0, CfinFunction.constant(sier, Z, 3)) == 3
 
 
 def test_separates_points():
@@ -275,8 +192,8 @@ def test_module_valued_functions():
     assert f.sup_norm() == NormValue.from_fraction(2)
     g = f.add(f)
     assert g.values[0] == elem({"a": 2})
-    pieces = decompose(f)
-    assert reconstruct(space, m, pieces) == f
+    zeta, iota = banaschewski(space)
+    assert restrict(extend_banaschewski(f), iota) == f
 
 
 def test_ideal_sum_split_cannot_separate():
@@ -314,9 +231,9 @@ def test_ideal_arithmetic_many_pairs():
             in_union = f.vanishes_on(k0 | k1)
             assert in_union == (f.vanishes_on(k0) and f.vanishes_on(k1))
             if in_union:
-                f0, f1 = ideal_product_split(f, k0, k1)
-                assert f0.vanishes_on(k0) and f1.vanishes_on(k1)
-                assert f0.mul(f1) == f
+                f0 = indicator(space, Z, f.support())
+                assert f0.vanishes_on(k0) and f.vanishes_on(k1)
+                assert f0.mul(f) == f
 
 
 def test_function_algebra_laws_sampled():

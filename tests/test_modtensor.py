@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from dbl.errors import ModeMismatch, UnsupportedHom, UnsupportedValue
+from dbl.errors import ModeMismatch, UnsupportedValue
 from dbl.fixtures import glued_pairs
 from dbl.modtensor import (
     ARCH,
@@ -17,7 +17,6 @@ from dbl.modtensor import (
     absorbing_map,
     cfin_module,
     elem,
-    free_base_change,
     tensor_norm,
     tensor_product_module,
     tensor_rank_lower_bound,
@@ -256,40 +255,6 @@ def test_quotient_norm_below_lifts():
         for k in range(-3, 4):
             lift = elem({"a": c + 5 * k})
             assert q.norm(cls) <= m.norm(lift)
-
-
-def test_free_base_change():
-    m = WeightedFreeModule(ZT, {"a": 1, "b": 1}, NONARCH)
-    wit = free_base_change(m, fp_triv(3))
-    tgt = wit["target"]
-    assert tgt.ring == fp_triv(3) and tgt.symbols == m.symbols
-    assert wit["isometric"]
-    for e in tgt.elements(range(3)):
-        # norm formula transports: trivial norms on both sides
-        assert tgt.norm(e) == (NV_ONE if e else NV_ZERO)
-
-    weighted = WeightedFreeModule(ZT, {"a": 2}, NONARCH)
-    wit = free_base_change(weighted, zmod_triv(4))
-    assert wit["target"].weight("a") == NormValue.from_fraction(2)
-
-    mi = WeightedFreeModule(ZI, {"a": 1}, ARCH)
-    wit = free_base_change(mi, zmod_quot(4))
-    tgt = wit["target"]
-    for a in range(4):
-        assert tgt.norm(elem({"a": a})) == zmod_quot(4).norm(a)
-
-    with pytest.raises(UnsupportedHom):
-        free_base_change(mi, int_triv())
-    with pytest.raises(UnsupportedHom):
-        free_base_change(m, zmod_quot(4))
-
-
-def test_free_base_change_to_the_zero_ring_is_not_isometric():
-    # basis vectors vanish over Z/1, so they lose their weights
-    m = WeightedFreeModule(ZT, {"a": 1, "b": 2}, NONARCH)
-    assert not free_base_change(m, zmod_triv(1))["isometric"]
-    mi = WeightedFreeModule(ZI, {"a": 1}, ARCH)
-    assert not free_base_change(mi, zmod_quot(1))["isometric"]
 
 
 def test_cfin_module_shape():

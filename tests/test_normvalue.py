@@ -15,7 +15,6 @@ from dbl.normvalue import (
     NV_ZERO,
     NormValue,
     factor_int,
-    nv_compare,
     nv_max,
     nv_sum,
 )
@@ -169,10 +168,10 @@ class VecNormValue:
 
 def test_compare_examples():
     # 7^(1/2) vs 3: cross-exponentiation compares 7^1 with 3^2 = 9
-    assert nv_compare(NormValue.from_pow(7, Fraction(1, 2)), NormValue.from_fraction(3)) == "less"
-    assert nv_compare(NV_ZERO, NV_ONE) == "less"
-    assert nv_compare(NormValue.from_pow(2, Fraction(3, 2)), NormValue.from_pow(2, Fraction(3, 2))) == "equal"
-    assert nv_compare(NormValue.from_pow(8, Fraction(1, 2)), NormValue.from_pow(2, Fraction(3, 2))) == "equal"
+    assert NormValue.from_pow(7, Fraction(1, 2)).compare(NormValue.from_fraction(3)) < 0
+    assert NV_ZERO.compare(NV_ONE) < 0 < NV_ONE.compare(NV_ZERO)
+    assert NormValue.from_pow(2, Fraction(3, 2)).compare(NormValue.from_pow(2, Fraction(3, 2))) == 0
+    assert NormValue.from_pow(8, Fraction(1, 2)).compare(NormValue.from_pow(2, Fraction(3, 2))) == 0
 
 
 def test_zero_absorbing_and_minimal():

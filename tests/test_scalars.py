@@ -11,10 +11,10 @@ from dbl.scalars import (
     int_inf,
     int_triv,
     quotient_norm,
-    validate_ring,
     zmod_quot,
     zmod_triv,
 )
+from oracles import validate_ring
 
 
 def scan_quotient_norm(n, a):

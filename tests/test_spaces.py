@@ -16,11 +16,9 @@ from dbl.spaces import (
     UltrametricSpace,
     ball_tree,
     banaschewski,
-    inclusion_map,
     merged_pair,
-    zeta_embedding_check,
 )
-from oracles import ultrafilters
+from oracles import inclusion_map, ultrafilters
 
 
 def brute_clopens(space):
@@ -159,18 +157,18 @@ def test_point_map_continuity():
 
 
 def test_zeta_embedding_check():
+    # a map is injective on quasi-components when its component map has no merged pair
     disc2 = FiniteSpace.discrete(2)
     disc1 = FiniteSpace.discrete(1)
     sub, incl = inclusion_map({0}, disc2)
-    assert zeta_embedding_check(incl) == (True, None)
+    assert merged_pair(incl.component_map()) is None
     collapse = PointMap(disc2, disc1, (0, 0))
-    ok, witness = zeta_embedding_check(collapse)
-    assert not ok and witness == (0, 1)
+    assert merged_pair(collapse.component_map()) == (0, 1)
     # sierpinski into discrete 2 collapsing both points: zeta(K) is a point
     sier = FiniteSpace.sierpinski()
     j = PointMap(sier, disc2, (0, 0))
     assert j.is_continuous()
-    assert zeta_embedding_check(j) == (True, None)
+    assert merged_pair(j.component_map()) is None
 
 
 def test_merged_pair_is_the_first_repeat():
@@ -188,7 +186,7 @@ def test_zeta_embedding_requires_continuity():
     sier = FiniteSpace.sierpinski()
     j = PointMap(sier, FiniteSpace.discrete(2), (0, 1))
     with pytest.raises(NotContinuous):
-        zeta_embedding_check(j)
+        j.component_map()
 
 
 def three_point_um():

@@ -30,14 +30,12 @@ from dbl.spectrum import (
     admissible_points,
     base_eval,
     canonical_point,
-    eval_seminorm,
     g_inverse,
     g_split,
     gelfand_roundtrip,
     is_admissible,
-    validate_point,
 )
-from oracles import g_split_by_sweep, topologies
+from oracles import g_split_by_sweep, topologies, validate_point
 
 Z = int_inf()
 
@@ -58,13 +56,14 @@ def test_base_eval_examples():
 
 
 def test_eval_seminorm_examples():
+    # the seminorm of a point (component, base) is base at f's value on the component
     d2 = FiniteSpace.discrete(2)
-    pt = SpectrumPoint(0, BasePoint.arch(1))
-    assert eval_seminorm(pt, CfinFunction(d2, Z, (-3, 5))) == NormValue.from_fraction(3)
-    pt = SpectrumPoint(1, BasePoint.residue(2))
-    assert eval_seminorm(pt, CfinFunction.constant(d2, Z, 4)) == NV_ZERO
-    pt = SpectrumPoint(1, BasePoint.padic(3, Fraction(1, 2)))
-    assert eval_seminorm(pt, CfinFunction(d2, Z, (1, 9))) == NormValue.from_pow(Fraction(1, 3), 1)
+    seminorm = g_inverse(0, BasePoint.arch(1), d2, Z)
+    assert seminorm(CfinFunction(d2, Z, (-3, 5))) == NormValue.from_fraction(3)
+    seminorm = g_inverse(1, BasePoint.residue(2), d2, Z)
+    assert seminorm(CfinFunction.constant(d2, Z, 4)) == NV_ZERO
+    seminorm = g_inverse(1, BasePoint.padic(3, Fraction(1, 2)), d2, Z)
+    assert seminorm(CfinFunction(d2, Z, (1, 9))) == NormValue.from_pow(Fraction(1, 3), 1)
 
 
 def test_validate_point_pass_and_reject():
@@ -357,8 +356,6 @@ def test_memo_never_lets_a_bool_hit():
     for _ in range(2):
         with pytest.raises(ElementOutOfRange):
             base_eval(p, Z, True)
-        with pytest.raises(ElementOutOfRange):
-            eval_seminorm(SpectrumPoint(0, p), true)
         with pytest.raises(ElementOutOfRange):
             oracle(true)
 
