@@ -84,4 +84,59 @@ from .weierstrass import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BallNode",
+    "BasePoint",
+    "BasisFamily",
+    "CfinFunction",
+    "ChainComplex",
+    "CoverFamily",
+    "DblError",
+    "FiniteSpace",
+    "NormValue",
+    "PointMap",
+    "QuotientModule",
+    "RingDescriptor",
+    "SWCertificate",
+    "SpectrumPoint",
+    "TensorElement",
+    "UltrametricSpace",
+    "WeightedFreeModule",
+    "absorbing_map",
+    "ball_tree",
+    "banaschewski",
+    "base_eval",
+    "build_tate_cech",
+    "descent_faithful_witness",
+    "exactness",
+    "extend_banaschewski",
+    "fp_triv",
+    "g_inverse",
+    "g_split",
+    "gelfand_roundtrip",
+    "generalised_vdp",
+    "ideal_sum_split",
+    "indicator",
+    "int_inf",
+    "int_triv",
+    "is_cover",
+    "mahler_coeffs",
+    "mahler_level_unimodular",
+    "mahler_pairing",
+    "partition_basis",
+    "quotient_norm",
+    "restrict",
+    "separates_points",
+    "strict_sections",
+    "sw_construct_indicator",
+    "sw_idempotentize",
+    "sw_vanishing_witness",
+    "tate_equivalence_report",
+    "tensor_norm",
+    "tensor_product_module",
+    "tensor_rank_lower_bound",
+    "vdp_basis_level",
+    "vdp_expand",
+    "zmod_quot",
+    "zmod_triv",
+]

@@ -1,7 +1,8 @@
 """Finite-image continuous functions on a finite space.
 
-A function is stored as one coefficient value per quasi-component, which
-makes continuity (constancy on quasi-components) hold by construction.
+A function is a slotted, frozen value holding one coefficient value per
+quasi-component, which makes continuity (constancy on quasi-components)
+hold by construction.
 Coefficients live in a RingDescriptor or in any module-like object exposing
 zero/add/norm/eq (weighted free modules qualify), so C_fin(X, M) and
 C_fin(X, R) share one representation.
@@ -20,7 +21,7 @@ from .scalars import RingDescriptor
 from .spaces import FiniteSpace, PointMap, banaschewski
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CfinFunction:
     """A continuous finite-image function: one value per quasi-component."""
 
@@ -28,9 +29,13 @@ class CfinFunction:
     coeff: object  # RingDescriptor or module-like coefficient object
     values: tuple
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space.quasi_components):
+    def __init__(self, space: FiniteSpace, coeff, values: tuple):
+        if len(values) != len(space.quasi_components):
             raise SpaceMismatch("one value per quasi-component required")
+        # slot descriptors store past the frozen __setattr__ at half the generated __init__'s cost
+        _set_space(self, space)
+        _set_coeff(self, coeff)
+        _set_values(self, values)
 
     # -- constructors ---------------------------------------------------
 
@@ -68,9 +73,9 @@ class CfinFunction:
         return tuple(self.eval(x) for x in range(self.space.n))
 
     def _compat(self, other: "CfinFunction"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch("functions live on different spaces")
-        if self.coeff != other.coeff:
+        if self.coeff is not other.coeff and self.coeff != other.coeff:
             raise RingMismatch("functions have different coefficients")
 
     # -- algebra ----------------------------------------------------------
@@ -116,7 +121,9 @@ class CfinFunction:
         )
 
     def __hash__(self):
-        return hash((self.space, self.values))
+        # equal functions may hold different representatives of one value
+        # (5 and 1 in Z/4), so only the exactly compared space is hashed
+        return hash(self.space)
 
     # -- norm and support ----------------------------------------------------
 
@@ -140,6 +147,11 @@ class CfinFunction:
             "ring": self.coeff.to_json(),
             "values": {str(i): v for i, v in enumerate(self.values)},
         }
+
+
+_set_space = CfinFunction.space.__set__
+_set_coeff = CfinFunction.coeff.__set__
+_set_values = CfinFunction.values.__set__
 
 
 def indicator(space: FiniteSpace, coeff, U) -> CfinFunction:

@@ -341,10 +341,11 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     candidate = canonical_point(ring, candidate)
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
-    value = _point_values(candidate, ring).value
-    for a, v in table.items():
-        if v != value(a):
-            raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
+    got = tuple(table.values())
+    want = tuple(map(_point_values(candidate, ring).value, table))
+    if got != want:
+        a = next(a for a, v, w in zip(table, got, want) if v != w)
+        raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
     return candidate
 
 

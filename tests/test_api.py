@@ -119,7 +119,12 @@ MOVED = [
 
 
 def test_exported_names_are_pinned():
-    assert sorted(dbl.__all__) == sorted(MODULES + NAMES)
+    assert dbl.__all__ == NAMES
+
+
+def test_submodules_are_package_attributes():
+    for module in MODULES:
+        assert getattr(dbl, module) is importlib.import_module(f"dbl.{module}")
 
 
 @pytest.mark.parametrize("module, name", DELETED + MOVED)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dbl.errors import NotClopen, NotInIdeal, SpaceMismatch
@@ -12,7 +14,7 @@ from dbl.functions import (
     separates_points,
 )
 from dbl.normvalue import NV_ZERO, NormValue, nv_sum
-from dbl.scalars import int_inf, int_triv, zmod_quot
+from dbl.scalars import int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace, PointMap, banaschewski
 from oracles import inclusion_map
 
@@ -22,6 +24,27 @@ Z = int_inf()
 
 def F(vals, space=D3, ring=Z):
     return CfinFunction(space, ring, tuple(vals))
+
+
+def test_function_is_a_slotted_frozen_value():
+    f = F((1, -2), FiniteSpace.discrete(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = (0, 0)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(SpaceMismatch):
+        F((1, 2))
+    assert repr(f) == (
+        "CfinFunction(space=FiniteSpace(n=2, up=[[0], [1]]), "
+        "coeff=RingDescriptor(kind='IntInf', p=None, n=None), values=(1, -2))"
+    )
+
+
+def test_equal_functions_hash_equal():
+    d1, r = FiniteSpace.discrete(1), zmod_triv(4)
+    f, g = CfinFunction(d1, r, (5,)), CfinFunction(d1, r, (1,))
+    assert f == g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
 
 
 def test_indicator_algebra():

@@ -309,7 +309,7 @@ def test_g_split_on_honest_squared_and_max_oracles():
     off_at_13 = SeminormOracle(
         d2, Z, lambda f: NormValue.from_fraction(14) if f.eval(1) == 13 else arch(f)
     )
-    with pytest.raises(UnrecognizedBasePoint):
+    with pytest.raises(UnrecognizedBasePoint, match="constant 13"):
         g_split(off_at_13)
 
 
