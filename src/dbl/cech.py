@@ -6,22 +6,28 @@ with alternating restriction differentials: one free summand per
 quasi-component of an intersection, read off the space's specialization
 preorder by FiniteSpace.components without building a subspace.  Each
 piece C(X, R) -> C(K, R) must be a homotopy epimorphism (zeta(K) -> zeta(X)
-injective), which is read off the complex's degree-1 labels.  The
-differentials are integer matrices: the rings here are discrete, so the
-complex over R is the integer complex tensored with R, and its homology
-over Z, F_p, Z/n and the zero ring is read off the invariant factors of
-each integer differential (intlinalg.invariant_factors, a sparse
-elimination that keeps no transforms) by one rule, _homology.
+injective), that is, no trace of K on a quasi-component of X may fall
+apart.  The differentials are integer matrices: the rings here are
+discrete, so the complex over R is the integer complex tensored with R,
+and its homology over Z, F_p, Z/n and the zero ring is read off the
+invariant factors of each integer differential (intlinalg.invariant_factors,
+a sparse elimination that keeps no transforms) by one rule, _homology.
 
-tate_verdict therefore builds and eliminates the integer complex of a
-(space, family) pair once for every ring (see _integer_invariants): its
-term ranks, each differential's rank and invariant factors greater than 1
-and the quasi-component cover test, or the NotEmbedding message, are kept
-in a first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
-bitmasks of space.up and of the family's sets (spaces are equal when their
-up sets are, so the key is exact, and no space is kept alive).  An entry
-whose factors greater than 1 take more than MEMO_FACTOR_BITS bits in all is
-not stored.  A full table of 6-set families of discrete(32) takes 1.9 MiB
+C(X, R) is the product of C(B, R) over the quasi-components B of X, so
+the complex of a family is the direct sum of the complexes of its traces
+on the blocks, each a connected space.  tate_verdict therefore builds and
+eliminates the integer complex of each (connected block, traces) pair
+once for every ring and every space that contains it (see
+_integer_invariants): its term ranks, each differential's rank and
+invariant factors greater than 1, the quasi-component cover test, and the
+index of the first piece with two degree-1 labels, if any.  A space with
+two or more quasi-components gets the sum of its blocks' entries.  Every
+entry, block or whole, goes into one first-in-first-out table of
+MEMO_COMPLEXES entries keyed on the point bitmasks of the space's up sets
+and of the family's sets (spaces are equal when their up sets are, so the
+key is exact, and no space is kept alive).  An entry whose factors
+greater than 1 take more than MEMO_FACTOR_BITS bits in all is not stored.
+A full table of 6-set families of discrete(32) takes 1.9 MiB
 (tracemalloc), and one with every key, rank and factor at its bound about
 3.3 MiB.
 
@@ -36,9 +42,9 @@ zero on every set of a non-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, groupby
+from itertools import chain, combinations, compress, zip_longest
 from math import gcd
-from operator import add, itemgetter
+from operator import add
 from threading import Lock
 
 from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
@@ -247,42 +253,115 @@ def _mask(points) -> int:
     return sum(map((1).__lshift__, points))
 
 
+def _key(up, sets) -> tuple:
+    """The memo key of a space and a family: the point bitmasks of its up sets and sets."""
+    return tuple(map(_mask, up)), tuple(map(_mask, sets))
+
+
 def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     """The ring-free part of tate_verdict, memoized per (space, family).
 
     Returns the term ranks of the integer complex, _invariants of each
     differential and zeta_is_cover, or raises NotEmbedding when a piece
-    merges quasi-components.  A miss builds the complex over Z (which
-    checks d∘d), checks the embeddings on its degree-1 labels and
-    eliminates each differential.  The result, or the NotEmbedding
-    message, goes into a table of at most MEMO_COMPLEXES entries, the
-    oldest dropped first, keyed on the point bitmasks of space.up and
-    family.sets; no exception object is kept.  An entry whose factors
-    greater than 1 take more than MEMO_FACTOR_BITS bits in all is
+    merges quasi-components.  C(X, R) is the product of C(B, R) over the
+    quasi-components B of X, so the complex is the direct sum of the
+    complexes of the family's traces on each block: a space with two or
+    more quasi-components gets the sum of its blocks' entries (see
+    _block_entry and _sum_entries), and only a connected or empty space
+    builds its complex over Z (which checks d∘d) and eliminates each
+    differential (see _complex_entry).  Every entry, block or whole, goes
+    into one table of at most MEMO_COMPLEXES entries, the oldest dropped
+    first, keyed on the point bitmasks of the space's up sets and of the
+    family's sets; no space or exception object is kept.  An entry stores
+    the index of the first piece that merges quasi-components, and the
+    NotEmbedding message is built from the caller's space.  An entry whose
+    factors greater than 1 take more than MEMO_FACTOR_BITS bits in all is
     recomputed every time.
     """
-    key = (tuple(map(_mask, space.up)), tuple(map(_mask, family.sets)))
+    key = _key(space.up, family.sets)
     entry = _MEMO.get(key)
     if entry is None:
-        complex_ = build_tate_cech(space, family, int_inf())
-        try:
-            _check_embeddings(space, family, complex_)
-        except NotEmbedding as err:
-            entry = ((), (), False, str(err))
+        blocks = space.quasi_components
+        if len(blocks) < 2:
+            entry = _store(key, _complex_entry(space, family))
         else:
-            ranks = tuple(map(len, complex_.terms))
-            factors = tuple(map(_invariants, complex_.diffs))
-            entry = (ranks, factors, zeta_is_cover(space, family), None)
-        if sum(e.bit_length() for _, big in entry[1] for e in big) <= MEMO_FACTOR_BITS:
-            with _MEMO_LOCK:
-                if key not in _MEMO:
-                    if len(_MEMO) >= MEMO_COMPLEXES:
-                        del _MEMO[next(iter(_MEMO))]
-                    _MEMO[key] = entry
+            entry = _store(key, _sum_entries([_block_entry(space, family, B) for B in blocks]))
     *invariants, rejected = entry
     if rejected is not None:
-        raise NotEmbedding(rejected)
+        K = family.sets[rejected]
+        pair = merged_pair([space.component_index(min(c)) for c in space.components(K)])
+        raise NotEmbedding(f"inclusion of {sorted(K)} merges quasi-components {pair}")
     return invariants
+
+
+def _store(key, entry: tuple) -> tuple:
+    """Put a computed entry into the memo, within its bounds, and return it.
+
+    Only the write takes the lock, so no lock is held while an entry is
+    computed from other entries.
+    """
+    if sum(e.bit_length() for _, big in entry[1] for e in big) <= MEMO_FACTOR_BITS:
+        with _MEMO_LOCK:
+            if key not in _MEMO:
+                if len(_MEMO) >= MEMO_COMPLEXES:
+                    del _MEMO[next(iter(_MEMO))]
+                _MEMO[key] = entry
+    return entry
+
+
+def _complex_entry(space: FiniteSpace, family: CoverFamily) -> tuple:
+    """The entry of a space with at most one quasi-component, from its complex.
+
+    A piece merges quasi-components exactly when it has two degree-1
+    labels, which are adjacent; the entry of a family with such a piece
+    keeps only the first one's index.
+    """
+    complex_ = build_tate_cech(space, family, int_inf())
+    pieces = [tup for tup, _, _ in complex_.terms[1]] if complex_.length > 1 else []
+    merging = next((i for (i,), t in zip(pieces, pieces[1:]) if t == (i,)), None)
+    if merging is not None:
+        return (), (), False, merging
+    ranks = tuple(map(len, complex_.terms))
+    factors = tuple(map(_invariants, complex_.diffs))
+    return ranks, factors, zeta_is_cover(space, family), None
+
+
+def _block_entry(space: FiniteSpace, family: CoverFamily, block: frozenset) -> tuple:
+    """The entry of the family's traces on a quasi-component, as a connected space.
+
+    The block is clopen, so its points relabelled 0..m-1 in increasing
+    order, their up sets and the traces of the sets form a space and a
+    family; the pair is looked up under the same key rule as a whole space.
+    """
+    index = {x: i for i, x in enumerate(sorted(block))}
+    up = [frozenset(map(index.__getitem__, space.up[x])) for x in index]
+    sets = tuple(frozenset(map(index.__getitem__, K & block)) for K in family.sets)
+    key = _key(up, sets)
+    entry = _MEMO.get(key)
+    if entry is None:
+        sub = FiniteSpace(len(up), up)
+        entry = _store(key, _complex_entry(sub, CoverFamily(sub, sets)))
+    return entry
+
+
+def _sum_entries(entries) -> tuple:
+    """The entry of a direct sum of complexes, one entry per summand.
+
+    Term ranks add, padded to the longest summand (the nonempty terms of a
+    complex are a prefix); the ranks of the differentials add and their
+    factors greater than 1 concatenate (_homology normalizes several
+    torsion summands).  The sum covers when every summand does, and its
+    first merging piece is the least over the summands.
+    """
+    merging = [e[3] for e in entries if e[3] is not None]
+    if merging:
+        return (), (), False, min(merging)
+    ranks = tuple(map(sum, zip_longest(*(e[0] for e in entries), fillvalue=0)))
+    factors = tuple(
+        (sum(r for r, _ in diffs), tuple(chain.from_iterable(big for _, big in diffs)))
+        for diffs in zip_longest(*(e[1] for e in entries), fillvalue=(0, ()))
+    )
+    return ranks, factors, all(e[2] for e in entries), None
 
 
 def _selection_homotopy(space, family, terms, k):
@@ -350,18 +429,6 @@ def strict_sections(space: FiniteSpace, family: CoverFamily, ring: RingDescripto
     return out
 
 
-def _check_embeddings(space: FiniteSpace, family: CoverFamily, complex_: ChainComplex):
-    """Each piece's components, its degree-1 labels in the complex, land in distinct ones of X."""
-    pieces = complex_.terms[1] if complex_.length > 1 else ()
-    for (i,), labels in groupby(pieces, key=itemgetter(0)):
-        cmap = [space.component_index(min(block)) for _, block, _ in labels]
-        pair = merged_pair(cmap)
-        if pair is not None:
-            raise NotEmbedding(
-                f"inclusion of {sorted(family.sets[i])} merges quasi-components {pair}"
-            )
-
-
 def descent_faithful_witness(
     space: FiniteSpace, family: CoverFamily, ring: RingDescriptor
 ) -> CfinFunction:
@@ -378,9 +445,11 @@ def tate_verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) 
     """The cover test against the homology of the complex, without listings.
 
     Pieces must embed at component level, which is read off the degree-1
-    labels of the complex before its homology is computed.  The integer
-    complex is built and eliminated once per (space, family) for every
-    ring (see _integer_invariants).  The keys are those of
+    labels of each block's complex before its homology is computed.  The
+    verdict is the sum of the blocks' (C(X, R) is the product of the
+    C(B, R)), and each block's integer complex is built and eliminated once
+    for every ring and every space that contains it (see
+    _integer_invariants).  The keys are those of
     tate_equivalence_report from "cover_components" to "agreement", in
     its order; a disagreement is reported, not raised.
     """

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -27,8 +28,8 @@ from dbl.intlinalg import (
 )
 from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
-from dbl.spaces import FiniteSpace
-from oracles import check_embeddings_by_pieces, topologies
+from dbl.spaces import MAX_POINTS, FiniteSpace
+from oracles import check_embeddings_by_pieces, inclusion_map, topologies
 from snf_oracle import smith_normal_form
 
 Z = int_inf()
@@ -174,6 +175,15 @@ def test_tate_equivalence_rejects_non_embedding_pieces():
     family = fam(space, {0, 2})
     with pytest.raises(NotEmbedding, match=r"merges quasi-components \(0, 1\)$"):
         tate_equivalence_report(space, family, Z)
+    # two chains, each with a merging piece: the message names the first
+    # piece of the family, whose block comes second
+    twice = FiniteSpace(6, [{0, 1}, {1, 2}, {3, 4}, {4, 5}])
+    want = r"^inclusion of \[3, 5\] merges quasi-components \(0, 1\)$"
+    family = fam(twice, {3, 5}, {0, 2})
+    with pytest.raises(NotEmbedding, match=want):
+        tate_verdict(twice, family, Z)
+    with pytest.raises(NotEmbedding, match=want):
+        check_embeddings_by_pieces(twice, family)
 
 
 def test_exhaustive_small_equivalence_discrete():
@@ -217,12 +227,26 @@ def _verdict_or_message(space, sets, ring):
         return str(err)
 
 
+def block_pairs(space, sets):
+    """The distinct (subspace, traces) pairs of a space's quasi-components."""
+    pairs = set()
+    for block in space.quasi_components:
+        sub, inclusion = inclusion_map(block, space)
+        traces = tuple(
+            frozenset(i for i, x in enumerate(inclusion.images) if x in K) for K in sets
+        )
+        pairs.add((sub, traces))
+    return pairs
+
+
 def test_embedding_check_matches_the_per_piece_check(memo):
     # every topology on <= 3 points, every family of <= 3 closed sets: the
-    # check on the complex's degree-1 labels raises what the per-piece
-    # check raises, and otherwise the verdict is the complex's homology.
-    # Each ring's cold verdict is taken on an empty table; the warm ones
-    # then read the one entry the last ring left, on a fresh but equal space
+    # check on the degree-1 labels raises what the per-piece check raises,
+    # and otherwise the verdict is the complex's homology.  Each ring's
+    # cold verdict is taken on an empty table; the warm ones then read the
+    # entries the last ring left, on a fresh but equal space: one for the
+    # space and, when it has two or more quasi-components, one per
+    # distinct block
     rings = (Z, zmod_triv(4), int_triv(), fp_triv(2), zmod_quot(6), zmod_triv(1))
     cases = rejected = 0
     for n in range(4):
@@ -253,20 +277,23 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                     same = FiniteSpace(space.n, space.up)
                     for ring in rings:
                         assert _verdict_or_message(same, sets, ring) == cold[ring]
-                    assert len(memo) == 1
+                    blocks = len(space.quasi_components)
+                    assert len(memo) == 1 + (len(block_pairs(space, sets)) if blocks > 1 else 0)
     assert cases > rejected > 0
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, r):
-    # one components call per tuple of the family, the empty tuple's being
-    # the space's quasi-components: 2^r in all, none for the embedding
-    # check; a fresh but equal space over a second ring reads the table
+    # the space's two quasi-components are split off by one components
+    # call; each block's complex then takes one call per tuple of the
+    # family, the empty tuple's being the block's quasi-components: 2^r per
+    # block, none for the embedding check.  A fresh but equal space over a
+    # second ring reads the table
     calls = []
     components = FiniteSpace.components
 
     def counted(self, subset):
-        calls.append(frozenset(subset))
+        calls.append(self)
         return components(self, subset)
 
     monkeypatch.setattr(FiniteSpace, "components", counted)
@@ -274,21 +301,18 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, 
     opens = [{0}, {1}, {0, 1, 2}, {3}]
     space = FiniteSpace(4, opens)
     tate_verdict(space, fam(space, *sets), Z)
-    assert len(calls) == 2**r
+    # calls holds the spaces, so no two of them share an id
+    per_space = Counter(map(id, calls))
+    assert per_space.pop(id(space)) == 1
+    assert list(per_space.values()) == [2**r, 2**r]
     calls.clear()
     again = FiniteSpace(4, opens)
     tate_verdict(again, fam(again, *sets), zmod_triv(4))
     assert calls == []
 
 
-def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
-    # MEMO_COMPLEXES + 1 distinct 6-set families of discrete(32), each set
-    # {a, 31}, so every complex has all seven terms: reading the first
-    # entry does not move it, and the next miss drops it
-    import gc
-    import pickle
-    import tracemalloc
-
+def counted_builds(monkeypatch):
+    """The families cech builds a complex for, from here on."""
     built = []
     build = cech.build_tate_cech
 
@@ -297,7 +321,22 @@ def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
         return build(space, family, ring)
 
     monkeypatch.setattr(cech, "build_tate_cech", counted)
-    space = FiniteSpace.discrete(32)
+    return built
+
+
+def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
+    # MEMO_COMPLEXES + 1 distinct 6-set families of a connected 32-point
+    # space, each set {a, 31}, so every family has one entry and every
+    # complex has all seven terms: reading the first entry does not move
+    # it, and the next miss drops it
+    import gc
+    import pickle
+    import tracemalloc
+
+    built = counted_builds(monkeypatch)
+    # point 31 specializes to every other point, so {a, 31} is closed
+    space = FiniteSpace(32, [{a} for a in range(31)] + [range(32)])
+    assert len(space.quasi_components) == 1
     families = (
         CoverFamily.make(space, sets)
         for sets in combinations([{a, 31} for a in range(31)], 6)
@@ -395,6 +434,94 @@ def test_memo_skips_entries_past_the_factor_bits(monkeypatch, memo):
             assert verdict["homology"] == want[r]["degrees"]
             assert verdict["cover_components"] and verdict["agreement"] == want[r]["exact"]
         assert len(memo) == stored
+
+
+def test_torsion_survives_the_sum_over_blocks(monkeypatch, memo):
+    # the RP^2 star cover beside an isolated point in no set: the verdict
+    # is the sum of two block entries, one complex built for each
+    rp2, stars = rp2_star_cover()
+    space = FiniteSpace(rp2.n + 1, list(rp2.up) + [{rp2.n}])
+    family = CoverFamily.make(space, stars.sets)
+    assert space.n == MAX_POINTS and len(space.quasi_components) == 2
+    built = counted_builds(monkeypatch)
+    verdict = tate_verdict(space, family, Z)
+    assert len(built) == 2
+    want = exactness(build_tate_cech(space, family, Z))
+    assert verdict["homology"] == want["degrees"]
+    assert [(d["free_rank"], d["torsion"]) for d in want["degrees"]] == [
+        (1, []), (0, []), (0, []), (0, [2])
+    ]
+    verdict = tate_verdict(space, family, fp_triv(3))
+    want = exactness(build_tate_cech(space, family, fp_triv(3)))
+    assert verdict["homology"] == want["degrees"]
+    assert [d["torsion"] for d in want["degrees"]] == [[3], [], [], []]
+    assert all(d["free_rank"] == 0 for d in want["degrees"])
+    assert len(built) == 2  # the second ring reads the table
+
+
+def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
+    # criterion 1's families of <= 3 subsets of discrete(n), n <= 4, split
+    # into one-point blocks, and a point's traces form one of 2 + 4 + 8
+    # patterns: 14 complexes for all 805 families over all three rings.
+    # Each verdict over Z is the homology of the family's whole complex
+    from dbl.suite import _tate_cases
+
+    cases = _tate_cases(4, 3)
+    assert len(set(cases)) == 805
+    spaces = {n: FiniteSpace.discrete(n) for n in range(1, 5)}
+    built = counted_builds(monkeypatch)
+    for n, sets in cases:
+        family = CoverFamily.make(spaces[n], sets)
+        for ring in (Z, int_triv(), fp_triv(2)):
+            assert tate_verdict(spaces[n], family, ring)["agreement"]
+        whole = exactness(build_tate_cech(spaces[n], family, Z))
+        assert tate_verdict(spaces[n], family, Z)["homology"] == whole["degrees"]
+    assert len(built) == 14
+
+
+def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):
+    # every topology on <= 4 points with every family of <= 2 closed sets,
+    # and of 3 on the 4-point spaces with two or more quasi-components: the
+    # verdict is the homology of the whole complex, or the per-piece
+    # check's NotEmbedding message.  Each family is read on an empty table,
+    # then over every ring from the table that read left
+    rings = (Z, zmod_triv(4), fp_triv(2), zmod_triv(1))
+    cases = rejected = split = 0
+    for n in range(5):
+        for space in topologies(n):
+            full = frozenset(space.points)
+            closed = [full - U for U in space.opens]
+            sizes = (1, 2, 3) if n == 4 and len(space.quasi_components) > 1 else (1, 2)
+            for size in sizes:
+                for sets in combinations(closed, size):
+                    family = CoverFamily.make(space, sets)
+                    try:
+                        check_embeddings_by_pieces(space, family)
+                    except NotEmbedding as err:
+                        want = dict.fromkeys(rings, str(err))
+                        rejected += 1
+                    else:
+                        # exactness of the whole complex over each ring, its
+                        # differentials eliminated once
+                        whole = build_tate_cech(space, family, Z)
+                        ranks = tuple(map(len, whole.terms))
+                        factors = tuple(map(cech._invariants, whole.diffs))
+                        want = {}
+                        for ring in rings:
+                            hom = cech._homology(ranks, factors, ring.modulus or 0)
+                            want[ring] = (hom["degrees"], hom["exact"])
+                    split += len(space.quasi_components) > 1
+                    cases += 1
+                    memo.clear()
+                    for ring in rings[:1] + rings:
+                        try:
+                            verdict = tate_verdict(space, family, ring)
+                        except NotEmbedding as err:
+                            verdict = str(err)
+                        else:
+                            verdict = (verdict["homology"], verdict["exact"])
+                        assert verdict == want[ring], (space, sets, ring)
+    assert cases > split > rejected > 0
 
 
 def test_theorem_b_module_coefficients():
