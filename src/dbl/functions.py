@@ -81,21 +81,24 @@ class CfinFunction:
     # -- algebra ----------------------------------------------------------
 
     def add(self, other: "CfinFunction") -> "CfinFunction":
-        self._compat(other)
+        if self.space is not other.space or self.coeff is not other.coeff:
+            self._compat(other)
         vals = tuple(
             self.coeff.add(a, b) for a, b in zip(self.values, other.values)
         )
         return CfinFunction(self.space, self.coeff, vals)
 
     def sub(self, other: "CfinFunction") -> "CfinFunction":
-        self._compat(other)
+        if self.space is not other.space or self.coeff is not other.coeff:
+            self._compat(other)
         vals = tuple(
             self.coeff.sub(a, b) for a, b in zip(self.values, other.values)
         )
         return CfinFunction(self.space, self.coeff, vals)
 
     def mul(self, other: "CfinFunction") -> "CfinFunction":
-        self._compat(other)
+        if self.space is not other.space or self.coeff is not other.coeff:
+            self._compat(other)
         vals = tuple(map(self.coeff.mul, self.values, other.values))
         return CfinFunction(self.space, self.coeff, vals)
 

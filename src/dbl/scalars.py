@@ -13,12 +13,14 @@ Elements are plain Python ints, reduced to [0, n) for the Z/n variants.
 n = 1 is allowed for the Z/n variants and gives the zero ring.  Moduli
 above MAX_MODULUS are rejected, which bounds the trial division that
 checks primality and factors n.  Element samples list every residue of
-Z/n, so a ring refuses to list more than MAX_ELEMENTS of them.
+Z/n, so a ring refuses to list more than MAX_ELEMENTS of them.  A ring
+computes its modulus, and its one, once: on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
@@ -75,7 +77,8 @@ class RingDescriptor:
 
     # -- structure ------------------------------------------------------
 
-    @property
+    # cached in the instance dict, which eq, hash and repr never read
+    @cached_property
     def modulus(self) -> int | None:
         if self.kind == "FpTriv":
             return self.p
@@ -148,7 +151,7 @@ class RingDescriptor:
     def zero(self) -> int:
         return 0
 
-    @property
+    @cached_property
     def one(self) -> int:
         return 0 if self.is_zero_ring else 1
 
@@ -162,7 +165,10 @@ class RingDescriptor:
         return self.reduce(-a)
 
     def mul(self, a: int, b: int) -> int:
-        return self.reduce(a * b)
+        m = self.modulus
+        if m is None:
+            return int(a * b)
+        return int(a * b) % m
 
     def eq(self, a: int, b: int) -> bool:
         return self.reduce(a) == self.reduce(b)

@@ -10,8 +10,9 @@ seminorm oracle, reading the component off 2k+1 clopen indicators and the
 base point off the constants of one sample (every residue of Z/n, or
 -12..13 and 15 for Z), and rejecting oracles outside the family.  The
 values of each (base point, ring) pair are memoized in a bounded table
-(see _point_values) that every evaluation reads, and an oracle of
-G_inverse looks its table up once.
+(see _point_values) that every evaluation reads.  An oracle of
+G_inverse holds its pair's table and reads a value off it in one frame,
+its own call; a miss takes the checked path of base_eval.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ from .functions import CfinFunction
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13)
 _GRID_PRIMES = (2, 3, 5)
 _GRID_EPS = (Fraction(1, 2), Fraction(1))
+# the constants _identify_base samples on Z: -12..12, the probe primes and
+# the products of two grid primes, each once (-12..13 and 15)
+_Z_SAMPLE = tuple(
+    dict.fromkeys(
+        (*range(-12, 13), *_SAMPLE_PRIMES, *(p * q for p, q in combinations(_GRID_PRIMES, 2)))
+    )
+)
 
 
 def _vp(a: int, p: int) -> int:
@@ -288,17 +296,45 @@ class SeminormOracle:
         return self._fn(f)
 
 
+class _EvaluationOracle(SeminormOracle):
+    """The oracle of g_inverse, evaluated in one frame.
+
+    It reads the component's value of f off its pair's memo for a plain
+    int, and sends a miss or any other value to _PointValues.value, which
+    checks, rejects and stores it as base_eval does.
+    """
+
+    def __init__(self, space: FiniteSpace, ring: RingDescriptor, component: int, values: _PointValues):
+        self.space = space
+        self.ring = ring
+        self._component = component
+        self._memo = values.memo  # never rebound, so reads see every write
+        self._value = values.value
+
+    def __call__(self, f: CfinFunction) -> NormValue:
+        space, coeff = f.space, f.coeff
+        if (space is not self.space and space != self.space) or (
+            coeff is not self.ring and coeff != self.ring
+        ):
+            raise RingMismatch("oracle evaluated outside its algebra")
+        a = f.values[self._component]
+        if type(a) is int:
+            v = self._memo.get(a)
+            if v is not None:
+                return v
+        return self._value(a)
+
+
 def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDescriptor) -> SeminormOracle:
     """The seminorm f -> base(limit of f along the component).
 
     The oracle looks the point's value memo up once, here, and reads the
-    component's value of f straight off it.
+    component's value of f straight off it in its own call.
     """
     base = canonical_point(ring, base)
     if not is_admissible(ring, base):
         raise ValidationFailure("admissibility", str(base))
-    value = _point_values(base, ring).value
-    return SeminormOracle(space, ring, lambda f: value(f.values[component]))
+    return _EvaluationOracle(space, ring, component, _point_values(base, ring))
 
 
 def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
@@ -314,12 +350,10 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     """
     m = ring.modulus
     if m is None:
-        primes = _SAMPLE_PRIMES
-        probes = (*primes, *(p * q for p, q in combinations(_GRID_PRIMES, 2)))
+        primes, sample = _SAMPLE_PRIMES, _Z_SAMPLE
     else:
-        primes = probes = [q for q, _ in factor_int(m)]
-    # ring.elements lists reduced elements; only the probes need reducing
-    sample = dict.fromkeys((*ring.elements(12), *map(ring.reduce, probes)))
+        # every residue of Z/n, which holds the reduced probes
+        primes, sample = [q for q, _ in factor_int(m)], ring.elements(12)
     k = len(space.quasi_components)
     table = {a: oracle(CfinFunction(space, ring, (a,) * k)) for a in sample}
     candidate = BasePoint.trivial()

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dbl.errors import NotClopen, NotInIdeal, SpaceMismatch
+from dbl.errors import NotClopen, NotInIdeal, RingMismatch, SpaceMismatch
 from dbl.fixtures import double_sierpinski, glued_pairs, standard_fixture_spaces
 from dbl.functions import (
     CfinFunction,
@@ -281,3 +281,19 @@ def test_function_algebra_laws_sampled():
                     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
                 # sup norm is submultiplicative and subadditive-in-max
                 assert a.mul(b).sup_norm() <= a.sup_norm() * b.sup_norm()
+
+
+def test_binary_operations_check_space_and_ring():
+    d2 = FiniteSpace.discrete(2)
+    f, g = F((3, -1), d2), F((2, 5), d2)
+    other_space = F((2, 5), FiniteSpace(3, [{0}, {1, 2}]))
+    other_ring = F((2, 1), d2, zmod_triv(4))
+    # equal space and ring, held by other objects
+    twin = F((2, 5), FiniteSpace.discrete(2), int_inf())
+    assert twin.space is not d2 and twin.coeff is not Z
+    for op, want in ((CfinFunction.add, (5, 4)), (CfinFunction.sub, (1, -6)), (CfinFunction.mul, (6, -5))):
+        with pytest.raises(SpaceMismatch):
+            op(f, other_space)
+        with pytest.raises(RingMismatch):
+            op(f, other_ring)
+        assert op(f, g).values == op(f, twin).values == want

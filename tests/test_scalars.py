@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -141,3 +142,31 @@ def test_element_samples_stop_at_max_elements():
     for ring, bound in ((fp_triv(65537), 0), (zmod_quot(2**32), 0), (int_triv(), MAX_ELEMENTS // 2)):
         with pytest.raises(SizeExceeded):
             ring.elements(bound)
+
+
+@pytest.mark.parametrize(
+    "ring, modulus, one",
+    [
+        (int_inf(), None, 1),
+        (int_triv(), None, 1),
+        (fp_triv(5), 5, 1),
+        (zmod_triv(6), 6, 1),
+        (zmod_quot(6), 6, 1),
+        (zmod_triv(1), 1, 0),
+    ],
+    ids=str,
+)
+def test_cached_ring_fields_leave_the_value_alone(ring, modulus, one):
+    import dataclasses
+
+    fresh = RingDescriptor.from_json(ring.to_json())
+    before = (hash(ring), repr(ring), ring.to_json())
+    assert (ring.modulus, ring.one) == (modulus, one)
+    assert (ring.modulus, ring.one) == (modulus, one)  # now cached
+    assert (hash(ring), repr(ring), ring.to_json()) == before
+    assert ring == fresh and fresh == ring and hash(fresh) == hash(ring)
+    assert len({ring, fresh}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.kind = "IntInf"
+    assert ring.mul(5, 7) == (35 if modulus is None else 35 % modulus)
+    assert type(ring.mul(Fraction(6), 2)) is int  # mul coerces as reduce does

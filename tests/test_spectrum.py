@@ -482,3 +482,72 @@ def test_oracle_reads_values_off_the_memo(monkeypatch):
         assert oracle(f) == first
         assert g_inverse(1, b, space, Z)(f) == first
         assert calls == []
+
+
+# -- the oracle of g_inverse ---------------------------------------------------
+
+
+def test_g_inverse_oracle_keeps_its_guards():
+    space = FiniteSpace.discrete(2)
+    p = BasePoint.arch(1)
+    oracle = g_inverse(0, p, space, Z)
+    f = CfinFunction(space, Z, (-7, 2))
+    # a memo hit is the object base_eval returns
+    assert oracle(f) is base_eval(p, Z, -7) is oracle(f)
+    for ring in (int_triv(), zmod_triv(4)):
+        with pytest.raises(RingMismatch):
+            oracle(CfinFunction(space, ring, (1, 0)))
+    other = FiniteSpace(3, [{0}, {1, 2}])  # two components, other up sets
+    with pytest.raises(RingMismatch):
+        oracle(CfinFunction(other, Z, (-7, 2)))
+    twin = FiniteSpace.discrete(2)  # equal, another object
+    assert twin is not space
+    assert oracle(CfinFunction(twin, Z, (-7, 0))) == NormValue.from_fraction(7)
+
+
+def test_g_inverse_oracle_never_stores_a_rejected_element():
+    point_space = FiniteSpace.discrete(1)
+    p = BasePoint.arch(1)
+    oracle = g_inverse(0, p, point_space, Z)
+    assert oracle(CfinFunction.constant(point_space, Z, 1)) == NV_ONE
+    true = CfinFunction.constant(point_space, Z, True)
+    z4 = zmod_triv(4)
+    residue = g_inverse(0, BasePoint.residue(2), point_space, z4)
+    unreduced = CfinFunction.constant(point_space, z4, 5)
+    for _ in range(3):
+        with pytest.raises(ElementOutOfRange):
+            oracle(true)
+        with pytest.raises(ElementOutOfRange):
+            residue(unreduced)
+    assert [k for k in _memo(p, Z) if k is True] == []
+    assert 5 not in _memo(BasePoint.residue(2), z4)
+    assert residue(CfinFunction.constant(point_space, z4, 1)) == NV_ONE
+    assert 1 in _memo(BasePoint.residue(2), z4)
+
+
+@pytest.mark.parametrize(
+    "ring", [Z, int_triv(), fp_triv(5), zmod_triv(8), zmod_quot(9)], ids=str
+)
+def test_g_split_of_g_inverse_evaluates_each_element_once(ring, monkeypatch):
+    calls = []
+    evaluate = spectrum._evaluate
+
+    def counted(point, ring, a):
+        calls.append((point, a))
+        return evaluate(point, ring, a)
+
+    spectrum._MEMOS.clear()
+    monkeypatch.setattr(spectrum, "_evaluate", counted)
+    for s, space in enumerate((FiniteSpace.discrete(3), glued_pairs())):
+        k = len(space.quasi_components)
+        for b in admissible_points(ring):
+            for c in range(k):
+                calls.clear()
+                pt = g_split(g_inverse(c, b, space, ring))
+                assert pt == SpectrumPoint(c, canonical_point(ring, b))
+                # cold on the first space's first component, warm after it
+                assert len(calls) == len(set(calls))
+                assert bool(calls) == (s == c == 0)
+                calls.clear()
+                assert g_split(g_inverse(c, b, space, ring)) == pt
+                assert calls == []
