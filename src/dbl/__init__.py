@@ -18,7 +18,6 @@ from .scalars import (
     fp_triv,
     int_inf,
     int_triv,
-    quotient_norm,
     zmod_quot,
     zmod_triv,
 )
@@ -47,7 +46,6 @@ from .spectrum import (
     gelfand_roundtrip,
 )
 from .modtensor import (
-    QuotientModule,
     TensorElement,
     WeightedFreeModule,
     absorbing_map,
@@ -95,7 +93,6 @@ __all__ = [
     "FiniteSpace",
     "NormValue",
     "PointMap",
-    "QuotientModule",
     "RingDescriptor",
     "SWCertificate",
     "SpectrumPoint",
@@ -124,7 +121,6 @@ __all__ = [
     "mahler_level_unimodular",
     "mahler_pairing",
     "partition_basis",
-    "quotient_norm",
     "restrict",
     "separates_points",
     "strict_sections",

@@ -27,9 +27,9 @@ MEMO_COMPLEXES entries keyed on the point bitmasks of the space's up sets
 and of the family's sets (spaces are equal when their up sets are, so the
 key is exact, and no space is kept alive).  An entry whose factors
 greater than 1 take more than MEMO_FACTOR_BITS bits in all is not stored.
-A full table of 6-set families of discrete(32) takes 1.9 MiB
-(tracemalloc), and one with every key, rank and factor at its bound about
-3.3 MiB.
+A full table of 6-set families of the connected 32-point space in which
+point 31 specializes to every other point takes 1.9 MiB (tracemalloc), and
+one with every key, rank and factor at its bound about 3.3 MiB.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
 characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
@@ -50,7 +50,6 @@ from threading import Lock
 from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
 from .functions import CfinFunction, indicator
 from .intlinalg import identity, invariant_factors, matmul
-from .modtensor import WeightedFreeModule
 from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, merged_pair
 
@@ -134,31 +133,27 @@ class ChainComplex:
 
 
 def _columns(labels) -> dict:
-    """(tuple, point, symbol) -> index of the label whose component holds the point."""
-    return {(tup, x, s): j for j, (tup, c, s) in enumerate(labels) for x in c}
+    """(tuple, point) -> index of the label whose component holds the point."""
+    return {(tup, x): j for j, (tup, c) in enumerate(labels) for x in c}
 
 
 def build_tate_cech(
     space: FiniteSpace,
     family: CoverFamily,
     ring: RingDescriptor,
-    coefficients: WeightedFreeModule | None = None,
 ) -> ChainComplex:
     """The alternating complex of a finite closed family.
 
     Degree k is the product over strictly increasing k-fold tuples of C
-    of the intersection (tensored with the coefficient module when
-    given); degree 0 is the empty tuple, whose intersection is X.
-    Intersections realize the tensor terms directly, X's components being
-    the cached space.quasi_components.  Differentials are
-    signed restrictions: a component of an intersection is connected, so
-    it lies in exactly one component of each face, the one holding its
-    least point.
+    of the intersection; degree 0 is the empty tuple, whose intersection
+    is X.  Intersections realize the tensor terms directly, X's components
+    being the cached space.quasi_components.  Differentials are signed
+    restrictions: a component of an intersection is connected, so it lies
+    in exactly one component of each face, the one holding its least point.
     """
-    msyms = coefficients.symbols if coefficients is not None else (None,)
     sets = family.sets
 
-    # labels per degree: (tuple_of_indices, component_frozenset, module_symbol)
+    # labels per degree: (tuple_of_indices, component_frozenset)
     terms = []
     for k in range(len(sets) + 1):
         labels = []
@@ -168,9 +163,7 @@ def build_tate_cech(
                 if tup
                 else space.quasi_components
             )
-            for c in comps:
-                for s in msyms:
-                    labels.append((tup, c, s))
+            labels.extend((tup, c) for c in comps)
         terms.append(tuple(labels))
 
     # strip trailing zero terms beyond the family size
@@ -182,12 +175,12 @@ def build_tate_cech(
         src, dst = terms[k], terms[k + 1]
         col = _columns(src)
         rows = []
-        for tup_d, comp_d, sym_d in dst:
+        for tup_d, comp_d in dst:
             row = [0] * len(src)
             least, sign = min(comp_d), 1
             for pos in range(len(tup_d)):
                 face = tup_d[:pos] + tup_d[pos + 1 :]
-                row[col[(face, least, sym_d)]] += sign
+                row[col[(face, least)]] += sign
                 sign = -sign
             rows.append(tuple(row))
         diffs.append(tuple(rows))
@@ -317,7 +310,7 @@ def _complex_entry(space: FiniteSpace, family: CoverFamily) -> tuple:
     keeps only the first one's index.
     """
     complex_ = build_tate_cech(space, family, int_inf())
-    pieces = [tup for tup, _, _ in complex_.terms[1]] if complex_.length > 1 else []
+    pieces = [tup for tup, _ in complex_.terms[1]] if complex_.length > 1 else []
     merging = next((i for (i,), t in zip(pieces, pieces[1:]) if t == (i,)), None)
     if merging is not None:
         return (), (), False, merging
@@ -376,7 +369,7 @@ def _selection_homotopy(space, family, terms, k):
     dst = terms[k]
     col = _columns(src)
     rows = []
-    for tup_d, comp_d, sym_d in dst:
+    for tup_d, comp_d in dst:
         row = [0] * len(src)
         i_sel = next((i for i, K in enumerate(family.sets) if comp_d <= K), None)
         if i_sel is None:
@@ -388,7 +381,7 @@ def _selection_homotopy(space, family, terms, k):
         # comp_d lies in the selected set, so it is a component of the
         # inserted tuple's intersection too
         bigger = tuple(sorted(tup_d + (i_sel,)))
-        row[col[(bigger, min(comp_d), sym_d)]] = (-1) ** bigger.index(i_sel)
+        row[col[(bigger, min(comp_d))]] = (-1) ** bigger.index(i_sel)
         rows.append(tuple(row))
     return tuple(rows)
 

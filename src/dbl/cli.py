@@ -3,7 +3,8 @@
 Subcommands: space | spectrum | cech | tensor | basis | mahler | sw | suite.
 JSON report on stdout, a one-line-per-verdict summary on stderr (unless
 --quiet).  Exit status: 0 all verdicts pass, 1 any violation, 2 bad input
-or a request outside a theorem's hypotheses (NotEmbedding).
+or a request outside a theorem's hypotheses (NotEmbedding,
+DisconnectedSpectrum, NonSeparating).
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ import time
 from . import fixtures, suite
 from .bases import family_determinant, mahler_coeffs, mahler_pairing, vdp_basis_level
 from .cech import CoverFamily, tate_equivalence_report
-from .errors import DblError, NotClopen, NotEmbedding, SizeExceeded, SpaceMismatch, UnsupportedRing
+from .errors import (
+    DblError,
+    DisconnectedSpectrum,
+    NonSeparating,
+    NotClopen,
+    NotEmbedding,
+    SizeExceeded,
+    SpaceMismatch,
+    UnsupportedRing,
+)
 from .functions import CfinFunction
 from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace, banaschewski
@@ -251,6 +261,8 @@ def run(argv=None) -> int:
         SizeExceeded,
         NotClopen,
         NotEmbedding,
+        DisconnectedSpectrum,
+        NonSeparating,
         SpaceMismatch,
         KeyError,
         ValueError,

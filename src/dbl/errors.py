@@ -93,10 +93,6 @@ class DisconnectedSpectrum(DblError):
         super().__init__(msg)
 
 
-class UnsupportedHom(DblError):
-    pass
-
-
 class EquivalenceViolation(DblError):
     pass
 

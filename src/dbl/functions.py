@@ -69,9 +69,6 @@ class CfinFunction:
     def eval(self, x: int):
         return self.values[self.space.component_index(x)]
 
-    def point_values(self) -> tuple:
-        return tuple(self.eval(x) for x in range(self.space.n))
-
     def _compat(self, other: "CfinFunction"):
         if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch("functions live on different spaces")
@@ -100,13 +97,6 @@ class CfinFunction:
         if self.space is not other.space or self.coeff is not other.coeff:
             self._compat(other)
         vals = tuple(map(self.coeff.mul, self.values, other.values))
-        return CfinFunction(self.space, self.coeff, vals)
-
-    def scalar(self, a) -> "CfinFunction":
-        if isinstance(self.coeff, RingDescriptor):
-            vals = tuple(self.coeff.mul(a, v) for v in self.values)
-        else:
-            vals = tuple(self.coeff.scalar(a, v) for v in self.values)
         return CfinFunction(self.space, self.coeff, vals)
 
     def is_zero(self) -> bool:

@@ -1,4 +1,4 @@
-"""Weighted free modules, exact tensor products, and base change.
+"""Weighted free modules and exact tensor products.
 
 Module elements are finitely supported coefficient maps over a symbol
 basis, stored as canonically sorted tuples so they hash and compare.  The
@@ -22,12 +22,11 @@ from itertools import product
 from .errors import (
     ModeMismatch,
     RingMismatch,
-    UnsupportedHom,
     UnsupportedValue,
 )
 from .intlinalg import invariant_factors
 from .normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
-from .scalars import RingDescriptor, int_inf, zmod_quot, zmod_triv
+from .scalars import RingDescriptor, int_inf
 from .spaces import FiniteSpace
 
 ARCH = "arch"
@@ -84,13 +83,6 @@ class WeightedFreeModule:
     def weight(self, s) -> NormValue:
         return self.weights[s]
 
-    def check(self, e: tuple) -> tuple:
-        for s, c in e:
-            if s not in self.weights:
-                raise KeyError(f"{s!r} is not a basis symbol")
-            self.ring.check_element(c)
-        return e
-
     # -- element operations ------------------------------------------------
 
     def add(self, a: tuple, b: tuple) -> tuple:
@@ -98,18 +90,6 @@ class WeightedFreeModule:
         for s, c in b:
             d[s] = self.ring.add(d.get(s, 0), c)
         return elem(d)
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        d = dict(a)
-        for s, c in b:
-            d[s] = self.ring.sub(d.get(s, 0), c)
-        return elem(d)
-
-    def neg(self, a: tuple) -> tuple:
-        return elem({s: self.ring.neg(c) for s, c in a})
-
-    def scalar(self, r, a: tuple) -> tuple:
-        return elem({s: self.ring.mul(r, c) for s, c in a})
 
     def eq(self, a: tuple, b: tuple) -> bool:
         return elem(a) == elem(b)
@@ -200,9 +180,6 @@ class TensorElement:
     def zero(m0, m1) -> "TensorElement":
         return TensorElement(m0, m1, ())
 
-    def is_zero(self) -> bool:
-        return not self.matrix
-
     def coefficient_rows(self):
         """Dense matrix of coefficients, rows = m0 symbols, cols = m1 symbols."""
         idx0 = {s: i for i, s in enumerate(self.m0.symbols)}
@@ -211,13 +188,6 @@ class TensorElement:
         for (s0, s1), c in self.matrix:
             rows[idx0[s0]][idx1[s1]] = c
         return tuple(tuple(r) for r in rows)
-
-    def to_json(self):
-        return {
-            "basis0": [str(s) for s in self.m0.symbols],
-            "basis1": [str(s) for s in self.m1.symbols],
-            "matrix": [list(map(int, row)) for row in self.coefficient_rows()],
-        }
 
 
 def tensor_norm(t: TensorElement) -> NormValue:
@@ -325,48 +295,3 @@ def absorbing_counterexample(n: int):
     )
     return space, m0, m1, f_n, forward, backward
 
-
-# -- base change ------------------------------------------------------------
-
-
-class QuotientModule:
-    """Quotient of a weighted free module by n * M, with exact norms.
-
-    The quotient norm minimizes over coset representatives; for a scalar
-    modulus the minimum decouples per coordinate and is attained in the
-    symmetric range, so the exact value is sum/max of coordinate quotient
-    norms.
-    """
-
-    def __init__(self, ambient: WeightedFreeModule, modulus: int):
-        if ambient.ring.kind not in ("IntInf", "IntTriv"):
-            raise UnsupportedHom("quotient base change needs a Z-based ring")
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        self.ambient = ambient
-        self.modulus = modulus
-        if ambient.ring.kind == "IntInf":
-            self.ring = zmod_quot(modulus)
-        else:
-            self.ring = zmod_triv(modulus)
-        self.module = WeightedFreeModule(
-            self.ring,
-            {s: ambient.weight(s) for s in ambient.symbols},
-            ambient.mode,
-        )
-
-    @property
-    def rank(self) -> int:
-        return 0 if self.modulus == 1 else self.ambient.rank
-
-    def project(self, e: tuple) -> tuple:
-        return elem({s: c % self.modulus for s, c in e})
-
-    def norm(self, e: tuple) -> NormValue:
-        return self.module.norm(self.project(e))
-
-    def isolation_gap(self) -> NormValue:
-        # the smallest nonzero coordinate norm is |1| = 1 for n >= 2
-        if self.modulus == 1:
-            return NV_ONE
-        return self.module.isolation_gap()

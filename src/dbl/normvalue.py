@@ -179,14 +179,6 @@ class NormValue:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "NormValue":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "NormValue":
-        return _ONE
-
-    @staticmethod
     def from_fraction(q) -> "NormValue":
         q = Fraction(q)
         if q.numerator < 0:
@@ -278,12 +270,6 @@ class NormValue:
         # Sums are only exact for rational values; everything that needs
         # addition (Archimedean bounds) is restricted to those.
         return NormValue.from_fraction(self.as_fraction() + other.as_fraction())
-
-    def __sub__(self, other: "NormValue") -> "NormValue":
-        d = self.as_fraction() - other.as_fraction()
-        if d < 0:
-            raise ValueError("norm values are nonnegative")
-        return NormValue.from_fraction(d)
 
     # -- total order ----------------------------------------------------
 

@@ -30,21 +30,6 @@ MAX_MODULUS = 2**32
 MAX_ELEMENTS = 2**16
 
 
-def quotient_norm(n: int, a: int) -> NormValue:
-    """Quotient norm on Z/n: min |a + kn| over representatives.
-
-    The minimum is attained in the symmetric range (-n/2, n/2], so after
-    reducing a it is min(a, n - a).
-    """
-    if n < 1:
-        raise ElementOutOfRange(f"modulus {n} < 1")
-    if not 0 <= a < n:
-        raise ElementOutOfRange(f"residue {a} not reduced mod {n}")
-    if a == 0:
-        return NV_ZERO
-    return NormValue.from_fraction(min(a, n - a))
-
-
 def _is_prime(p: int) -> bool:
     return p >= 2 and factor_int(p) == ((p, 1),)
 
@@ -161,9 +146,6 @@ class RingDescriptor:
     def sub(self, a: int, b: int) -> int:
         return self.reduce(a - b)
 
-    def neg(self, a: int) -> int:
-        return self.reduce(-a)
-
     def mul(self, a: int, b: int) -> int:
         m = self.modulus
         if m is None:
@@ -193,7 +175,8 @@ class RingDescriptor:
         if self.kind == "IntInf":
             return NormValue.from_fraction(abs(a))
         if self.kind == "ZmodQuot":
-            return quotient_norm(self.n, a)
+            # min |a + kn| over representatives, attained in (-n/2, n/2]
+            return NV_ZERO if a == 0 else NormValue.from_fraction(min(a, self.n - a))
         # trivial-norm variants
         return NV_ZERO if a == 0 else NV_ONE
 

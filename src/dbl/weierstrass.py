@@ -42,9 +42,6 @@ class Gen(Expr):
     def evaluate(self, gens, ring, comp):
         return gens[self.index].values[comp]
 
-    def __str__(self):
-        return f"g{self.index}"
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -52,9 +49,6 @@ class Const(Expr):
 
     def evaluate(self, gens, ring, comp):
         return ring.reduce(self.value)
-
-    def __str__(self):
-        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,6 @@ class Add(Expr):
             self.right.evaluate(gens, ring, comp),
         )
 
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -83,9 +74,6 @@ class Sub(Expr):
             self.right.evaluate(gens, ring, comp),
         )
 
-    def __str__(self):
-        return f"({self.left} - {self.right})"
-
 
 @dataclass(frozen=True)
 class Mul(Expr):
@@ -97,9 +85,6 @@ class Mul(Expr):
             self.left.evaluate(gens, ring, comp),
             self.right.evaluate(gens, ring, comp),
         )
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
 
 
 def expr_to_json(e: Expr):

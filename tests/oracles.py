@@ -5,13 +5,13 @@ every lift, every representation, every sampled pair of a ring or a
 seminorm.  They cross-check the library on small inputs.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from dbl.cech import CoverFamily
 from dbl.errors import NotEmbedding, NotUltrafilter, ValidationFailure
 from dbl.functions import indicator
-from dbl.modtensor import ARCH, QuotientModule, TensorElement, elem
+from dbl.modtensor import ARCH, TensorElement
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
 from dbl.scalars import RingDescriptor
 from dbl.spaces import FiniteSpace, PointMap
@@ -89,18 +89,6 @@ def g_split_by_sweep(oracle: SeminormOracle) -> SpectrumPoint:
         if hits == filt:
             return SpectrumPoint(c, _identify_base(space, ring, oracle))
     raise NotUltrafilter("indicator values are not the ultrafilter of one quasi-component")
-
-
-def norm_by_scan(q: QuotientModule, e: tuple, radius: int) -> NormValue:
-    """The quotient norm of e, minimized over lifts shifted by k*n, |k| <= radius."""
-    coords = list(q.project(e))
-    best = None
-    for shifts in product(range(-radius, radius + 1), repeat=len(coords)):
-        lift = elem({s: c + k * q.modulus for (s, c), k in zip(coords, shifts)})
-        val = q.ambient.norm(lift)
-        if best is None or val < best:
-            best = val
-    return best if best is not None else NV_ZERO
 
 
 def representation_cost(t: TensorElement, pairs) -> NormValue:

@@ -26,7 +26,6 @@ from dbl.intlinalg import (
     matvec,
     transpose,
 )
-from dbl.modtensor import NONARCH, WeightedFreeModule
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import MAX_POINTS, FiniteSpace
 from oracles import check_embeddings_by_pieces, inclusion_map, topologies
@@ -522,19 +521,6 @@ def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):
                             verdict = (verdict["homology"], verdict["exact"])
                         assert verdict == want[ring], (space, sets, ring)
     assert cases > split > rejected > 0
-
-
-def test_theorem_b_module_coefficients():
-    coeff = WeightedFreeModule(int_triv(), {"a": 1, "b": 1}, NONARCH)
-    for n in (2, 3):
-        space = FiniteSpace.discrete(n)
-        subsets = [frozenset(c) for size in range(n + 1) for c in combinations(range(n), size)]
-        for k in (1, 2):
-            for sets in combinations(subsets, k):
-                family = CoverFamily.make(space, sets)
-                scalar = exactness(build_tate_cech(space, family, int_triv()))
-                module = exactness(build_tate_cech(space, family, int_triv(), coeff))
-                assert scalar["exact"] == module["exact"]
 
 
 def test_size_caps():

@@ -112,7 +112,7 @@ def test_sw_command_json_input(capsys, monkeypatch):
     assert report["verdicts"][0]["a_U"] == 9
 
 
-def test_sw_non_separating_exits_1(capsys, monkeypatch):
+def test_sw_non_separating_exits_2(capsys, monkeypatch):
     payload = {
         "space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
         "gens": [[1, 1]],
@@ -121,8 +121,8 @@ def test_sw_non_separating_exits_1(capsys, monkeypatch):
     code, report, _ = run_cli(
         capsys, ["sw"], stdin_text=json.dumps(payload), monkeypatch=monkeypatch
     )
-    assert code == 1
-    assert "NonSeparating" in report["verdicts"][0]["violation"]
+    assert code == 2
+    assert report["error"].startswith("NonSeparating")
 
 
 SIERPINSKI = {"points": 2, "opens": [[], [1], [0, 1]]}
@@ -212,15 +212,15 @@ def test_spectrum_command(capsys, monkeypatch):
     assert report["verdicts"][0]["space_components"] == 2
 
 
-def test_spectrum_disconnected_ring_exits_1(capsys, monkeypatch):
+def test_spectrum_disconnected_ring_exits_2(capsys, monkeypatch):
     code, report, _ = run_cli(
         capsys,
         ["spectrum", "--ring", "ZmodTriv(6)"],
         stdin_text="",
         monkeypatch=monkeypatch,
     )
-    assert code == 1
-    assert "DisconnectedSpectrum" in report["verdicts"][0]["violation"]
+    assert code == 2
+    assert report["error"].startswith("DisconnectedSpectrum")
 
 
 def test_spectrum_reads_the_request_ring(capsys, monkeypatch):
@@ -229,8 +229,8 @@ def test_spectrum_reads_the_request_ring(capsys, monkeypatch):
     code, report, _ = run_cli(
         capsys, ["spectrum"], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
     )
-    assert code == 1
-    assert "DisconnectedSpectrum" in report["verdicts"][0]["violation"]
+    assert code == 2
+    assert report["error"].startswith("DisconnectedSpectrum")
     request_ = {"space": TWO_POINTS, "ring": {"kind": "IntInf"}}
     code, report, _ = run_cli(
         capsys,
@@ -238,7 +238,7 @@ def test_spectrum_reads_the_request_ring(capsys, monkeypatch):
         stdin_text=json.dumps(request_),
         monkeypatch=monkeypatch,
     )
-    assert code == 0  # under ZmodTriv(6) it would exit 1
+    assert code == 0  # under ZmodTriv(6) it would exit 2
 
 
 @pytest.mark.parametrize("ring", [{"kind": "IntInf", "p": 7}, {"kind": "FpTriv", "p": 7, "n": 3}])

@@ -53,7 +53,6 @@ def test_indicator_algebra():
     assert u.mul(v) == indicator(D3, Z, {1})
     assert u.mul(u) == u  # idempotent
     assert F((1, 2, 3)).add(F((1, 1, 1))) == F((2, 3, 4))
-    assert F((0, 3), FiniteSpace.discrete(2)).scalar(2) == F((0, 6), FiniteSpace.discrete(2))
 
 
 def test_indicator_products_match_intersections():

@@ -11,7 +11,6 @@ from dbl.scalars import (
     fp_triv,
     int_inf,
     int_triv,
-    quotient_norm,
     zmod_quot,
     zmod_triv,
 )
@@ -30,22 +29,22 @@ def test_norm_examples():
 
 
 def test_quotient_norm_examples():
-    assert quotient_norm(5, 0) == NV_ZERO
-    assert quotient_norm(5, 3) == NormValue.from_fraction(2)
-    assert quotient_norm(2, 1) == NV_ONE
+    assert zmod_quot(5).norm(0) == NV_ZERO
+    assert zmod_quot(5).norm(3) == NormValue.from_fraction(2)
+    assert zmod_quot(2).norm(1) == NV_ONE
 
 
 def test_quotient_norm_matches_scan_oracle():
     for n in (2, 3, 5, 6, 12):
         for a in range(n):
-            assert quotient_norm(n, a) == scan_quotient_norm(n, a)
+            assert zmod_quot(n).norm(a) == scan_quotient_norm(n, a)
 
 
 def test_quotient_norm_below_representatives():
     # |a mod n| <= |r| for every representative r = a + kn, |r| <= 3n
     for n in (4, 5, 7):
         for a in range(n):
-            q = quotient_norm(n, a)
+            q = zmod_quot(n).norm(a)
             for r in range(-3 * n, 3 * n + 1):
                 if (r - a) % n == 0:
                     assert q <= int_inf().norm(r)
@@ -55,7 +54,7 @@ def test_element_bounds():
     with pytest.raises(ElementOutOfRange):
         zmod_quot(5).norm(5)
     with pytest.raises(ElementOutOfRange):
-        quotient_norm(5, -1)
+        zmod_quot(5).norm(-1)
 
 
 def test_ring_parse_and_json():
