@@ -15,21 +15,23 @@ a sparse elimination that keeps no transforms) by one rule, _homology.
 
 C(X, R) is the product of C(B, R) over the quasi-components B of X, so
 the complex of a family is the direct sum of the complexes of its traces
-on the blocks, each a connected space.  tate_verdict therefore builds and
-eliminates the integer complex of each (connected block, traces) pair
-once for every ring and every space that contains it (see
-_integer_invariants): its term ranks, each differential's rank and
-invariant factors greater than 1, the quasi-component cover test, and the
-index of the first piece with two degree-1 labels, if any.  A space with
-two or more quasi-components gets the sum of its blocks' entries.  Every
-entry, block or whole, goes into one first-in-first-out table of
-MEMO_COMPLEXES entries keyed on the point bitmasks of the space's up sets
-and of the family's sets (spaces are equal when their up sets are, so the
-key is exact, and no space is kept alive).  An entry whose factors
-greater than 1 take more than MEMO_FACTOR_BITS bits in all is not stored.
-A full table of 6-set families of the connected 32-point space in which
-point 31 specializes to every other point takes 1.9 MiB (tracemalloc), and
-one with every key, rank and factor at its bound about 3.3 MiB.
+on the blocks.  tate_verdict therefore builds and eliminates the integer
+complex of each block's traces once for every ring and every space that
+contains it (see _integer_invariants): its term ranks, each
+differential's rank and invariant factors greater than 1, the
+quasi-component cover test, and the index of the first piece with two
+degree-1 labels, if any.  A block's complex is built on the caller's
+space, its labels the components of each intersection within the block,
+and a verdict is the sum of its blocks' entries; the empty space has one
+empty block.  Every entry, block or whole, goes into one
+first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
+bitmasks of the up sets and of the family's sets, a block's relabelled
+to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
+and no space is kept alive).  An entry whose factors greater than 1 take
+more than MEMO_FACTOR_BITS bits in all is not stored.  A full table of
+6-set families of the connected 32-point space in which point 31
+specializes to every other point takes 1.9 MiB (tracemalloc), and one
+with every key, rank and factor at its bound about 3.3 MiB.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
 characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
@@ -87,14 +89,6 @@ def is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
     return union == frozenset(range(space.n))
 
 
-def zeta_is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
-    """Cover test at quasi-component level: every block meets some set."""
-    for block in space.quasi_components:
-        if not any(block & K for K in family.sets):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     """An integer complex of free modules, read over ``ring``.
@@ -142,27 +136,31 @@ def build_tate_cech(
     family: CoverFamily,
     ring: RingDescriptor,
 ) -> ChainComplex:
-    """The alternating complex of a finite closed family.
+    """The alternating complex of a finite closed family over ring.
 
-    Degree k is the product over strictly increasing k-fold tuples of C
-    of the intersection; degree 0 is the empty tuple, whose intersection
-    is X.  Intersections realize the tensor terms directly, X's components
-    being the cached space.quasi_components.  Differentials are signed
-    restrictions: a component of an intersection is connected, so it lies
-    in exactly one component of each face, the one holding its least point.
+    It is the complex of the family's traces on all of X (see _cech), so
+    its degree-0 labels are X's quasi-components.  tate_verdict sums the
+    complexes of the traces on each quasi-component instead.
     """
-    sets = family.sets
+    return ChainComplex(ring, *_cech(space, family.sets, frozenset(space.points)))
 
+
+def _cech(space: FiniteSpace, sets, within: frozenset) -> tuple[tuple, tuple]:
+    """The terms and differentials of the complex of the sets' traces on within.
+
+    Degree k is the product over strictly increasing k-fold tuples I of C
+    of within ∩ K_I; degree 0 is the empty tuple, whose intersection is
+    within.  Each tuple is labelled by space.components(within ∩ K_I), so
+    no subspace is built.  Differentials are signed restrictions: a
+    component of an intersection is connected, so it lies in exactly one
+    component of each face, the one holding its least point.
+    """
     # labels per degree: (tuple_of_indices, component_frozenset)
     terms = []
     for k in range(len(sets) + 1):
         labels = []
         for tup in combinations(range(len(sets)), k):
-            comps = (
-                space.components(frozenset.intersection(*(sets[i] for i in tup)))
-                if tup
-                else space.quasi_components
-            )
+            comps = space.components(within.intersection(*(sets[i] for i in tup)))
             labels.extend((tup, c) for c in comps)
         terms.append(tuple(labels))
 
@@ -184,7 +182,7 @@ def build_tate_cech(
                 sign = -sign
             rows.append(tuple(row))
         diffs.append(tuple(rows))
-    return ChainComplex(ring, tuple(terms), tuple(diffs))
+    return tuple(terms), tuple(diffs)
 
 
 def exactness(complex_: ChainComplex) -> dict:
@@ -255,30 +253,25 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     """The ring-free part of tate_verdict, memoized per (space, family).
 
     Returns the term ranks of the integer complex, _invariants of each
-    differential and zeta_is_cover, or raises NotEmbedding when a piece
-    merges quasi-components.  C(X, R) is the product of C(B, R) over the
-    quasi-components B of X, so the complex is the direct sum of the
-    complexes of the family's traces on each block: a space with two or
-    more quasi-components gets the sum of its blocks' entries (see
-    _block_entry and _sum_entries), and only a connected or empty space
-    builds its complex over Z (which checks d∘d) and eliminates each
-    differential (see _complex_entry).  Every entry, block or whole, goes
-    into one table of at most MEMO_COMPLEXES entries, the oldest dropped
-    first, keyed on the point bitmasks of the space's up sets and of the
-    family's sets; no space or exception object is kept.  An entry stores
-    the index of the first piece that merges quasi-components, and the
-    NotEmbedding message is built from the caller's space.  An entry whose
-    factors greater than 1 take more than MEMO_FACTOR_BITS bits in all is
-    recomputed every time.
+    differential and the quasi-component cover test, or raises
+    NotEmbedding when a piece merges quasi-components.  C(X, R) is the
+    product of C(B, R) over the quasi-components B of X, so the complex is
+    the direct sum of the complexes of the family's traces on each block:
+    every space gets the sum of its blocks' entries (see _block_entry and
+    _sum_entries), the empty space that of one empty block.  Every entry,
+    block or whole, goes into one table of at most MEMO_COMPLEXES entries,
+    the oldest dropped first, keyed on the point bitmasks of the up sets
+    and of the family's sets; no space or exception object is kept.  An
+    entry stores the index of the first piece that merges
+    quasi-components, and the NotEmbedding message is built from the
+    caller's space.  An entry whose factors greater than 1 take more than
+    MEMO_FACTOR_BITS bits in all is recomputed every time.
     """
     key = _key(space.up, family.sets)
     entry = _MEMO.get(key)
     if entry is None:
-        blocks = space.quasi_components
-        if len(blocks) < 2:
-            entry = _store(key, _complex_entry(space, family))
-        else:
-            entry = _store(key, _sum_entries([_block_entry(space, family, B) for B in blocks]))
+        blocks = space.quasi_components or (frozenset(),)
+        entry = _store(key, _sum_entries([_block_entry(space, family.sets, B) for B in blocks]))
     *invariants, rejected = entry
     if rejected is not None:
         K = family.sets[rejected]
@@ -302,39 +295,34 @@ def _store(key, entry: tuple) -> tuple:
     return entry
 
 
-def _complex_entry(space: FiniteSpace, family: CoverFamily) -> tuple:
-    """The entry of a space with at most one quasi-component, from its complex.
+def _block_entry(space: FiniteSpace, sets, block: frozenset) -> tuple:
+    """The entry of the sets' traces on a quasi-component (or the empty block).
 
-    A piece merges quasi-components exactly when it has two degree-1
-    labels, which are adjacent; the entry of a family with such a piece
-    keeps only the first one's index.
+    The block is clopen, so its points relabelled 0..m-1 in increasing
+    order, their up sets and the traces of the sets are looked up under
+    the same key rule as a whole space; a connected space's only block has
+    the space's own key.  A miss builds the complex of the traces on the
+    caller's space (see _cech) over Z, which checks d∘d.  A piece merges
+    quasi-components exactly when it has two degree-1 labels, which are
+    adjacent; the entry of a family with such a piece keeps only the first
+    one's index.
     """
-    complex_ = build_tate_cech(space, family, int_inf())
+    index = {x: i for i, x in enumerate(sorted(block))}
+    key = _key(
+        [map(index.__getitem__, space.up[x]) for x in index],
+        [map(index.__getitem__, K & block) for K in sets],
+    )
+    entry = _MEMO.get(key)
+    if entry is not None:
+        return entry
+    complex_ = ChainComplex(int_inf(), *_cech(space, sets, block))
     pieces = [tup for tup, _ in complex_.terms[1]] if complex_.length > 1 else []
     merging = next((i for (i,), t in zip(pieces, pieces[1:]) if t == (i,)), None)
     if merging is not None:
-        return (), (), False, merging
+        return _store(key, ((), (), False, merging))
     ranks = tuple(map(len, complex_.terms))
     factors = tuple(map(_invariants, complex_.diffs))
-    return ranks, factors, zeta_is_cover(space, family), None
-
-
-def _block_entry(space: FiniteSpace, family: CoverFamily, block: frozenset) -> tuple:
-    """The entry of the family's traces on a quasi-component, as a connected space.
-
-    The block is clopen, so its points relabelled 0..m-1 in increasing
-    order, their up sets and the traces of the sets form a space and a
-    family; the pair is looked up under the same key rule as a whole space.
-    """
-    index = {x: i for i, x in enumerate(sorted(block))}
-    up = [frozenset(map(index.__getitem__, space.up[x])) for x in index]
-    sets = tuple(frozenset(map(index.__getitem__, K & block)) for K in family.sets)
-    key = _key(up, sets)
-    entry = _MEMO.get(key)
-    if entry is None:
-        sub = FiniteSpace(len(up), up)
-        entry = _store(key, _complex_entry(sub, CoverFamily(sub, sets)))
-    return entry
+    return _store(key, (ranks, factors, not block or any(K & block for K in sets), None))
 
 
 def _sum_entries(entries) -> tuple:
@@ -357,7 +345,7 @@ def _sum_entries(entries) -> tuple:
     return ranks, factors, all(e[2] for e in entries), None
 
 
-def _selection_homotopy(space, family, terms, k):
+def _selection_homotopy(family, terms, k):
     """Matrix of the contracting homotopy C^{k+1} -> C^k by clopen selection.
 
     For each quasi-component the smallest family index whose set meets it
@@ -404,7 +392,7 @@ def strict_sections(space: FiniteSpace, family: CoverFamily, ring: RingDescripto
     if ring.is_zero_ring:
         return []
     homotopies = [
-        _selection_homotopy(space, family, complex_.terms, k)
+        _selection_homotopy(family, complex_.terms, k)
         for k in range(len(complex_.diffs))
     ]
     out = []

@@ -115,7 +115,7 @@ def cmd_cech(args) -> list[dict]:
         return [verdict]
     obj = _read_json_input(args)
     if obj is None:
-        raise DblError("cech needs JSON input or --exhaustive")
+        raise ValueError("cech needs JSON input or --exhaustive")
     space = FiniteSpace.from_json(obj["space"])
     ring = _request_ring(obj, args.ring or "IntInf")
     family = CoverFamily.make(
@@ -223,7 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cech)
 
     p = sub.add_parser("tensor", help="absorbing-law dichotomy")
-    p.add_argument("--max-n", type=int, default=16)
+    p.add_argument(
+        "--max-n",
+        type=int,
+        default=16,
+        help="largest counterexample size, 0 to 31 (it has max-n + 1 points)",
+    )
     p.set_defaults(fn=cmd_tensor)
 
     p = sub.add_parser("basis", help="basis certificates")

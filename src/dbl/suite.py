@@ -45,7 +45,7 @@ from .modtensor import (
 )
 from .normvalue import NV_ONE, NormValue, nv_sum
 from .scalars import fp_triv, int_inf, int_triv, zmod_triv
-from .spaces import FiniteSpace, banaschewski
+from .spaces import MAX_POINTS, FiniteSpace, banaschewski
 from .spectrum import (
     BasePoint,
     SpectrumPoint,
@@ -283,6 +283,8 @@ def sum_split_cases(count: int = 1000, seed: int = 7) -> dict:
 
 
 def absorbing_dichotomy(max_n: int = 16) -> dict:
+    # the counterexample at n lives on n + 1 points
+    _check_flag(max_n, MAX_POINTS - 1, "max_n")
     ring = int_triv()
     space = fixtures.glued_pairs()
     checked = 0

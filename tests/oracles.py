@@ -63,6 +63,14 @@ def check_embeddings_by_pieces(space: FiniteSpace, family: CoverFamily):
                 )
 
 
+def zeta_is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
+    """Cover test at quasi-component level: every block meets some set."""
+    for block in space.quasi_components:
+        if not any(block & K for K in family.sets):
+            return False
+    return True
+
+
 def ultrafilters(space: FiniteSpace) -> list[frozenset]:
     """All ultrafilters of the Boolean algebra of clopens.
 

@@ -1,4 +1,3 @@
-from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -16,7 +15,6 @@ from dbl.cech import (
     strict_sections,
     tate_equivalence_report,
     tate_verdict,
-    zeta_is_cover,
 )
 from dbl.errors import IsCover, NoSection, NotEmbedding, SizeExceeded
 from dbl.intlinalg import (
@@ -28,7 +26,7 @@ from dbl.intlinalg import (
 )
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import MAX_POINTS, FiniteSpace
-from oracles import check_embeddings_by_pieces, inclusion_map, topologies
+from oracles import check_embeddings_by_pieces, inclusion_map, topologies, zeta_is_cover
 from snf_oracle import smith_normal_form
 
 Z = int_inf()
@@ -285,9 +283,9 @@ def test_embedding_check_matches_the_per_piece_check(memo):
 def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, r):
     # the space's two quasi-components are split off by one components
     # call; each block's complex then takes one call per tuple of the
-    # family, the empty tuple's being the block's quasi-components: 2^r per
-    # block, none for the embedding check.  A fresh but equal space over a
-    # second ring reads the table
+    # family, the empty tuple's being the block itself: 2^r per block, none
+    # for the embedding check, and all on the caller's space.  A fresh but
+    # equal space over a second ring reads the table
     calls = []
     components = FiniteSpace.components
 
@@ -300,26 +298,45 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, 
     opens = [{0}, {1}, {0, 1, 2}, {3}]
     space = FiniteSpace(4, opens)
     tate_verdict(space, fam(space, *sets), Z)
-    # calls holds the spaces, so no two of them share an id
-    per_space = Counter(map(id, calls))
-    assert per_space.pop(id(space)) == 1
-    assert list(per_space.values()) == [2**r, 2**r]
+    assert len(calls) == 1 + 2 * 2**r
+    assert all(s is space for s in calls)
     calls.clear()
     again = FiniteSpace(4, opens)
     tate_verdict(again, fam(again, *sets), zmod_triv(4))
     assert calls == []
 
 
-def counted_builds(monkeypatch):
-    """The families cech builds a complex for, from here on."""
+def test_cold_verdict_builds_no_space_and_no_family(monkeypatch, memo):
+    # each block's complex is built on the caller's space and family sets
+    space = FiniteSpace(4, [{0}, {1}, {0, 1, 2}, {3}])
+    family = fam(space, {2, 3}, {1, 2}, {0, 1, 2})
     built = []
-    build = cech.build_tate_cech
+    space_init, family_check = FiniteSpace.__init__, CoverFamily.__post_init__
 
-    def counted(space, family, ring):
-        built.append(family)
-        return build(space, family, ring)
+    def counted_space(self, *args):
+        built.append(FiniteSpace)
+        space_init(self, *args)
 
-    monkeypatch.setattr(cech, "build_tate_cech", counted)
+    def counted_family(self):
+        built.append(CoverFamily)
+        family_check(self)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", counted_space)
+    monkeypatch.setattr(CoverFamily, "__post_init__", counted_family)
+    assert tate_verdict(space, family, Z)["agreement"]
+    assert len(memo) == 3 and built == []
+
+
+def counted_builds(monkeypatch):
+    """The family sets cech builds a complex for, from here on."""
+    built = []
+    build = cech._cech
+
+    def counted(space, sets, within):
+        built.append(sets)
+        return build(space, sets, within)
+
+    monkeypatch.setattr(cech, "_cech", counted)
     return built
 
 
@@ -350,7 +367,7 @@ def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
     tate_verdict(space, next(families), Z)
     tate_verdict(space, first, zmod_triv(4))
     assert len(memo) == MEMO_COMPLEXES
-    assert len(built) == MEMO_COMPLEXES + 2 and built[-1] == first
+    assert len(built) == MEMO_COMPLEXES + 2 and built[-1] == first.sets
     # the full table, measured as the allocations of an equal copy, stays
     # under the seminorm memo's 5 MiB (about 1.9 MiB)
     data = pickle.dumps(memo)
@@ -442,16 +459,17 @@ def test_torsion_survives_the_sum_over_blocks(monkeypatch, memo):
     space = FiniteSpace(rp2.n + 1, list(rp2.up) + [{rp2.n}])
     family = CoverFamily.make(space, stars.sets)
     assert space.n == MAX_POINTS and len(space.quasi_components) == 2
+    wants = {r: exactness(build_tate_cech(space, family, r)) for r in (Z, fp_triv(3))}
     built = counted_builds(monkeypatch)
     verdict = tate_verdict(space, family, Z)
     assert len(built) == 2
-    want = exactness(build_tate_cech(space, family, Z))
+    want = wants[Z]
     assert verdict["homology"] == want["degrees"]
     assert [(d["free_rank"], d["torsion"]) for d in want["degrees"]] == [
         (1, []), (0, []), (0, []), (0, [2])
     ]
     verdict = tate_verdict(space, family, fp_triv(3))
-    want = exactness(build_tate_cech(space, family, fp_triv(3)))
+    want = wants[fp_triv(3)]
     assert verdict["homology"] == want["degrees"]
     assert [d["torsion"] for d in want["degrees"]] == [[3], [], [], []]
     assert all(d["free_rank"] == 0 for d in want["degrees"])
@@ -468,13 +486,13 @@ def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
     cases = _tate_cases(4, 3)
     assert len(set(cases)) == 805
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, 5)}
+    families = [CoverFamily.make(spaces[n], sets) for n, sets in cases]
+    wholes = [exactness(build_tate_cech(f.space, f, Z)) for f in families]
     built = counted_builds(monkeypatch)
-    for n, sets in cases:
-        family = CoverFamily.make(spaces[n], sets)
+    for family, whole in zip(families, wholes):
         for ring in (Z, int_triv(), fp_triv(2)):
-            assert tate_verdict(spaces[n], family, ring)["agreement"]
-        whole = exactness(build_tate_cech(spaces[n], family, Z))
-        assert tate_verdict(spaces[n], family, Z)["homology"] == whole["degrees"]
+            assert tate_verdict(family.space, family, ring)["agreement"]
+        assert tate_verdict(family.space, family, Z)["homology"] == whole["degrees"]
     assert len(built) == 14
 
 

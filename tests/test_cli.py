@@ -199,6 +199,10 @@ def test_malformed_json_exits_2(capsys, monkeypatch):
         capsys, ["cech"], stdin_text="{not json", monkeypatch=monkeypatch
     )
     assert code == 2
+    # no request at all is an input error too, not a property violation
+    code, report, _ = run_cli(capsys, ["cech"], stdin_text="", monkeypatch=monkeypatch)
+    assert code == 2
+    assert report["error"] == "ValueError: cech needs JSON input or --exhaustive"
 
 
 def test_spectrum_command(capsys, monkeypatch):
@@ -275,6 +279,9 @@ def test_cech_non_embedding_family_exits_2(capsys, monkeypatch):
         (["basis", "--seeds", "100"], None),
         (["basis", "--seeds", "101"], "SizeExceeded"),
         (["basis", "--seeds", "-1"], "ValueError"),
+        (["tensor", "--max-n", "31"], None),
+        (["tensor", "--max-n", "32"], "SizeExceeded"),
+        (["tensor", "--max-n", "-1"], "ValueError"),
     ],
 )
 def test_mahler_and_basis_answer_within_their_caps(capsys, argv, error):
