@@ -12,14 +12,18 @@ base point off the constants of one sample (every residue of Z/n, or
 values of each (base point, ring) pair are memoized in a bounded table
 (see _point_values) that every evaluation reads.  An oracle of
 G_inverse holds its pair's table and reads a value off it in one frame,
-its own call; a miss takes the checked path of base_eval.
+its own call; a miss takes the checked path of base_eval.  The functions
+G_split evaluates an oracle on depend only on (space, ring), so they are
+built once per pair and kept in a second bounded table (see _probes), and
+the candidate base point's values on the sample are read off its memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, islice
 from threading import Lock
 
 from .errors import (
@@ -184,7 +188,8 @@ def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
     return True
 
 
-# bounds of the value memo behind base_eval (see _point_values)
+# bounds of the value memo behind base_eval (see _point_values), and of
+# g_split's probe table (see _probes)
 MEMO_POINTS = 32
 MEMO_ELEMENTS = 512
 MEMO_KEY_BITS = 64
@@ -244,7 +249,7 @@ class _PointValues:
 
 
 _MEMOS: dict[tuple, _PointValues] = {}
-_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
+_MEMO_LOCK = Lock()  # held by every write to the memo and the probe table; reads take no lock
 
 
 def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
@@ -329,12 +334,71 @@ def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDes
     """The seminorm f -> base(limit of f along the component).
 
     The oracle looks the point's value memo up once, here, and reads the
-    component's value of f straight off it in its own call.
+    component's value of f straight off it in its own call.  The component
+    must be an int in 0..k-1 for a space with k quasi-components.
     """
+    k = len(space.quasi_components)
+    is_int = isinstance(component, int) and not isinstance(component, bool)
+    if not (is_int and 0 <= component < k):
+        raise ValueError(f"component {component!r} is not one of the {k} quasi-components")
     base = canonical_point(ring, base)
     if not is_admissible(ring, base):
         raise ValidationFailure("admissibility", str(base))
     return _EvaluationOracle(space, ring, component, _point_values(base, ring))
+
+
+class _Probes:
+    """The functions g_split evaluates an oracle on, for one (space, ring).
+
+    empty is the empty clopen's indicator, inside[i] and outside[i] those
+    of quasi-component i and of its complement, and constants[j] the
+    constant function of the j-th element of the ring's sample, for at most
+    MEMO_ELEMENTS elements.  All of them live on the space and ring objects
+    they were built for, so an oracle's identity guard passes at once.
+    """
+
+    __slots__ = ("space", "ring", "empty", "inside", "outside", "constants")
+
+    def __init__(self, space: FiniteSpace, ring: RingDescriptor):
+        k = len(space.quasi_components)
+        zero, one = ring.zero, ring.one
+        # component blocks are clopen, so every 0/1 tuple is an indicator
+        fn = partial(CfinFunction, space, ring)
+        self.space = space
+        self.ring = ring
+        self.empty = fn((zero,) * k)
+        self.inside = tuple(fn((zero,) * c + (one,) + (zero,) * (k - 1 - c)) for c in range(k))
+        self.outside = tuple(fn((one,) * c + (zero,) + (one,) * (k - 1 - c)) for c in range(k))
+        m = ring.modulus
+        # the head of _identify_base's sample, whose size that checks
+        head = islice(_Z_SAMPLE if m is None else range(m), MEMO_ELEMENTS)
+        self.constants = tuple(fn((a,) * k) for a in head)
+
+
+_PROBES: dict[tuple, _Probes] = {}
+
+
+def _probes(space: FiniteSpace, ring: RingDescriptor) -> _Probes:
+    """The probe functions of a (space, ring) pair, built on its first split.
+
+    Bounded as _point_values is: at most MEMO_POINTS pairs, the oldest
+    dropped first, each written under _MEMO_LOCK.  An entry built on an
+    equal space or ring of another object is replaced, so the probes are
+    always on the caller's objects.  Full, with discrete(32) over 32 rings
+    of at least MEMO_ELEMENTS elements, the table holds 6.6 MiB (measured
+    with tracemalloc): at most MEMO_POINTS * MEMO_ELEMENTS = 16,384
+    constants of at most 32 values each.
+    """
+    key = (space, ring)
+    probes = _PROBES.get(key)
+    if probes is None or probes.space is not space or probes.ring is not ring:
+        probes = _Probes(space, ring)
+        with _MEMO_LOCK:
+            _PROBES.pop(key, None)  # so the new key holds the caller's objects
+            if len(_PROBES) >= MEMO_POINTS:
+                del _PROBES[next(iter(_PROBES))]
+            _PROBES[key] = probes
+    return probes
 
 
 def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
@@ -347,7 +411,9 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     and match the oracle on every constant of the sample.  On Z the
     sample also holds the products of two distinct _GRID_PRIMES, where the
     max of two p-adic points of the grid first fails multiplicativity.
+    The constants past the kept ones are built as the loop reaches them.
     """
+    constants = _probes(space, ring).constants
     m = ring.modulus
     if m is None:
         primes, sample = _SAMPLE_PRIMES, _Z_SAMPLE
@@ -355,7 +421,8 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
         # every residue of Z/n, which holds the reduced probes
         primes, sample = [q for q, _ in factor_int(m)], ring.elements(12)
     k = len(space.quasi_components)
-    table = {a: oracle(CfinFunction(space, ring, (a,) * k)) for a in sample}
+    fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
+    table = {a: oracle(f) for a, f in zip(sample, chain(constants, fresh))}
     candidate = BasePoint.trivial()
     for p in primes:
         v = table[ring.reduce(p)]
@@ -375,8 +442,11 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     candidate = canonical_point(ring, candidate)
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
+    values = _point_values(candidate, ring)
     got = tuple(table.values())
-    want = tuple(map(_point_values(candidate, ring).value, table))
+    want = tuple(map(values.memo.get, table))  # None where the memo lacks a
+    if got != want:
+        want = tuple(values.value(a) if w is None else w for a, w in zip(table, want))
     if got != want:
         a = next(a for a, v, w in zip(table, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
@@ -394,23 +464,16 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     other clopen is tested.  The base point is identified from the values
     on constants, then verified on the whole constant sample.
     """
-    space, ring = oracle.space, oracle.ring
-    k = len(space.quasi_components)
-    zero, one = ring.zero, ring.one
-
-    def nonzero(values: tuple) -> bool:
-        # component blocks are clopen, so every 0/1 tuple is an indicator
-        return not oracle(CfinFunction(space, ring, values)).is_zero
-
-    if nonzero((zero,) * k):
+    probes = _probes(oracle.space, oracle.ring)
+    if not oracle(probes.empty).is_zero:
         raise NotUltrafilter("the empty clopen has nonzero value")
-    inside = [nonzero((zero,) * c + (one,) + (zero,) * (k - 1 - c)) for c in range(k)]
-    outside = [nonzero((one,) * c + (zero,) + (one,) * (k - 1 - c)) for c in range(k)]
+    inside = [not oracle(f).is_zero for f in probes.inside]
+    outside = [not oracle(f).is_zero for f in probes.outside]
     if inside.count(True) != 1 or outside != [not hit for hit in inside]:
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"
         )
-    return SpectrumPoint(inside.index(True), _identify_base(space, ring, oracle))
+    return SpectrumPoint(inside.index(True), _identify_base(probes.space, probes.ring, oracle))
 
 
 def gelfand_roundtrip(space: FiniteSpace, ring: RingDescriptor) -> dict:

@@ -197,6 +197,48 @@ def test_g_split_tests_2k_plus_1_indicators_before_the_constants():
         assert all(len(set(values)) == 1 for values in calls[2 * k + 1 :])
 
 
+def _counted_split(oracle) -> tuple:
+    """g_split's verdict on the oracle, with the values it was called on."""
+    calls = []
+    counting = SeminormOracle(oracle.space, oracle.ring, lambda f: calls.append(f.values) or oracle(f))
+    return _verdict(g_split, counting), calls
+
+
+def test_g_split_calls_the_oracle_alike_on_cold_and_warm_probes():
+    spectrum._PROBES.clear()
+    spectrum._MEMOS.clear()
+    for ring in (Z, fp_triv(5), zmod_triv(8), zmod_quot(9)):
+        for space in (FiniteSpace.discrete(3), glued_pairs(), FiniteSpace.sierpinski()):
+            for b in admissible_points(ring):
+                for c in range(len(space.quasi_components)):
+                    oracle = g_inverse(c, b, space, ring)
+                    cold = _counted_split(oracle)
+                    assert (space, ring) in spectrum._PROBES
+                    assert cold == _counted_split(oracle)
+                    spectrum._PROBES.clear()
+                    assert cold == _counted_split(oracle)
+                    assert cold[0] == SpectrumPoint(c, canonical_point(ring, b))
+
+
+def test_warm_probes_still_reject_adversarial_oracles():
+    space = FiniteSpace.discrete(2)
+    spectrum._PROBES.clear()
+    a = g_inverse(0, BasePoint.trivial(), space, Z)
+    b = g_inverse(1, BasePoint.trivial(), space, Z)
+    honest = g_inverse(0, BasePoint.arch(1), space, Z)
+    adversaries = (
+        (lambda f: NV_ZERO, NotUltrafilter),
+        (lambda f: NV_ONE, NotUltrafilter),
+        (lambda f: max(a(f), b(f)), NotUltrafilter),
+        (lambda f: honest(f) * honest(f), UnrecognizedBasePoint),
+    )
+    cold = [_counted_split(SeminormOracle(space, Z, fn)) for fn, _ in adversaries]
+    assert g_split(honest) == SpectrumPoint(0, BasePoint.arch(1))  # warms (space, Z)
+    warm = [_counted_split(SeminormOracle(space, Z, fn)) for fn, _ in adversaries]
+    assert warm == cold
+    assert [verdict for verdict, _ in warm] == [want for _, want in adversaries]
+
+
 def test_seminorm_multiplicative_exhaustive_small():
     space = FiniteSpace.discrete(2)
     sample = list(enumerate_functions(space, Z, range(-3, 4)))
@@ -424,6 +466,76 @@ def test_memo_writes_from_threads_keep_the_bound():
     assert len(_memo(p, Z)) == MEMO_ELEMENTS
 
 
+# -- the probe table behind g_split --------------------------------------------
+
+
+def test_probe_table_stays_within_its_bounds():
+    spectrum._PROBES.clear()
+    spaces = [s for n in (3, 4) for s in topologies(n)][: MEMO_POINTS + 10]
+    for space in spaces:
+        g_split(g_inverse(0, BasePoint.trivial(), space, Z))
+    assert len(spectrum._PROBES) == MEMO_POINTS
+    assert (spaces[-1], Z) in spectrum._PROBES and (spaces[0], Z) not in spectrum._PROBES
+    # an equal space of another object takes the entry over
+    twin = FiniteSpace(spaces[-1].n, spaces[-1].up)
+    assert twin == spaces[-1] and twin is not spaces[-1]
+    g_split(g_inverse(0, BasePoint.trivial(), twin, Z))
+    assert len(spectrum._PROBES) == MEMO_POINTS
+    probes = spectrum._PROBES[(twin, Z)]
+    assert probes.space is twin
+    assert all(f.space is twin for f in (probes.empty, *probes.inside, *probes.outside, *probes.constants))
+    assert all(space is probes.space for space, _ in spectrum._PROBES if space == twin)
+
+
+def test_probe_table_keeps_at_most_memo_elements_constants_and_tests_every_residue():
+    space, ring = FiniteSpace.discrete(32), zmod_triv(4096)
+    spectrum._PROBES.clear()
+    oracle = g_inverse(31, BasePoint.residue(2), space, ring)
+    for _ in range(2):  # cold, then warm
+        verdict, calls = _counted_split(oracle)
+        assert verdict == SpectrumPoint(31, BasePoint.residue(2))
+        assert len(spectrum._PROBES[(space, ring)].constants) == MEMO_ELEMENTS
+        assert calls[2 * 32 + 1 :] == [(a,) * 32 for a in range(4096)]
+    # an oracle wrong only past the kept constants is still rejected
+    liar = SeminormOracle(space, ring, lambda f: NV_ONE if f.values == (4094,) * 32 else oracle(f))
+    with pytest.raises(UnrecognizedBasePoint, match="constant 4094"):
+        g_split(liar)
+
+
+def test_probe_table_writes_from_threads_keep_the_bound():
+    import sys
+    import threading
+
+    spaces = [s for n in (3, 4) for s in topologies(n)][: 4 * MEMO_POINTS]
+    p = BasePoint.padic(3, 1)
+    spectrum._PROBES.clear()
+    errors = []
+
+    def work(offset):
+        try:
+            for space in spaces[offset::4]:
+                c = len(space.quasi_components) - 1
+                if g_split(g_inverse(c, p, space, Z)) != SpectrumPoint(c, p):
+                    errors.append(space)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(spectrum._PROBES) == MEMO_POINTS
+    assert all(probes.space is space for (space, _), probes in spectrum._PROBES.items())
+
+
 def _reference(point: BasePoint, ring, a: int) -> NormValue:
     """The value of an admissible point, built without the memo."""
     if a == 0:
@@ -503,6 +615,17 @@ def test_g_inverse_oracle_keeps_its_guards():
     twin = FiniteSpace.discrete(2)  # equal, another object
     assert twin is not space
     assert oracle(CfinFunction(twin, Z, (-7, 0))) == NormValue.from_fraction(7)
+
+
+def test_g_inverse_rejects_a_component_outside_the_space():
+    space = FiniteSpace.discrete(3)
+    for c in range(3):
+        assert g_split(g_inverse(c, BasePoint.trivial(), space, Z)).component == c
+    for c in (-1, 3, 7, True, False, 1.0, "0", None):
+        with pytest.raises(ValueError, match="quasi-component"):
+            g_inverse(c, BasePoint.trivial(), space, Z)
+    with pytest.raises(ValueError):
+        g_inverse(0, BasePoint.trivial(), FiniteSpace(0), Z)
 
 
 def test_g_inverse_oracle_never_stores_a_rejected_element():
