@@ -13,9 +13,10 @@ values of each (base point, ring) pair are memoized in a bounded table
 (see _point_values) that every evaluation reads.  An oracle of
 G_inverse holds its pair's table and reads a value off it in one frame,
 its own call; a miss takes the checked path of base_eval.  The functions
-G_split evaluates an oracle on depend only on (space, ring), so they are
-built once per pair and kept in a second bounded table (see _probes), and
-the candidate base point's values on the sample are read off its memo.
+G_split evaluates an oracle on depend only on (space, ring), so the
+probes of the last pair split are kept and reused while the next split
+is on the same space and ring objects (see _Probes), and the candidate
+base point's values on the sample are read off its memo.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     ValidationFailure,
 )
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
-from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
+from .scalars import MAX_ELEMENTS, MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
 from .functions import CfinFunction
 
@@ -188,8 +189,8 @@ def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
     return True
 
 
-# bounds of the value memo behind base_eval (see _point_values), and of
-# g_split's probe table (see _probes)
+# bounds of the value memo behind base_eval (see _point_values); g_split
+# also keeps at most MEMO_ELEMENTS constant functions (see _Probes)
 MEMO_POINTS = 32
 MEMO_ELEMENTS = 512
 MEMO_KEY_BITS = 64
@@ -249,7 +250,7 @@ class _PointValues:
 
 
 _MEMOS: dict[tuple, _PointValues] = {}
-_MEMO_LOCK = Lock()  # held by every write to the memo and the probe table; reads take no lock
+_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
 
 
 def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
@@ -351,13 +352,14 @@ class _Probes:
     """The functions g_split evaluates an oracle on, for one (space, ring).
 
     empty is the empty clopen's indicator, inside[i] and outside[i] those
-    of quasi-component i and of its complement, and constants[j] the
-    constant function of the j-th element of the ring's sample, for at most
-    MEMO_ELEMENTS elements.  All of them live on the space and ring objects
+    of quasi-component i and of its complement, sample the constants
+    _identify_base tests (_Z_SAMPLE on Z, every residue of Z/n), and
+    constants[j] the constant function of sample[j], for the first
+    MEMO_ELEMENTS of them.  All of them live on the space and ring objects
     they were built for, so an oracle's identity guard passes at once.
     """
 
-    __slots__ = ("space", "ring", "empty", "inside", "outside", "constants")
+    __slots__ = ("space", "ring", "empty", "inside", "outside", "sample", "constants")
 
     def __init__(self, space: FiniteSpace, ring: RingDescriptor):
         k = len(space.quasi_components)
@@ -370,38 +372,16 @@ class _Probes:
         self.inside = tuple(fn((zero,) * c + (one,) + (zero,) * (k - 1 - c)) for c in range(k))
         self.outside = tuple(fn((one,) * c + (zero,) + (one,) * (k - 1 - c)) for c in range(k))
         m = ring.modulus
-        # the head of _identify_base's sample, whose size that checks
-        head = islice(_Z_SAMPLE if m is None else range(m), MEMO_ELEMENTS)
-        self.constants = tuple(fn((a,) * k) for a in head)
+        self.sample = _Z_SAMPLE if m is None else range(m)
+        self.constants = tuple(fn((a,) * k) for a in islice(self.sample, MEMO_ELEMENTS))
 
 
-_PROBES: dict[tuple, _Probes] = {}
+# the probes of the last (space, ring) split; a case loop splits one pair
+# many times in a row, so one slot keeps every reuse a table would
+_LAST_PROBES: _Probes | None = None
 
 
-def _probes(space: FiniteSpace, ring: RingDescriptor) -> _Probes:
-    """The probe functions of a (space, ring) pair, built on its first split.
-
-    Bounded as _point_values is: at most MEMO_POINTS pairs, the oldest
-    dropped first, each written under _MEMO_LOCK.  An entry built on an
-    equal space or ring of another object is replaced, so the probes are
-    always on the caller's objects.  Full, with discrete(32) over 32 rings
-    of at least MEMO_ELEMENTS elements, the table holds 6.6 MiB (measured
-    with tracemalloc): at most MEMO_POINTS * MEMO_ELEMENTS = 16,384
-    constants of at most 32 values each.
-    """
-    key = (space, ring)
-    probes = _PROBES.get(key)
-    if probes is None or probes.space is not space or probes.ring is not ring:
-        probes = _Probes(space, ring)
-        with _MEMO_LOCK:
-            _PROBES.pop(key, None)  # so the new key holds the caller's objects
-            if len(_PROBES) >= MEMO_POINTS:
-                del _PROBES[next(iter(_PROBES))]
-            _PROBES[key] = probes
-    return probes
-
-
-def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoint:
+def _identify_base(probes: _Probes, oracle) -> BasePoint:
     """Match the oracle's values on constants against the admissible family.
 
     The probe primes are those of _SAMPLE_PRIMES for Z and the prime
@@ -413,13 +393,12 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     max of two p-adic points of the grid first fails multiplicativity.
     The constants past the kept ones are built as the loop reaches them.
     """
-    constants = _probes(space, ring).constants
+    space, ring, sample, constants = probes.space, probes.ring, probes.sample, probes.constants
+    if len(sample) > MAX_ELEMENTS:
+        ring.elements(0)  # raises SizeExceeded, once the indicators have passed
     m = ring.modulus
-    if m is None:
-        primes, sample = _SAMPLE_PRIMES, _Z_SAMPLE
-    else:
-        # every residue of Z/n, which holds the reduced probes
-        primes, sample = [q for q, _ in factor_int(m)], ring.elements(12)
+    # on Z/n every residue is sampled, which holds the reduced probes
+    primes = _SAMPLE_PRIMES if m is None else [q for q, _ in factor_int(m)]
     k = len(space.quasi_components)
     fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
     table = {a: oracle(f) for a, f in zip(sample, chain(constants, fresh))}
@@ -443,10 +422,9 @@ def _identify_base(space: FiniteSpace, ring: RingDescriptor, oracle) -> BasePoin
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
     values = _point_values(candidate, ring)
+    get, value = values.memo.get, values.value
     got = tuple(table.values())
-    want = tuple(map(values.memo.get, table))  # None where the memo lacks a
-    if got != want:
-        want = tuple(values.value(a) if w is None else w for a, w in zip(table, want))
+    want = tuple(v if (v := get(a)) is not None else value(a) for a in table)
     if got != want:
         a = next(a for a, v, w in zip(table, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
@@ -464,7 +442,10 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     other clopen is tested.  The base point is identified from the values
     on constants, then verified on the whole constant sample.
     """
-    probes = _probes(oracle.space, oracle.ring)
+    global _LAST_PROBES
+    probes = _LAST_PROBES
+    if probes is None or probes.space is not oracle.space or probes.ring is not oracle.ring:
+        probes = _LAST_PROBES = _Probes(oracle.space, oracle.ring)
     if not oracle(probes.empty).is_zero:
         raise NotUltrafilter("the empty clopen has nonzero value")
     inside = [not oracle(f).is_zero for f in probes.inside]
@@ -473,7 +454,7 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"
         )
-    return SpectrumPoint(inside.index(True), _identify_base(probes.space, probes.ring, oracle))
+    return SpectrumPoint(inside.index(True), _identify_base(probes, oracle))
 
 
 def gelfand_roundtrip(space: FiniteSpace, ring: RingDescriptor) -> dict:

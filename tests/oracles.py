@@ -20,6 +20,7 @@ from dbl.spectrum import (
     SeminormOracle,
     SpectrumPoint,
     _identify_base,
+    _Probes,
     base_eval,
     canonical_point,
     is_admissible,
@@ -95,7 +96,7 @@ def g_split_by_sweep(oracle: SeminormOracle) -> SpectrumPoint:
     )
     for c, filt in enumerate(ultrafilters(space)):
         if hits == filt:
-            return SpectrumPoint(c, _identify_base(space, ring, oracle))
+            return SpectrumPoint(c, _identify_base(_Probes(space, ring), oracle))
     raise NotUltrafilter("indicator values are not the ultrafilter of one quasi-component")
 
 

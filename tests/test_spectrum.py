@@ -205,7 +205,7 @@ def _counted_split(oracle) -> tuple:
 
 
 def test_g_split_calls_the_oracle_alike_on_cold_and_warm_probes():
-    spectrum._PROBES.clear()
+    spectrum._LAST_PROBES = None
     spectrum._MEMOS.clear()
     for ring in (Z, fp_triv(5), zmod_triv(8), zmod_quot(9)):
         for space in (FiniteSpace.discrete(3), glued_pairs(), FiniteSpace.sierpinski()):
@@ -213,16 +213,15 @@ def test_g_split_calls_the_oracle_alike_on_cold_and_warm_probes():
                 for c in range(len(space.quasi_components)):
                     oracle = g_inverse(c, b, space, ring)
                     cold = _counted_split(oracle)
-                    assert (space, ring) in spectrum._PROBES
+                    assert spectrum._LAST_PROBES.space is space and spectrum._LAST_PROBES.ring is ring
                     assert cold == _counted_split(oracle)
-                    spectrum._PROBES.clear()
+                    spectrum._LAST_PROBES = None
                     assert cold == _counted_split(oracle)
                     assert cold[0] == SpectrumPoint(c, canonical_point(ring, b))
 
 
 def test_warm_probes_still_reject_adversarial_oracles():
     space = FiniteSpace.discrete(2)
-    spectrum._PROBES.clear()
     a = g_inverse(0, BasePoint.trivial(), space, Z)
     b = g_inverse(1, BasePoint.trivial(), space, Z)
     honest = g_inverse(0, BasePoint.arch(1), space, Z)
@@ -232,11 +231,27 @@ def test_warm_probes_still_reject_adversarial_oracles():
         (lambda f: max(a(f), b(f)), NotUltrafilter),
         (lambda f: honest(f) * honest(f), UnrecognizedBasePoint),
     )
-    cold = [_counted_split(SeminormOracle(space, Z, fn)) for fn, _ in adversaries]
+    cold = []
+    for fn, _ in adversaries:
+        spectrum._LAST_PROBES = None
+        cold.append(_counted_split(SeminormOracle(space, Z, fn)))
     assert g_split(honest) == SpectrumPoint(0, BasePoint.arch(1))  # warms (space, Z)
     warm = [_counted_split(SeminormOracle(space, Z, fn)) for fn, _ in adversaries]
     assert warm == cold
     assert [verdict for verdict, _ in warm] == [want for _, want in adversaries]
+
+
+def test_g_split_rejects_an_oracle_that_gives_none_where_the_memo_has_no_value():
+    space, trivial = FiniteSpace.discrete(2), BasePoint.trivial()
+    honest = g_inverse(0, trivial, space, Z)
+    spectrum._MEMOS.clear()
+    for a in spectrum._Z_SAMPLE:
+        if a != 4:
+            base_eval(trivial, Z, a)
+    assert 4 not in _memo(trivial, Z) and len(_memo(trivial, Z)) == len(spectrum._Z_SAMPLE) - 1
+    liar = SeminormOracle(space, Z, lambda f: None if f.values[0] == 4 else honest(f))
+    with pytest.raises(UnrecognizedBasePoint, match="constant 4"):
+        g_split(liar)
 
 
 def test_seminorm_multiplicative_exhaustive_small():
@@ -466,74 +481,39 @@ def test_memo_writes_from_threads_keep_the_bound():
     assert len(_memo(p, Z)) == MEMO_ELEMENTS
 
 
-# -- the probe table behind g_split --------------------------------------------
+# -- the probes behind g_split -------------------------------------------------
 
 
-def test_probe_table_stays_within_its_bounds():
-    spectrum._PROBES.clear()
-    spaces = [s for n in (3, 4) for s in topologies(n)][: MEMO_POINTS + 10]
+def test_probes_are_kept_for_the_last_pair_on_its_objects():
+    spaces = [s for n in (3, 4) for s in topologies(n)][:10]
     for space in spaces:
         g_split(g_inverse(0, BasePoint.trivial(), space, Z))
-    assert len(spectrum._PROBES) == MEMO_POINTS
-    assert (spaces[-1], Z) in spectrum._PROBES and (spaces[0], Z) not in spectrum._PROBES
-    # an equal space of another object takes the entry over
+        assert spectrum._LAST_PROBES.space is space and spectrum._LAST_PROBES.ring is Z
+    kept = spectrum._LAST_PROBES
+    g_split(g_inverse(0, BasePoint.arch(1), spaces[-1], Z))
+    assert spectrum._LAST_PROBES is kept
+    # an equal space of another object gets probes of its own
     twin = FiniteSpace(spaces[-1].n, spaces[-1].up)
     assert twin == spaces[-1] and twin is not spaces[-1]
     g_split(g_inverse(0, BasePoint.trivial(), twin, Z))
-    assert len(spectrum._PROBES) == MEMO_POINTS
-    probes = spectrum._PROBES[(twin, Z)]
-    assert probes.space is twin
+    probes = spectrum._LAST_PROBES
+    assert probes is not kept and probes.space is twin
     assert all(f.space is twin for f in (probes.empty, *probes.inside, *probes.outside, *probes.constants))
-    assert all(space is probes.space for space, _ in spectrum._PROBES if space == twin)
 
 
-def test_probe_table_keeps_at_most_memo_elements_constants_and_tests_every_residue():
+def test_probes_keep_at_most_memo_elements_constants_and_test_every_residue():
     space, ring = FiniteSpace.discrete(32), zmod_triv(4096)
-    spectrum._PROBES.clear()
+    spectrum._LAST_PROBES = None
     oracle = g_inverse(31, BasePoint.residue(2), space, ring)
     for _ in range(2):  # cold, then warm
         verdict, calls = _counted_split(oracle)
         assert verdict == SpectrumPoint(31, BasePoint.residue(2))
-        assert len(spectrum._PROBES[(space, ring)].constants) == MEMO_ELEMENTS
+        assert len(spectrum._LAST_PROBES.constants) == MEMO_ELEMENTS
         assert calls[2 * 32 + 1 :] == [(a,) * 32 for a in range(4096)]
     # an oracle wrong only past the kept constants is still rejected
     liar = SeminormOracle(space, ring, lambda f: NV_ONE if f.values == (4094,) * 32 else oracle(f))
     with pytest.raises(UnrecognizedBasePoint, match="constant 4094"):
         g_split(liar)
-
-
-def test_probe_table_writes_from_threads_keep_the_bound():
-    import sys
-    import threading
-
-    spaces = [s for n in (3, 4) for s in topologies(n)][: 4 * MEMO_POINTS]
-    p = BasePoint.padic(3, 1)
-    spectrum._PROBES.clear()
-    errors = []
-
-    def work(offset):
-        try:
-            for space in spaces[offset::4]:
-                c = len(space.quasi_components) - 1
-                if g_split(g_inverse(c, p, space, Z)) != SpectrumPoint(c, p):
-                    errors.append(space)
-        except Exception as err:  # reported by the assertion below
-            errors.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(spectrum._PROBES) == MEMO_POINTS
-    assert all(probes.space is space for (space, _), probes in spectrum._PROBES.items())
 
 
 def _reference(point: BasePoint, ring, a: int) -> NormValue:
