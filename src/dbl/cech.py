@@ -151,15 +151,18 @@ def _cech(space: FiniteSpace, sets, within: frozenset) -> tuple[tuple, tuple]:
     Degree k is the product over strictly increasing k-fold tuples I of C
     of within ∩ K_I; degree 0 is the empty tuple, whose intersection is
     within.  Each tuple is labelled by space.components(within ∩ K_I), so
-    no subspace is built.  Differentials are signed restrictions: a
-    component of an intersection is connected, so it lies in exactly one
-    component of each face, the one holding its least point.
+    no subspace is built.  Only tuples of the sets that meet within are
+    enumerated: any other tuple's intersection is empty and has no label.
+    Differentials are signed restrictions: a component of an intersection
+    is connected, so it lies in exactly one component of each face, the
+    one holding its least point.
     """
+    live = [i for i, s in enumerate(sets) if not within.isdisjoint(s)]
     # labels per degree: (tuple_of_indices, component_frozenset)
     terms = []
-    for k in range(len(sets) + 1):
+    for k in range(len(live) + 1):
         labels = []
-        for tup in combinations(range(len(sets)), k):
+        for tup in combinations(live, k):
             comps = space.components(within.intersection(*(sets[i] for i in tup)))
             labels.extend((tup, c) for c in comps)
         terms.append(tuple(labels))

@@ -1,7 +1,9 @@
 """Exception hierarchy for the dbl library.
 
 Every error raised on purpose derives from DblError so callers (and the CLI)
-can distinguish domain errors (exit 2) from genuine bugs.
+can tell domain errors from genuine bugs.  The CLI exits 2 for input errors
+and for requests outside a theorem's hypotheses (the errors cli.run names),
+and 1, with a failing verdict, for any other DblError.
 """
 
 

@@ -11,7 +11,8 @@ sides to a common power only when their d's differ, and then
 cross-multiplies integers: a/b < c/e exactly when a*e < c*b.  Only
 exponent denominators are factored.  Every power goes through one helper
 that raises SizeExceeded past MAX_BITS bits; MAX_BITS also bounds exponent
-denominators.
+denominators.  A value prints as its stored pair, "r" or "r^1/d", with
+no search for a simpler base; exponent(p) reads e off a value p**e.
 
 Values that happen to be rational numbers (d = 1) support exact addition;
 adding anything else raises UnsupportedValue, which keeps every operation
@@ -87,6 +88,25 @@ def _root(q: Fraction, k: int) -> Fraction | None:
         if den**k == q.denominator:
             return Fraction(num, den)
     return None
+
+
+def _valuation(a: int, p: int) -> tuple[int, int]:
+    """(v, a // p**v) for the largest v with p**v dividing a != 0, p >= 2.
+
+    Divides by p, p**2, p**4, ... while they divide, then by the same
+    powers back down: O(log v) divisions, not v.
+    """
+    powers, q = [], p
+    while a % q == 0:
+        a //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if a % powers[i] == 0:
+            a //= powers[i]
+            v += 1 << i
+    return v, a
 
 
 # str(int) and int(str) refuse integers of more than
@@ -219,31 +239,15 @@ class NormValue:
             raise UnsupportedValue(f"{self} is irrational")
         return self._r
 
-    # -- canonical base/exponent form ----------------------------------
-
-    def canonical_pow(self) -> tuple[Fraction, Fraction]:
-        """Write the value as base**exp with exp > 0 minimal-denominator.
-
-        exp is j/d for the largest j with r a perfect j-th power.  Returns
-        (1, 0) for the value 1; undefined for zero.
-        """
+    def exponent(self, p: int) -> Fraction | None:
+        """The e with self == p**e for a prime p, or None: r is p**j or 1/p**j."""
+        if p < 2:
+            raise ValueError("exponent needs a prime p")
         r = self._r
-        if r == 0:
-            raise ValueError("zero has no power form")
-        if r == 1:
-            return Fraction(1), Fraction(0)
-        # a part x >= 2 of r = base**j is a perfect (p*j)-th power only if
-        # 2**(p*j) <= x, that is p*j < x.bit_length()
-        bits = min(x.bit_length() for x in (r.numerator, r.denominator) if x > 1)
-        base, j, p = r, 1, 2
-        while p * j < bits:
-            prime = all(p % q for q in range(2, isqrt(p) + 1))
-            root = _root(base, p) if prime else None
-            if root is None:
-                p += 1
-            else:
-                base, j = root, j * p
-        return base, Fraction(j, self._d)
+        if r == 0 or min(r.numerator, r.denominator) > 1:
+            return None
+        j, rest = _valuation(r.numerator * r.denominator, p)
+        return Fraction(j if r.denominator == 1 else -j, self._d) if rest == 1 else None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -311,22 +315,17 @@ class NormValue:
     # -- presentation ----------------------------------------------------
 
     def __repr__(self):
-        if self._r == 0:
-            return "NormValue(0)"
-        if self._r == 1:
-            return "NormValue(1)"
-        base, exp = self.canonical_pow()
+        r = self._r
         # str(Fraction): "n", or "n/d" when d > 1
-        text = _to_digits(base.numerator) if base.denominator == 1 else _ratio(base)
-        return f"NormValue({text})" if exp == 1 else f"NormValue({text}^{exp})"
+        text = _to_digits(r.numerator) if r.denominator == 1 else _ratio(r)
+        return f"NormValue({text})" if self._d == 1 else f"NormValue({text}^1/{self._d})"
 
     def to_json(self):
         if self._r == 0:
             return {"kind": "zero"}
         if self._d == 1:
             return {"kind": "rational", "value": _ratio(self._r)}
-        base, exp = self.canonical_pow()
-        return {"kind": "pow", "base": _ratio(base), "exp": _ratio(exp)}
+        return {"kind": "pow", "base": _ratio(self._r), "exp": f"1/{self._d}"}
 
     @staticmethod
     def from_json(obj) -> "NormValue":

@@ -34,7 +34,7 @@ from .errors import (
     UnrecognizedBasePoint,
     ValidationFailure,
 )
-from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
+from .normvalue import NV_ONE, NV_ZERO, NormValue, _valuation, factor_int
 from .scalars import MAX_ELEMENTS, MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace
 from .functions import CfinFunction
@@ -51,16 +51,6 @@ _Z_SAMPLE = tuple(
         (*range(-12, 13), *_SAMPLE_PRIMES, *(p * q for p, q in combinations(_GRID_PRIMES, 2)))
     )
 )
-
-
-def _vp(a: int, p: int) -> int:
-    if a == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -208,7 +198,7 @@ def _evaluate(point: BasePoint, ring: RingDescriptor, a) -> NormValue:
     if point.kind == "arch":
         return NormValue.from_pow(abs(a), point.eps)
     if point.kind == "padic":
-        return NormValue.from_pow(point.p, -point.eps * _vp(a, point.p))
+        return NormValue.from_pow(point.p, -point.eps * _valuation(a, point.p)[0])
     # residue seminorm: 0 iff p divides a (well defined mod n when p | n)
     return NV_ZERO if a % point.p == 0 else NV_ONE
 
@@ -410,13 +400,10 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
         if v.is_zero:
             candidate = BasePoint.residue(p)
         else:
-            base, exp = v.canonical_pow()
-            if base == p:
-                candidate = BasePoint.arch(exp)
-            elif base == Fraction(1, p):
-                candidate = BasePoint.padic(p, exp)
-            else:
+            e = v.exponent(p)
+            if e is None:
                 raise UnrecognizedBasePoint(f"value {v} at {p} is no admissible power")
+            candidate = BasePoint.arch(e) if e > 0 else BasePoint.padic(p, -e)
         break
     candidate = canonical_point(ring, candidate)
     if not is_admissible(ring, candidate):

@@ -155,7 +155,6 @@ def sw_vanishing_witness(
     target_comps = sorted(space.clopen_component_indices(U))
     covered: set[int] = set()
     terms: list[Expr] = []
-    term_values: list[tuple] = []
     for d in target_comps:
         if d in covered:
             continue
@@ -170,7 +169,6 @@ def sw_vanishing_witness(
         sq = Mul(shifted, shifted)
         vals = sq.values(gens, ring, space)
         terms.append(sq)
-        term_values.append(vals)
         for c in target_comps:
             if vals[c] != 0:
                 covered.add(c)

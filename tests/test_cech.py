@@ -282,10 +282,11 @@ def test_embedding_check_matches_the_per_piece_check(memo):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, r):
     # the space's two quasi-components are split off by one components
-    # call; each block's complex then takes one call per tuple of the
-    # family, the empty tuple's being the block itself: 2^r per block, none
-    # for the embedding check, and all on the caller's space.  A fresh but
-    # equal space over a second ring reads the table
+    # call; each block's complex then takes one call per tuple of the sets
+    # that meet it, the empty tuple's being the block itself: 2^r for the
+    # block {0, 1, 2}, 2 for {3}, which meets only {2, 3}, none for the
+    # embedding check, and all on the caller's space.  A fresh but equal
+    # space over a second ring reads the table
     calls = []
     components = FiniteSpace.components
 
@@ -298,7 +299,7 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, 
     opens = [{0}, {1}, {0, 1, 2}, {3}]
     space = FiniteSpace(4, opens)
     tate_verdict(space, fam(space, *sets), Z)
-    assert len(calls) == 1 + 2 * 2**r
+    assert len(calls) == 1 + 2**r + 2
     assert all(s is space for s in calls)
     calls.clear()
     again = FiniteSpace(4, opens)

@@ -72,28 +72,13 @@ class VecNormValue:
     def is_rational(self):
         return self._zero or all(e.denominator == 1 for _, e in self._vec)
 
-    def as_fraction(self):
-        if self._zero:
-            return Fraction(0)
-        out = Fraction(1)
+    def pair(self):
+        """(r, d) with the value r**(1/d): d is the lcm of the exponent denominators."""
+        d = lcm(1, *(e.denominator for _, e in self._vec))
+        r = Fraction(1)
         for p, e in self._vec:
-            out *= Fraction(p) ** int(e)
-        return out
-
-    def canonical_pow(self):
-        if not self._vec:
-            return Fraction(1), Fraction(0)
-        den = 1
-        for _, e in self._vec:
-            den = den * e.denominator // gcd(den, e.denominator)
-        ints = [(p, int(e * den)) for p, e in self._vec]
-        g = 0
-        for _, m in ints:
-            g = gcd(g, abs(m))
-        base = Fraction(1)
-        for p, m in ints:
-            base *= Fraction(p) ** (m // g)
-        return base, Fraction(g, den)
+            r *= Fraction(p) ** int(e * d)
+        return r, d
 
     def __mul__(self, other):
         if self._zero or other._zero:
@@ -146,24 +131,17 @@ class VecNormValue:
     def __repr__(self):
         if self._zero:
             return "NormValue(0)"
-        if not self._vec:
-            return "NormValue(1)"
-        base, exp = self.canonical_pow()
-        return f"NormValue({base})" if exp == 1 else f"NormValue({base}^{exp})"
+        r, d = self.pair()
+        return f"NormValue({r})" if d == 1 else f"NormValue({r}^1/{d})"
 
     @any_digit_count()
     def to_json(self):
         if self._zero:
             return {"kind": "zero"}
-        if self.is_rational():
-            q = self.as_fraction()
-            return {"kind": "rational", "value": f"{q.numerator}/{q.denominator}"}
-        base, exp = self.canonical_pow()
-        return {
-            "kind": "pow",
-            "base": f"{base.numerator}/{base.denominator}",
-            "exp": f"{exp.numerator}/{exp.denominator}",
-        }
+        r, d = self.pair()
+        if d == 1:
+            return {"kind": "rational", "value": f"{r.numerator}/{r.denominator}"}
+        return {"kind": "pow", "base": f"{r.numerator}/{r.denominator}", "exp": f"1/{d}"}
 
 
 def test_compare_examples():
@@ -200,11 +178,52 @@ def test_rational_detection_and_addition():
         _ = irr + q
 
 
-def test_canonical_pow():
-    v = NormValue.from_pow(4, Fraction(1, 2))
-    assert v == NormValue.from_fraction(2)
-    base, exp = NormValue.from_pow(3, -1).canonical_pow()
-    assert (base, exp) == (Fraction(1, 3), Fraction(1))
+def test_values_print_their_stored_pair():
+    assert NormValue.from_pow(4, Fraction(1, 2)) == NormValue.from_fraction(2)
+    assert repr(NormValue.from_pow(3, -1)) == "NormValue(1/3)"
+    assert repr(NormValue.from_fraction(4)) == "NormValue(4)"
+    v = NormValue.from_pow(2, Fraction(3, 2))
+    assert repr(v) == "NormValue(8^1/2)"
+    assert v.to_json() == {"kind": "pow", "base": "8/1", "exp": "1/2"}
+
+
+def test_no_perfect_power_search_is_left():
+    # a value prints its stored pair and reads p's exponent off it, so the
+    # public methods hold no search for a simpler base
+    public = {name for name in dir(NormValue) if not name.startswith("_")}
+    assert public == {
+        "as_fraction", "bit_length", "compare", "exponent", "from_fraction",
+        "from_json", "from_pow", "is_one", "is_rational", "is_zero", "to_json",
+    }
+
+
+def test_from_json_reads_old_and_new_pow_forms_alike():
+    # 2**(3/2) = 8**(1/2): the old print searched for the base 2, the new
+    # one writes the stored pair
+    old = NormValue.from_json({"kind": "pow", "base": "2", "exp": "3/2"})
+    new = NormValue.from_json({"kind": "pow", "base": "8/1", "exp": "1/2"})
+    assert old == new == NormValue.from_pow(2, Fraction(3, 2))
+    assert old.to_json() == new.to_json() == {"kind": "pow", "base": "8/1", "exp": "1/2"}
+
+
+def test_exponent_reads_a_power_of_p():
+    for p, e in ((2, Fraction(3, 2)), (3, Fraction(-5, 7)), (7, 4), (5, -1), (2, 0)):
+        assert NormValue.from_pow(p, e).exponent(p) == e
+    for v in (NV_ZERO, NormValue.from_fraction(6), NormValue.from_pow(Fraction(2, 3), 1),
+              NormValue.from_pow(3, Fraction(1, 2))):
+        assert v.exponent(2) is None
+    with pytest.raises(ValueError):
+        NV_ONE.exponent(1)
+
+
+def test_large_irrational_value_prints_at_once():
+    # r of 32768 bits that is no cube: the value r**(1/3) prints as that pair
+    r = (1 << 32767) + 3
+    v = NormValue.from_pow(r, Fraction(1, 3))
+    with any_digit_count():
+        digits = str(r)
+    got = answered_within_a_second(lambda: (v.to_json(), repr(v)))
+    assert got == ({"kind": "pow", "base": f"{digits}/1", "exp": "1/3"}, f"NormValue({digits}^1/3)")
 
 
 def test_json_roundtrip():
@@ -243,8 +262,10 @@ def test_mul_respects_order_oracle(u, v):
     def approx(x):
         if x.is_zero:
             return float("-inf")
-        base, exp = x.canonical_pow()
-        return float(exp) * math.log(base)
+        obj = x.to_json()
+        if obj["kind"] == "rational":
+            return math.log(Fraction(obj["value"]))
+        return math.log(Fraction(obj["base"])) / Fraction(obj["exp"]).denominator
 
     got = u.compare(v)
     lo, hi = approx(u), approx(v)
@@ -325,6 +346,11 @@ def test_large_semiprime_norm_is_answered():
         lambda: base_eval(BasePoint.arch(Fraction(1, 2)), int_inf(), n)
     )
     assert root * root == v
+
+
+def test_large_valuation_is_answered():
+    v = answered_within_a_second(lambda: base_eval(BasePoint.padic(2, 1), int_inf(), 2**200000))
+    assert v == NormValue.from_pow(2, -200000)
 
 
 def test_large_exponent_denominators_compare():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -368,6 +369,19 @@ def test_g_split_on_honest_squared_and_max_oracles():
     )
     with pytest.raises(UnrecognizedBasePoint, match="constant 13"):
         g_split(off_at_13)
+
+
+def test_g_split_rejects_a_large_irrational_value_at_once():
+    # the value at the constant 2 is r**(1/3) for an r of 32768 bits that is
+    # no power of 2: it names no base point, which takes no perfect-power search
+    space = FiniteSpace.discrete(2)
+    honest = g_inverse(1, BasePoint.arch(1), space, Z)
+    big = NormValue.from_pow((1 << 32767) + 3, Fraction(1, 3))
+    liar = SeminormOracle(space, Z, lambda f: big if f.values == (2, 2) else honest(f))
+    started = time.perf_counter()
+    with pytest.raises(UnrecognizedBasePoint, match="at 2 is no admissible power"):
+        g_split(liar)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_g_split_off_grid_exponents():
