@@ -21,14 +21,18 @@ contains it (see _integer_invariants): its term ranks, each
 differential's rank and invariant factors greater than 1, the
 quasi-component cover test, and the index of the first piece with two
 degree-1 labels, if any.  A block's complex is built on the caller's
-space, its labels the components of each intersection within the block,
-and a verdict is the sum of its blocks' entries; the empty space has one
-empty block.  Every entry, block or whole, goes into one
-first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
+space, its labels the components of each intersection within the block
+(each tuple's intersection cut from its prefix's, and only nonempty
+prefixes extended), and a verdict is the sum of its blocks' entries; the
+empty space has one empty block.  Every entry, block or whole, goes into
+one first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
 bitmasks of the up sets and of the family's sets, a block's relabelled
 to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
-and no space is kept alive).  An entry whose factors greater than 1 take
-more than MEMO_FACTOR_BITS bits in all is not stored.  A full table of
+and no space is kept alive).  A space missing from the table gets all
+its blocks' keys from one pass over its points, up sets and sets
+(_block_keys), so a miss whose blocks are all in the table builds
+nothing.  An entry whose factors greater than 1 take more than
+MEMO_FACTOR_BITS bits in all is not stored.  A full table of
 6-set families of the connected 32-point space in which point 31
 specializes to every other point takes 1.9 MiB (tracemalloc), and one
 with every key, rank and factor at its bound about 3.3 MiB.
@@ -44,16 +48,16 @@ zero on every set of a non-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, zip_longest
+from itertools import chain, compress, zip_longest
 from math import gcd
 from operator import add
 from threading import Lock
 
 from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
-from .functions import CfinFunction, indicator
+from .functions import CfinFunction
 from .intlinalg import identity, invariant_factors, matmul
 from .scalars import RingDescriptor, int_inf
-from .spaces import FiniteSpace, merged_pair
+from .spaces import FiniteSpace, _is_int, merged_pair
 
 MAX_FAMILY = 6
 
@@ -75,6 +79,9 @@ class CoverFamily:
         if len(self.sets) > MAX_FAMILY:
             raise SizeExceeded(f"family size {len(self.sets)} > {MAX_FAMILY}")
         for K in self.sets:
+            for x in K:
+                if not _is_int(x):
+                    raise ValueError(f"point {x!r} is not an int")
             if not self.space.is_closed(K):
                 raise ValueError(f"{sorted(K)} is not closed")
 
@@ -151,25 +158,30 @@ def _cech(space: FiniteSpace, sets, within: frozenset) -> tuple[tuple, tuple]:
     Degree k is the product over strictly increasing k-fold tuples I of C
     of within ∩ K_I; degree 0 is the empty tuple, whose intersection is
     within.  Each tuple is labelled by space.components(within ∩ K_I), so
-    no subspace is built.  Only tuples of the sets that meet within are
-    enumerated: any other tuple's intersection is empty and has no label.
+    no subspace is built.  Each k-tuple's intersection is its (k-1)-prefix's
+    cut by its last set, and only prefixes with a nonempty intersection
+    are extended: any other tuple's intersection is empty and has no
+    label.  A degree's tuples come out in lexicographic order, the
+    prefixes' order, and the terms stop at the first empty degree past 0.
     Differentials are signed restrictions: a component of an intersection
     is connected, so it lies in exactly one component of each face, the
     one holding its least point.
     """
-    live = [i for i, s in enumerate(sets) if not within.isdisjoint(s)]
     # labels per degree: (tuple_of_indices, component_frozenset)
-    terms = []
-    for k in range(len(live) + 1):
-        labels = []
-        for tup in combinations(live, k):
-            comps = space.components(within.intersection(*(sets[i] for i in tup)))
-            labels.extend((tup, c) for c in comps)
-        terms.append(tuple(labels))
-
-    # strip trailing zero terms beyond the family size
-    while len(terms) > 1 and not terms[-1]:
-        terms.pop()
+    terms = [tuple(((), c) for c in space.components(within))]
+    level = [((), within)] if within else []
+    while level:
+        labels, longer = [], []
+        for tup, meet in level:
+            for i in range(tup[-1] + 1 if tup else 0, len(sets)):
+                cut = meet & sets[i]
+                if cut:
+                    ext = tup + (i,)
+                    longer.append((ext, cut))
+                    labels.extend((ext, c) for c in space.components(cut))
+        if labels:
+            terms.append(tuple(labels))
+        level = longer
 
     diffs = []
     for k in range(len(terms) - 1):
@@ -231,9 +243,11 @@ def _homology(ranks, factors, n: int) -> dict:
                 for i, m in enumerate(torsion)
             )
             torsion = [e for e in invariant_factors(diagonal) if e > 1]
-        h = {"free_rank": summands.count(0), "torsion": torsion}
-        vanished = h["free_rank"] == 0 and not h["torsion"]
-        report["degrees"].append({"degree": k, **h, "vanishes": vanished})
+        free_rank = summands.count(0)
+        vanished = free_rank == 0 and not torsion
+        report["degrees"].append(
+            {"degree": k, "free_rank": free_rank, "torsion": torsion, "vanishes": vanished}
+        )
         if not vanished:
             report["exact"] = False
     return report
@@ -264,20 +278,26 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     _sum_entries), the empty space that of one empty block.  Every entry,
     block or whole, goes into one table of at most MEMO_COMPLEXES entries,
     the oldest dropped first, keyed on the point bitmasks of the up sets
-    and of the family's sets; no space or exception object is kept.  An
-    entry stores the index of the first piece that merges
-    quasi-components, and the NotEmbedding message is built from the
-    caller's space.  An entry whose factors greater than 1 take more than
+    and of the family's sets; no space or exception object is kept.  A
+    space missing from the table takes its blocks' keys from _block_keys,
+    one pass for all of them, and looks each block up before it builds
+    that block's complex.  An entry stores the index of the first piece
+    that merges quasi-components, and the NotEmbedding message is built
+    from the caller's space.  An entry whose factors greater than 1 take more than
     MEMO_FACTOR_BITS bits in all is recomputed every time.
     """
-    key = _key(space.up, family.sets)
+    sets = family.sets
+    key = _key(space.up, sets)
     entry = _MEMO.get(key)
     if entry is None:
         blocks = space.quasi_components or (frozenset(),)
-        entry = _store(key, _sum_entries([_block_entry(space, family.sets, B) for B in blocks]))
+        keys = _block_keys(space, sets)
+        entry = _store(
+            key, _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
+        )
     *invariants, rejected = entry
     if rejected is not None:
-        K = family.sets[rejected]
+        K = sets[rejected]
         pair = merged_pair([space.component_index(min(c)) for c in space.components(K)])
         raise NotEmbedding(f"inclusion of {sorted(K)} merges quasi-components {pair}")
     return invariants
@@ -298,23 +318,51 @@ def _store(key, entry: tuple) -> tuple:
     return entry
 
 
-def _block_entry(space: FiniteSpace, sets, block: frozenset) -> tuple:
+def _block_keys(space: FiniteSpace, sets) -> list[tuple]:
+    """The memo key of the sets' traces on each block, in the blocks' order.
+
+    A block is a quasi-component, so it is clopen and holds the up set of
+    each of its points.  Its key is that of a whole space (see _key) on
+    its points relabelled 0..m-1 in increasing order: the bitmasks of
+    their up sets and of the sets' traces.  A pass over the blocks and one
+    over the points in increasing order give each point its block and its
+    bit there; one pass over the up sets and one over the sets' points
+    then build every block's masks, so no block is relabelled on its own.  A connected space's one block has the space's
+    own key, and the empty space's one empty block has the key of the
+    empty space.
+    """
+    blocks = space.quasi_components
+    if len(blocks) < 2:
+        return [_key(space.up, sets)]
+    block = [0] * space.n
+    for c, B in enumerate(blocks):
+        for x in B:
+            block[x] = c
+    count = [0] * len(blocks)
+    bit = []
+    for c in block:
+        bit.append(1 << count[c])
+        count[c] += 1
+    ups = [[] for _ in blocks]
+    for c, U in zip(block, space.up):
+        ups[c].append(sum(map(bit.__getitem__, U)))
+    traces = [[0] * len(sets) for _ in blocks]
+    for i, K in enumerate(sets):
+        for x in K:
+            traces[block[x]][i] |= bit[x]
+    return [(tuple(u), tuple(t)) for u, t in zip(ups, traces)]
+
+
+def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple) -> tuple:
     """The entry of the sets' traces on a quasi-component (or the empty block).
 
-    The block is clopen, so its points relabelled 0..m-1 in increasing
-    order, their up sets and the traces of the sets are looked up under
-    the same key rule as a whole space; a connected space's only block has
-    the space's own key.  A miss builds the complex of the traces on the
-    caller's space (see _cech) over Z, which checks d∘d.  A piece merges
+    key is the block's key from _block_keys, the same key rule as a whole
+    space's.  A miss builds the complex of the traces on the caller's
+    space (see _cech) over Z, which checks d∘d.  A piece merges
     quasi-components exactly when it has two degree-1 labels, which are
     adjacent; the entry of a family with such a piece keeps only the first
     one's index.
     """
-    index = {x: i for i, x in enumerate(sorted(block))}
-    key = _key(
-        [map(index.__getitem__, space.up[x]) for x in index],
-        [map(index.__getitem__, K & block) for K in sets],
-    )
     entry = _MEMO.get(key)
     if entry is not None:
         return entry
@@ -416,12 +464,19 @@ def strict_sections(space: FiniteSpace, family: CoverFamily, ring: RingDescripto
 def descent_faithful_witness(
     space: FiniteSpace, family: CoverFamily, ring: RingDescriptor
 ) -> CfinFunction:
-    """A nonzero function restricting to zero on every set of a non-cover."""
+    """A nonzero function restricting to zero on every set of a non-cover.
+
+    It is the indicator of the first quasi-component that no set meets.
+    """
     if ring.is_zero_ring:
         raise IsCover("the zero ring makes every family a cover")
-    for block in space.quasi_components:
-        if not any(block & K for K in family.sets):
-            return indicator(space, ring, block)
+    blocks = space.quasi_components
+    for c, block in enumerate(blocks):
+        if all(block.isdisjoint(K) for K in family.sets):
+            # a quasi-component is clopen: its indicator is 1 on it alone
+            values = [ring.zero] * len(blocks)
+            values[c] = ring.one
+            return CfinFunction(space, ring, tuple(values))
     raise IsCover("the family covers every quasi-component")
 
 

@@ -46,7 +46,11 @@ class FiniteSpace:
 
     up[x] is the smallest open set containing x; equality and hashing
     compare these, so two generating families of one topology give equal
-    spaces.
+    spaces.  up is built in one pass over the generating opens: each is
+    checked as it is read (its points ints within 0..n-1), then
+    intersected into up[x] for each of its points x.  The point set is
+    kept as one frozenset, which the open, closed and component tests
+    read.
     """
 
     def __init__(self, n: int, generating_opens=()):
@@ -56,14 +60,18 @@ class FiniteSpace:
             raise SizeExceeded(f"{n} points > cap {MAX_POINTS}")
         self.n = n
         self.points = tuple(range(n))
-        full = frozenset(self.points)
-        gens = [frozenset(U) for U in generating_opens]
-        for U in gens:
+        self._point_set = full = frozenset(self.points)
+        up = [full] * n
+        for U in generating_opens:
+            U = frozenset(U)
+            for x in U:
+                if not _is_int(x):
+                    raise ValueError(f"point {x!r} is not an int")
             if not U <= full:
                 raise ValueError(f"open set {sorted(U)} not within 0..{n - 1}")
-        self.up = tuple(
-            full.intersection(*(U for U in gens if x in U)) for x in self.points
-        )
+            for x in U:
+                up[x] &= U
+        self.up = tuple(up)
 
     @staticmethod
     def discrete(n: int) -> "FiniteSpace":
@@ -82,15 +90,15 @@ class FiniteSpace:
 
     def is_open(self, U) -> bool:
         U = frozenset(U)
-        return U <= frozenset(self.points) and all(self.up[x] <= U for x in U)
+        return U <= self._point_set and all(self.up[x] <= U for x in U)
 
     def is_closed(self, K) -> bool:
-        K, full = frozenset(K), frozenset(self.points)
+        K, full = frozenset(K), self._point_set
         return K <= full and self.is_open(full - K)
 
     def is_clopen(self, U) -> bool:
         U = frozenset(U)
-        return U <= frozenset(self.points) and all(
+        return U <= self._point_set and all(
             block <= U or not block & U for block in self.quasi_components
         )
 
@@ -107,7 +115,7 @@ class FiniteSpace:
         every point of up[x] & S; no subspace is built.
         """
         S = frozenset(subset)
-        if not S <= frozenset(self.points):
+        if not S <= self._point_set:
             raise ValueError(f"{sorted(S)} not within the space")
         blocks: list[frozenset] = []
         for x in S:
@@ -119,7 +127,7 @@ class FiniteSpace:
     @cached_property
     def quasi_components(self) -> tuple[frozenset, ...]:
         """Partition of the points; block of x = meet of clopens containing x."""
-        return self.components(self.points)
+        return self.components(self._point_set)
 
     @cached_property
     def _component_of(self) -> dict[int, int]:

@@ -402,7 +402,9 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
         else:
             e = v.exponent(p)
             if e is None:
-                raise UnrecognizedBasePoint(f"value {v} at {p} is no admissible power")
+                raise UnrecognizedBasePoint(
+                    f"value of {v.bit_length()} bits at {p} is no admissible power"
+                )
             candidate = BasePoint.arch(e) if e > 0 else BasePoint.padic(p, -e)
         break
     candidate = canonical_point(ring, candidate)

@@ -64,6 +64,27 @@ def check_embeddings_by_pieces(space: FiniteSpace, family: CoverFamily):
                 )
 
 
+def block_keys_by_relabelling(space: FiniteSpace, sets) -> list[tuple]:
+    """The memo key of the sets' traces on each block, one block at a time.
+
+    Each quasi-component (the empty space has one empty block) is
+    relabelled 0..m-1 in increasing order on its own; its key is the
+    bitmasks of its points' up sets and of the sets' traces on it.
+    """
+    keys = []
+    for block in space.quasi_components or (frozenset(),):
+        index = {x: i for i, x in enumerate(sorted(block))}
+
+        def mask(points):
+            return sum(1 << index[y] for y in points)
+
+        keys.append((
+            tuple(mask(space.up[x]) for x in index),
+            tuple(mask(K & block) for K in sets),
+        ))
+    return keys
+
+
 def zeta_is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
     """Cover test at quasi-component level: every block meets some set."""
     for block in space.quasi_components:

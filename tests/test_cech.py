@@ -17,6 +17,7 @@ from dbl.cech import (
     tate_verdict,
 )
 from dbl.errors import IsCover, NoSection, NotEmbedding, SizeExceeded
+from dbl.functions import indicator
 from dbl.intlinalg import (
     identity,
     invariant_factors,
@@ -26,7 +27,13 @@ from dbl.intlinalg import (
 )
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import MAX_POINTS, FiniteSpace
-from oracles import check_embeddings_by_pieces, inclusion_map, topologies, zeta_is_cover
+from oracles import (
+    block_keys_by_relabelling,
+    check_embeddings_by_pieces,
+    inclusion_map,
+    topologies,
+    zeta_is_cover,
+)
 from snf_oracle import smith_normal_form
 
 Z = int_inf()
@@ -328,6 +335,46 @@ def test_cold_verdict_builds_no_space_and_no_family(monkeypatch, memo):
     assert len(memo) == 3 and built == []
 
 
+def test_block_keys_are_the_blocks_relabelled_one_by_one():
+    # every topology on <= 4 points with every family of <= 3 closed sets:
+    # the one-pass keys are those of each block relabelled on its own
+    cases = split = 0
+    for n in range(5):
+        for space in topologies(n):
+            full = frozenset(space.points)
+            closed = [full - U for U in space.opens]
+            for size in (1, 2, 3):
+                for sets in combinations(closed, size):
+                    assert cech._block_keys(space, sets) == block_keys_by_relabelling(space, sets)
+                    cases += 1
+                    split += len(space.quasi_components) > 1
+    assert cases > split > 0
+
+
+def test_whole_space_miss_reads_its_blocks_off_the_table(monkeypatch, memo):
+    # with every block entry in the table and the space's own entry gone,
+    # a verdict builds no complex and splits the space once
+    opens = [{0}, {1}, {0, 1, 2}, {3}]
+    sets = [{2, 3}, {1, 2}]
+    space = FiniteSpace(4, opens)
+    want = tate_verdict(space, fam(space, *sets), Z)
+    del memo[cech._key(space.up, [frozenset(K) for K in sets])]
+    assert len(memo) == 2
+    again = FiniteSpace(4, opens)
+    family = fam(again, *sets)
+    built = counted_builds(monkeypatch)
+    calls = []
+    components = FiniteSpace.components
+
+    def counted(self, subset):
+        calls.append(subset)
+        return components(self, subset)
+
+    monkeypatch.setattr(FiniteSpace, "components", counted)
+    assert tate_verdict(again, family, Z) == want
+    assert built == [] and len(calls) == 1 and len(memo) == 3
+
+
 def counted_builds(monkeypatch):
     """The family sets cech builds a complex for, from here on."""
     built = []
@@ -542,6 +589,16 @@ def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):
     assert cases > split > rejected > 0
 
 
+def test_family_points_are_ints():
+    # True == 1 and 0.0 == 0 pass is_closed; the family rejects them before
+    # a report reaches its bitmasks
+    for sets in ([{True}, {0.0}], [{0}, {1.0}], [{False, 1}], [{"a", 5}]):
+        with pytest.raises(ValueError, match="is not an int"):
+            CoverFamily.make(D2, sets)
+    with pytest.raises(ValueError, match="is not an int"):
+        CoverFamily(D2, (frozenset({1}), frozenset({0.0})))
+
+
 def test_size_caps():
     with pytest.raises(SizeExceeded):
         CoverFamily.make(D3, [frozenset({0})] * 7)
@@ -561,6 +618,29 @@ def test_descent_faithful_witness():
         descent_faithful_witness(D2, fam(D2, {0}, {1}), Z)
     with pytest.raises(IsCover):
         descent_faithful_witness(D2, fam(D2, {0}), zmod_triv(1))
+
+
+def test_witness_is_the_indicator_of_the_first_uncovered_block():
+    # every topology on <= 3 points with every family of <= 2 closed sets
+    # that misses a quasi-component
+    rings = (Z, zmod_triv(4), fp_triv(2))
+    cases = 0
+    for n in range(1, 4):
+        for space in topologies(n):
+            full = frozenset(space.points)
+            closed = [full - U for U in space.opens]
+            for size in (1, 2):
+                for sets in combinations(closed, size):
+                    family = CoverFamily.make(space, sets)
+                    missed = [B for B in space.quasi_components if not any(B & K for K in sets)]
+                    if not missed:
+                        continue
+                    for ring in rings:
+                        w = descent_faithful_witness(space, family, ring)
+                        want = indicator(space, ring, missed[0])
+                        assert w == want and w.values == want.values
+                        cases += 1
+    assert cases > 0
 
 
 def test_zeta_cover_vs_point_cover():

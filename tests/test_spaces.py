@@ -102,6 +102,40 @@ def test_is_closed_rejects_points_outside_the_space():
         CoverFamily.make(disc, [{0, 1, -3}])
 
 
+def test_up_is_the_intersection_of_the_generating_opens_around_each_point():
+    # the one-pass up against the intersection formula, on random families
+    # with an empty open, the whole space and repeated opens, given as a
+    # list, a generator and lists of points
+    import random
+
+    rng = random.Random(0)
+    for _ in range(400):
+        n = rng.randrange(9)
+        full = frozenset(range(n))
+        gens = [
+            frozenset(x for x in range(n) if rng.random() < 0.4)
+            for _ in range(rng.randrange(6))
+        ]
+        gens += [frozenset(), full] + gens[:2]
+        rng.shuffle(gens)
+        want = tuple(full.intersection(*(U for U in gens if x in U)) for x in range(n))
+        assert FiniteSpace(n, gens).up == want
+        assert FiniteSpace(n, (U for U in gens)).up == want
+        assert FiniteSpace(n, [sorted(U) for U in gens]).up == want
+    # an open outside the points is named as before, the first in order
+    for gens in ([{0}, {1, 3}, {-1}], ({0}, {1, 3}, {-1}), iter([{1, 3}, {-1}])):
+        with pytest.raises(ValueError, match=r"^open set \[1, 3\] not within 0..2$"):
+            FiniteSpace(3, gens)
+
+
+def test_points_are_ints():
+    # True == 1 and 0.0 == 0 pass a subset test of the points; a space's
+    # opens reject them as points, ahead of the range check
+    for gens in ([{True}, {0.0, 2}], [{0.0, 2}], [{0}, [False]], [{Fraction(1)}], [{"a", 5}]):
+        with pytest.raises(ValueError, match="is not an int"):
+            FiniteSpace(3, gens)
+
+
 def test_clopen_closure_rejects_non_clopen():
     with pytest.raises(NotClopen):
         FiniteSpace.sierpinski().clopen_component_indices(frozenset({1}))

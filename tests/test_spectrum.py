@@ -384,6 +384,20 @@ def test_g_split_rejects_a_large_irrational_value_at_once():
     assert time.perf_counter() - started < 1.0
 
 
+def test_g_split_names_a_large_value_by_its_size():
+    # the value at the constant 2 is (3**20000 + 2)**(1/3), whose digits
+    # alone run to 9,542 characters: the message gives its bit length
+    space = FiniteSpace.discrete(1)
+    honest = g_inverse(0, BasePoint.arch(1), space, Z)
+    big = NormValue.from_pow(3**20000 + 2, Fraction(1, 3))
+    liar = SeminormOracle(space, Z, lambda f: big if f.values == (2,) else honest(f))
+    with pytest.raises(UnrecognizedBasePoint, match="at 2 is no admissible power") as err:
+        g_split(liar)
+    assert type(err.value) is UnrecognizedBasePoint
+    assert len(str(err.value)) < 200
+    assert f"{big.bit_length()} bits" in str(err.value)
+
+
 def test_g_split_off_grid_exponents():
     from fractions import Fraction as Fr
 
