@@ -48,7 +48,7 @@ zero on every set of a non-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, zip_longest
+from itertools import chain, zip_longest
 from math import gcd
 from operator import add
 from threading import Lock
@@ -57,7 +57,7 @@ from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, Size
 from .functions import CfinFunction
 from .intlinalg import identity, invariant_factors, matmul
 from .scalars import RingDescriptor, int_inf
-from .spaces import FiniteSpace, _is_int, merged_pair
+from .spaces import FiniteSpace, _ints, merged_pair
 
 MAX_FAMILY = 6
 
@@ -79,10 +79,8 @@ class CoverFamily:
         if len(self.sets) > MAX_FAMILY:
             raise SizeExceeded(f"family size {len(self.sets)} > {MAX_FAMILY}")
         for K in self.sets:
-            for x in K:
-                if not _is_int(x):
-                    raise ValueError(f"point {x!r} is not an int")
             if not self.space.is_closed(K):
+                _ints(K)  # a point that is not an int is named first
                 raise ValueError(f"{sorted(K)} is not closed")
 
     @staticmethod
@@ -111,19 +109,12 @@ class ChainComplex:
     diffs: tuple
 
     def __post_init__(self):
-        # d_{k+1} d_k = 0, summed over the nonzero entries of both factors
-        sparse = [[list(compress(enumerate(row), row)) for row in d] for d in self.diffs]
         for k in range(len(self.diffs) - 1):
-            first, second = sparse[k], self.diffs[k + 1]
+            first, second = self.diffs[k], self.diffs[k + 1]
             if second and len(second[0]) != len(first):
                 raise ValueError(f"shape mismatch between degrees {k + 1} and {k + 2}")
-            for row in sparse[k + 1]:
-                acc = {}
-                for j, a in row:
-                    for c, x in first[j]:
-                        acc[c] = acc.get(c, 0) + a * x
-                if any(acc.values()):
-                    raise ValueError(f"d∘d nonzero between degrees {k} and {k + 2}")
+            if any(map(any, matmul(second, first))):
+                raise ValueError(f"d∘d nonzero between degrees {k} and {k + 2}")
 
     @property
     def length(self) -> int:

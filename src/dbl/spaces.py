@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 
 from .errors import NotClopen, NotContinuous, SizeExceeded
 
@@ -63,10 +64,7 @@ class FiniteSpace:
         self._point_set = full = frozenset(self.points)
         up = [full] * n
         for U in generating_opens:
-            U = frozenset(U)
-            for x in U:
-                if not _is_int(x):
-                    raise ValueError(f"point {x!r} is not an int")
+            U = _ints(U)
             if not U <= full:
                 raise ValueError(f"open set {sorted(U)} not within 0..{n - 1}")
             for x in U:
@@ -90,15 +88,16 @@ class FiniteSpace:
 
     def is_open(self, U) -> bool:
         U = frozenset(U)
-        return U <= self._point_set and all(self.up[x] <= U for x in U)
+        return U <= self._point_set and _all_ints(U) and all(self.up[x] <= U for x in U)
 
     def is_closed(self, K) -> bool:
-        K, full = frozenset(K), self._point_set
-        return K <= full and self.is_open(full - K)
+        K = frozenset(K)
+        U = self._point_set - K
+        return K <= self._point_set and _all_ints(K) and all(self.up[x] <= U for x in U)
 
     def is_clopen(self, U) -> bool:
         U = frozenset(U)
-        return U <= self._point_set and all(
+        return U <= self._point_set and _all_ints(U) and all(
             block <= U or not block & U for block in self.quasi_components
         )
 
@@ -115,7 +114,8 @@ class FiniteSpace:
         every point of up[x] & S; no subspace is built.
         """
         S = frozenset(subset)
-        if not S <= self._point_set:
+        if not (S <= self._point_set and _all_ints(S)):
+            _ints(S)  # a point that is not an int is named first
             raise ValueError(f"{sorted(S)} not within the space")
         blocks: list[frozenset] = []
         for x in S:
@@ -134,7 +134,8 @@ class FiniteSpace:
         return {x: i for i, block in enumerate(self.quasi_components) for x in block}
 
     def component_index(self, x: int) -> int:
-        if x not in self._component_of:
+        # a plain int, the usual case, makes no call
+        if not ((type(x) is int or _is_int(x)) and x in self._component_of):
             raise ValueError(f"point {x} outside the space")
         return self._component_of[x]
 
@@ -173,7 +174,7 @@ class FiniteSpace:
             and _is_int(obj.get("points"))
             and isinstance(obj.get("opens"), list)
             and all(
-                isinstance(U, list) and all(map(_is_int, U)) for U in obj["opens"]
+                isinstance(U, list) and _all_ints(U) for U in obj["opens"]
             )
         ):
             raise ValueError('a space is {"points": int, "opens": [[int, ...], ...]}')
@@ -181,7 +182,32 @@ class FiniteSpace:
 
 
 def _is_int(x) -> bool:
+    """Whether x can be a point: an int and no bool.
+
+    True == 1 and 1.0 == 1 hash alike, so a set test of points alone takes
+    them; every entry of a space checks its points' type with this.
+    """
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_PLAIN_INT = frozenset([int])
+
+
+def _all_ints(S) -> bool:
+    """Whether every member of S can be a point (see _is_int).
+
+    Plain ints, the usual case, are told by their type in one pass that
+    makes no Python call per member.
+    """
+    return _PLAIN_INT.issuperset(map(type, S)) or all(map(_is_int, S))
+
+
+def _ints(S) -> frozenset:
+    """S as a frozenset, after a ValueError naming a member that is no point."""
+    S = frozenset(S)
+    if not _all_ints(S):
+        raise ValueError(f"point {next(filterfalse(_is_int, S))!r} is not an int")
+    return S
 
 
 @dataclass(frozen=True)
@@ -196,7 +222,7 @@ class PointMap:
         if len(self.images) != self.source.n:
             raise ValueError("one image per source point required")
         for y in self.images:
-            if not 0 <= y < self.target.n:
+            if not (_is_int(y) and 0 <= y < self.target.n):
                 raise ValueError(f"image {y} outside the target")
 
     def __call__(self, x: int) -> int:
@@ -220,10 +246,9 @@ class PointMap:
         quasi-component, so a block is read at its least point.
         """
         self.check_continuous()
-        return tuple(
-            self.target.component_index(self.images[min(block)])
-            for block in self.source.quasi_components
-        )
+        # every image is a point of the target, checked when the map was built
+        index = self.target._component_of
+        return tuple(index[self.images[min(block)]] for block in self.source.quasi_components)
 
 
 def banaschewski(space: FiniteSpace) -> tuple[FiniteSpace, PointMap]:

@@ -9,21 +9,25 @@ evaluation seminorm from the pair and G_split recovers the pair from any
 seminorm oracle, reading the component off 2k+1 clopen indicators and the
 base point off the constants of one sample (every residue of Z/n, or
 -12..13 and 15 for Z), and rejecting oracles outside the family.  The
-values of each (base point, ring) pair are memoized in a bounded table
-(see _point_values) that every evaluation reads.  An oracle of
-G_inverse holds its pair's table and reads a value off it in one frame,
-its own call; a miss takes the checked path of base_eval.  The functions
+values of each (base point, ring) pair are one dict (see _PointValues),
+which every evaluation reads by subscription; a miss is the checked
+evaluation, and stores the value if it is small.  The dicts of at most
+MEMO_POINTS pairs are kept, the least recently used dropped first (see
+_point_values); two threads that first use a pair at the same moment may
+each build a dict, and only the cache keeps one, each within
+MEMO_ELEMENTS.  An oracle of G_inverse holds its pair's dict and reads a
+value off it in one frame, its own call.  The functions
 G_split evaluates an oracle on depend only on (space, ring), so the
 probes of the last pair split are kept and reused while the next split
 is on the same space and ring objects (see _Probes), and the candidate
-base point's values on the sample are read off its memo.
+base point's values on the sample are read off its dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from threading import Lock
 
@@ -36,7 +40,7 @@ from .errors import (
 )
 from .normvalue import NV_ONE, NV_ZERO, NormValue, _valuation, factor_int
 from .scalars import MAX_ELEMENTS, MAX_MODULUS, RingDescriptor, _is_prime
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, _is_int
 from .functions import CfinFunction
 
 # probe primes of Z for _identify_base, and the primes of the grid of
@@ -69,8 +73,7 @@ class BasePoint:
     def __post_init__(self):
         if self.kind in ("padic", "residue"):
             p = self.p
-            is_int = isinstance(p, int) and not isinstance(p, bool)
-            if not (is_int and p <= MAX_MODULUS and _is_prime(p)):
+            if not (_is_int(p) and p <= MAX_MODULUS and _is_prime(p)):
                 raise UnrecognizedBasePoint(
                     f"{self.kind} points need a prime p <= MAX_MODULUS, got {p!r}"
                 )
@@ -203,70 +206,54 @@ def _evaluate(point: BasePoint, ring: RingDescriptor, a) -> NormValue:
     return NV_ZERO if a % point.p == 0 else NV_ONE
 
 
-class _PointValues:
+class _PointValues(dict):
     """The values of one base point on one ring, memoized per element.
 
-    A miss checks the element and the point as _evaluate does, so an
-    input that is rejected raises every time and is never stored.  Only a
-    plain int hits: True hashes like 1 but is no element.  At most
-    MEMO_ELEMENTS values are kept, the oldest dropped first, and only small
-    ones (see MEMO_KEY_BITS and MEMO_VALUE_BITS).
+    Its keys are plain ints: a reader sends anything else (True hashes
+    like 1 but is no element) straight to _evaluate.  A miss checks the
+    element and the point as _evaluate does, so an input that is rejected
+    raises every time and is never stored.  At most MEMO_ELEMENTS values
+    are kept, the oldest dropped first, and only small ones (see
+    MEMO_KEY_BITS and MEMO_VALUE_BITS).
     """
 
-    __slots__ = ("point", "ring", "memo")
+    __slots__ = ("point", "ring")
 
     def __init__(self, point: BasePoint, ring: RingDescriptor):
         self.point = point
         self.ring = ring
-        self.memo: dict[int, NormValue] = {}
 
-    def value(self, a) -> NormValue:
-        memo = self.memo
-        if type(a) is int:
-            v = memo.get(a)
-            if v is not None:
-                return v
+    def __missing__(self, a: int) -> NormValue:
         v = _evaluate(self.point, self.ring, a)
-        if (
-            type(a) is int
-            and a.bit_length() <= MEMO_KEY_BITS
-            and v.bit_length() <= MEMO_VALUE_BITS
-        ):
+        if a.bit_length() <= MEMO_KEY_BITS and v.bit_length() <= MEMO_VALUE_BITS:
             with _MEMO_LOCK:
-                if len(memo) >= MEMO_ELEMENTS:
-                    del memo[next(iter(memo))]
-                memo[a] = v
+                if len(self) >= MEMO_ELEMENTS:
+                    del self[next(iter(self))]
+                self[a] = v
         return v
 
 
-_MEMOS: dict[tuple, _PointValues] = {}
-_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
+_MEMO_LOCK = Lock()  # held by every write to a memo; reads take no lock
 
 
+@lru_cache(maxsize=MEMO_POINTS)
 def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
     """The shared value memo of a (point, ring) pair.
 
-    The memo holds at most MEMO_POINTS pairs, the oldest dropped first:
-    at most MEMO_POINTS * MEMO_ELEMENTS = 16,384 values in all, each of at
-    most MEMO_VALUE_BITS bits under a key of at most MEMO_KEY_BITS: about
-    5 MiB at worst.  An oracle of g_inverse keeps its pair's memo alive
-    after the pair leaves the table.
+    At most MEMO_POINTS pairs are kept, the least recently used dropped
+    first: at most MEMO_POINTS * MEMO_ELEMENTS = 16,384 values in all,
+    each of at most MEMO_VALUE_BITS bits under a key of at most
+    MEMO_KEY_BITS: about 5 MiB at worst.  Two threads that first use a
+    pair at once may each build a memo, of which the cache keeps one.  An
+    oracle of g_inverse keeps its pair's memo alive after the pair leaves
+    the cache.
     """
-    key = (point, ring)
-    values = _MEMOS.get(key)
-    if values is None:
-        with _MEMO_LOCK:
-            values = _MEMOS.get(key)
-            if values is None:
-                if len(_MEMOS) >= MEMO_POINTS:
-                    del _MEMOS[next(iter(_MEMOS))]
-                values = _MEMOS[key] = _PointValues(point, ring)
-    return values
+    return _PointValues(point, ring)
 
 
 def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
     """Evaluate the seminorm at a ring element, exactly (memoized)."""
-    return _point_values(point, ring).value(a)
+    return _point_values(point, ring)[a] if type(a) is int else _evaluate(point, ring, a)
 
 
 @dataclass(frozen=True)
@@ -295,17 +282,16 @@ class SeminormOracle:
 class _EvaluationOracle(SeminormOracle):
     """The oracle of g_inverse, evaluated in one frame.
 
-    It reads the component's value of f off its pair's memo for a plain
-    int, and sends a miss or any other value to _PointValues.value, which
-    checks, rejects and stores it as base_eval does.
+    It reads the component's value of f off its pair's memo by
+    subscription, as base_eval does: a plain int hits or takes the memo's
+    checked miss, and any other value goes straight to _evaluate.
     """
 
     def __init__(self, space: FiniteSpace, ring: RingDescriptor, component: int, values: _PointValues):
         self.space = space
         self.ring = ring
         self._component = component
-        self._memo = values.memo  # never rebound, so reads see every write
-        self._value = values.value
+        self._values = values
 
     def __call__(self, f: CfinFunction) -> NormValue:
         space, coeff = f.space, f.coeff
@@ -313,12 +299,8 @@ class _EvaluationOracle(SeminormOracle):
             coeff is not self.ring and coeff != self.ring
         ):
             raise RingMismatch("oracle evaluated outside its algebra")
-        a = f.values[self._component]
-        if type(a) is int:
-            v = self._memo.get(a)
-            if v is not None:
-                return v
-        return self._value(a)
+        a, values = f.values[self._component], self._values
+        return values[a] if type(a) is int else _evaluate(values.point, values.ring, a)
 
 
 def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDescriptor) -> SeminormOracle:
@@ -329,8 +311,7 @@ def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDes
     must be an int in 0..k-1 for a space with k quasi-components.
     """
     k = len(space.quasi_components)
-    is_int = isinstance(component, int) and not isinstance(component, bool)
-    if not (is_int and 0 <= component < k):
+    if not (_is_int(component) and 0 <= component < k):
         raise ValueError(f"component {component!r} is not one of the {k} quasi-components")
     base = canonical_point(ring, base)
     if not is_admissible(ring, base):
@@ -411,9 +392,8 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
     values = _point_values(candidate, ring)
-    get, value = values.memo.get, values.value
     got = tuple(table.values())
-    want = tuple(v if (v := get(a)) is not None else value(a) for a in table)
+    want = tuple(values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in table)
     if got != want:
         a = next(a for a, v, w in zip(table, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")

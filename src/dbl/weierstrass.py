@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonSeparating, NotClopen, UnsupportedRing, ZeroFunction
+from .errors import NonSeparating, UnsupportedRing, ZeroFunction
 from .functions import CfinFunction, separates_points
 from .scalars import RingDescriptor
 from .spaces import FiniteSpace
@@ -221,13 +221,11 @@ def sw_construct_indicator(
     """
     _require_ordered(ring)
     U = frozenset(U)
-    if not space.is_clopen(U):
-        raise NotClopen(f"{sorted(U)} is not clopen")
+    in_comps = space.clopen_component_indices(U)
     ok, witness = separates_points(gens, space)
     if not ok:
         raise NonSeparating(witness)
     n_comp = len(space.quasi_components)
-    in_comps = space.clopen_component_indices(U)
     if not U:
         cert = SWCertificate(U, 1, Const(0), (0,) * n_comp)
         return cert

@@ -106,6 +106,7 @@ DELETED = [
     ("modtensor", "free_base_change"),
     ("normvalue", "nv_compare"),
     ("spaces", "zeta_embedding_check"),
+    ("spectrum", "_MEMOS"),
     ("spectrum", "_vp"),
     ("spectrum", "eval_seminorm"),
 ]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -356,6 +357,39 @@ def test_reports_are_deterministic(capsys):
     first.pop("elapsed_s")
     second.pop("elapsed_s")
     assert first == second
+
+
+# every command's default report, and a small cech request with a witness:
+# case id -> (argv, stdin)
+PINNED = {
+    "space": (["space"], ""),
+    "spectrum": (["spectrum"], ""),
+    "cech": (
+        ["cech"],
+        json.dumps({"space": glued_pairs().to_json(), "family": [[0, 1]], "ring": "IntInf"}),
+    ),
+    "cech-exhaustive": (["cech", "--exhaustive"], ""),
+    "tensor": (["tensor"], ""),
+    "basis": (["basis"], ""),
+    "basis-p2-k2": (["basis", "--p", "2", "--k", "2"], ""),
+    "mahler": (["mahler"], ""),
+    "mahler-pairing": (["mahler", "--pairing"], ""),
+    "mahler-coeffs": (["mahler", "--coeffs", "1,2,3"], ""),
+    "sw": (["sw"], ""),
+}
+PINNED_REPORTS = Path(__file__).parent / "data" / "cli_reports.json"
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_reports_match_the_pinned_ones(capsys, monkeypatch, case):
+    # the pinned file holds each report without elapsed_s, in print order;
+    # a change that means to alter a report edits its entry there
+    argv, stdin_text = PINNED[case]
+    code, report, _ = run_cli(capsys, argv, stdin_text, monkeypatch)
+    assert code == 0
+    report.pop("elapsed_s")
+    want = json.loads(PINNED_REPORTS.read_text(encoding="utf-8"))[case]
+    assert json.dumps(report, indent=2) == json.dumps(want, indent=2)
 
 
 def test_cech_exhaustive_case_count(capsys):

@@ -136,6 +136,50 @@ def test_points_are_ints():
             FiniteSpace(3, gens)
 
 
+# hash-equal stand-ins for the points 0 and 1 of a two-point space
+NOT_POINTS = (True, False, 1.0, 0.0, Fraction(1))
+
+
+def test_open_closed_and_clopen_tests_are_false_for_points_that_are_not_ints():
+    d = FiniteSpace.discrete(2)
+    for x in NOT_POINTS:
+        for S in ({x}, {x, 1 - x}):
+            assert not d.is_open(S) and not d.is_closed(S) and not d.is_clopen(S)
+    assert d.is_open({1}) and d.is_closed({1}) and d.is_clopen({0, 1})
+
+
+def test_components_reject_points_that_are_not_ints():
+    d = FiniteSpace.discrete(2)
+    for x in NOT_POINTS:
+        with pytest.raises(ValueError, match="is not an int"):
+            d.components({x})
+    assert d.components({1}) == (frozenset({1}),)
+
+
+def test_clopen_component_indices_reject_points_that_are_not_ints():
+    d = FiniteSpace.discrete(2)
+    for x in NOT_POINTS:
+        with pytest.raises(NotClopen):
+            d.clopen_component_indices({x})
+    assert d.clopen_component_indices({1}) == {1}
+
+
+def test_component_index_rejects_points_that_are_not_ints():
+    d = FiniteSpace.discrete(2)
+    for x in NOT_POINTS:
+        with pytest.raises(ValueError, match="outside the space"):
+            d.component_index(x)
+    assert d.component_index(1) == 1
+
+
+def test_point_maps_reject_images_that_are_not_ints():
+    d = FiniteSpace.discrete(2)
+    for x in NOT_POINTS:
+        with pytest.raises(ValueError, match="outside the target"):
+            PointMap(d, d, (x, 0))
+    assert PointMap(d, d, (1, 0)).images == (1, 0)
+
+
 def test_clopen_closure_rejects_non_clopen():
     with pytest.raises(NotClopen):
         FiniteSpace.sierpinski().clopen_component_indices(frozenset({1}))

@@ -207,7 +207,7 @@ def _counted_split(oracle) -> tuple:
 
 def test_g_split_calls_the_oracle_alike_on_cold_and_warm_probes():
     spectrum._LAST_PROBES = None
-    spectrum._MEMOS.clear()
+    spectrum._point_values.cache_clear()
     for ring in (Z, fp_triv(5), zmod_triv(8), zmod_quot(9)):
         for space in (FiniteSpace.discrete(3), glued_pairs(), FiniteSpace.sierpinski()):
             for b in admissible_points(ring):
@@ -245,7 +245,7 @@ def test_warm_probes_still_reject_adversarial_oracles():
 def test_g_split_rejects_an_oracle_that_gives_none_where_the_memo_has_no_value():
     space, trivial = FiniteSpace.discrete(2), BasePoint.trivial()
     honest = g_inverse(0, trivial, space, Z)
-    spectrum._MEMOS.clear()
+    spectrum._point_values.cache_clear()
     for a in spectrum._Z_SAMPLE:
         if a != 4:
             base_eval(trivial, Z, a)
@@ -428,7 +428,7 @@ def test_g_split_on_directly_built_oracles():
 
 
 def _memo(point, ring) -> dict:
-    return spectrum._point_values(point, ring).memo
+    return spectrum._point_values(point, ring)
 
 
 def test_memo_never_lets_a_bool_hit():
@@ -469,7 +469,7 @@ def test_memo_stays_within_its_bounds():
     assert MEMO_ELEMENTS + 99 in memo and 0 not in memo  # the oldest went first
     for k in range(1, MEMO_POINTS + 10):
         base_eval(BasePoint.padic(2, Fraction(1, k)), Z, 12)
-    assert len(spectrum._MEMOS) == MEMO_POINTS
+    assert spectrum._point_values.cache_info().currsize == MEMO_POINTS
     # large elements and large values are computed but not kept
     big = BasePoint.arch(Fraction(99, 100))
     for a in (2**MEMO_KEY_BITS, 2**20 - 1):
@@ -507,6 +507,65 @@ def test_memo_writes_from_threads_keep_the_bound():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(_memo(p, Z)) == MEMO_ELEMENTS
+
+
+def test_every_reader_reads_the_one_dict_of_its_pair():
+    spectrum._point_values.cache_clear()
+    space, p = FiniteSpace.discrete(2), BasePoint.arch(1)
+    values = _memo(p, Z)
+    assert _memo(p, Z) is values
+    planted = NormValue.from_fraction(99)  # not |7|
+    values[7] = planted
+    assert base_eval(p, Z, 7) is planted
+    assert g_inverse(0, p, space, Z)(CfinFunction(space, Z, (7, 0))) is planted
+    # _identify_base checks an oracle that reads no memo against the dict
+    direct = SeminormOracle(space, Z, lambda f: spectrum._evaluate(p, Z, f.values[0]))
+    with pytest.raises(UnrecognizedBasePoint, match="constant 7 disagrees with ArchPow"):
+        g_split(direct)
+    del values[7]
+    assert g_split(direct) == SpectrumPoint(0, p)
+    assert base_eval(p, Z, 7) is values[7] == NormValue.from_fraction(7)
+
+
+def test_every_reader_rejects_what_is_no_element_and_never_stores_it():
+    spectrum._point_values.cache_clear()
+    space, ring, p = FiniteSpace.discrete(1), zmod_triv(4), BasePoint.residue(2)
+    values = _memo(p, ring)
+    oracle = g_inverse(0, p, space, ring)
+    probes = spectrum._Probes(space, ring)
+    probes.constants = ()
+    # the values of p, for any value a sample holds
+    lenient = SeminormOracle(space, ring, lambda f: NV_ZERO if f.values[0] in (0, 2) else NV_ONE)
+
+    def identify(a):
+        probes.sample = (0, 2, 3, a)  # a in place of 1
+        spectrum._identify_base(probes, lenient)
+
+    for warm in (False, True):
+        for a in (True, 1.0, 5):  # a bool, a float and an unreduced residue
+            for _ in range(2):
+                with pytest.raises(ElementOutOfRange):
+                    base_eval(p, ring, a)
+                with pytest.raises(ElementOutOfRange):
+                    oracle(CfinFunction.constant(space, ring, a))
+                with pytest.raises(ElementOutOfRange):
+                    identify(a)
+        assert 5 not in values and (1 in values) == warm
+        assert [k for k in values if type(k) is not int] == []
+        assert base_eval(p, ring, 1) is values[1] == NV_ONE  # True and 1.0 hash like 1
+
+
+def test_point_values_drop_the_least_recently_used_pair_first():
+    spectrum._point_values.cache_clear()
+    points = [BasePoint.padic(2, Fraction(1, k)) for k in range(1, MEMO_POINTS + 11)]
+    memos = [_memo(b, Z) for b in points[:MEMO_POINTS]]
+    assert _memo(points[0], Z) is memos[0]  # now the most recently used
+    _memo(points[MEMO_POINTS], Z)  # drops points[1], the least recently used
+    assert _memo(points[0], Z) is memos[0]
+    assert _memo(points[1], Z) is not memos[1]
+    for b in points:
+        _memo(b, Z)
+    assert spectrum._point_values.cache_info().currsize == MEMO_POINTS
 
 
 # -- the probes behind g_split -------------------------------------------------
@@ -667,7 +726,7 @@ def test_g_split_of_g_inverse_evaluates_each_element_once(ring, monkeypatch):
         calls.append((point, a))
         return evaluate(point, ring, a)
 
-    spectrum._MEMOS.clear()
+    spectrum._point_values.cache_clear()
     monkeypatch.setattr(spectrum, "_evaluate", counted)
     for s, space in enumerate((FiniteSpace.discrete(3), glued_pairs())):
         k = len(space.quasi_components)
