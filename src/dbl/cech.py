@@ -24,14 +24,21 @@ degree-1 labels, if any.  A block's complex is built on the caller's
 space, its labels the components of each intersection within the block
 (each tuple's intersection cut from its prefix's, and only nonempty
 prefixes extended), and a verdict is the sum of its blocks' entries; the
-empty space has one empty block.  Every entry, block or whole, goes into
+empty space has one empty block.  A one-point block's complex is the
+augmented cochain complex of the full simplex on the j sets holding its
+point, so its entry depends on j alone: it is built once per j, on a
+one-point space, and never enters the table (_point_entry).  A discrete
+space, all of whose blocks are points, builds no key either: it counts
+the sets holding each point, and its entry, the sum of its points', is
+kept per histogram of those counts for the last MEMO_COMPLEXES
+histograms (_points_entry).  Every other entry, block or whole, goes into
 one first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
 bitmasks of the up sets and of the family's sets, a block's relabelled
 to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
 and no space is kept alive).  A space missing from the table gets all
 its blocks' keys from one pass over its points, up sets and sets
-(_block_keys), so a miss whose blocks are all in the table builds
-nothing.  An entry whose factors greater than 1 take more than
+(_block_keys), so a miss whose blocks are all in the table or are points
+builds nothing.  An entry whose factors greater than 1 take more than
 MEMO_FACTOR_BITS bits in all is not stored.  A full table of
 6-set families of the connected 32-point space in which point 31
 specializes to every other point takes 1.9 MiB (tracemalloc), and one
@@ -48,6 +55,7 @@ zero on every set of a non-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import chain, zip_longest
 from math import gcd
 from operator import add
@@ -266,26 +274,39 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     product of C(B, R) over the quasi-components B of X, so the complex is
     the direct sum of the complexes of the family's traces on each block:
     every space gets the sum of its blocks' entries (see _block_entry and
-    _sum_entries), the empty space that of one empty block.  Every entry,
-    block or whole, goes into one table of at most MEMO_COMPLEXES entries,
-    the oldest dropped first, keyed on the point bitmasks of the up sets
-    and of the family's sets; no space or exception object is kept.  A
-    space missing from the table takes its blocks' keys from _block_keys,
-    one pass for all of them, and looks each block up before it builds
-    that block's complex.  An entry stores the index of the first piece
-    that merges quasi-components, and the NotEmbedding message is built
-    from the caller's space.  An entry whose factors greater than 1 take more than
+    _sum_entries), the empty space that of one empty block.  A one-point
+    block's entry depends only on j, the number of sets holding the point
+    (see _point_entry).  So a discrete space, whose blocks are all points,
+    builds no key: it counts the sets holding each point and reads its
+    entry off the histogram of those counts (see _points_entry).  Every
+    other space's entry, and each of its blocks' of two or more points,
+    goes into one table of at most MEMO_COMPLEXES entries, the oldest
+    dropped first, keyed on the point bitmasks of the up sets and of the
+    family's sets; no space or exception object is kept.  A space missing
+    from the table takes its blocks' keys from _block_keys, one pass for
+    all of them, and looks each block up before it builds that block's
+    complex.  An entry stores the index of the first piece that merges
+    quasi-components, and the NotEmbedding message is built from the
+    caller's space.  An entry whose factors greater than 1 take more than
     MEMO_FACTOR_BITS bits in all is recomputed every time.
     """
     sets = family.sets
-    key = _key(space.up, sets)
-    entry = _MEMO.get(key)
-    if entry is None:
-        blocks = space.quasi_components or (frozenset(),)
-        keys = _block_keys(space, sets)
-        entry = _store(
-            key, _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
-        )
+    if space.n and sum(map(len, space.up)) == space.n:
+        # every up set is its point alone, so every block is a point
+        held = [0] * space.n
+        for K in sets:
+            for x in K:
+                held[x] += 1
+        entry = _points_entry(tuple(map(held.count, range(max(held) + 1))))
+    else:
+        key = _key(space.up, sets)
+        entry = _MEMO.get(key)
+        if entry is None:
+            blocks = space.quasi_components or (frozenset(),)
+            keys = _block_keys(space, sets)
+            entry = _store(
+                key, _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
+            )
     *invariants, rejected = entry
     if rejected is not None:
         K = sets[rejected]
@@ -309,7 +330,7 @@ def _store(key, entry: tuple) -> tuple:
     return entry
 
 
-def _block_keys(space: FiniteSpace, sets) -> list[tuple]:
+def _block_keys(space: FiniteSpace, sets) -> list[tuple | None]:
     """The memo key of the sets' traces on each block, in the blocks' order.
 
     A block is a quasi-component, so it is clopen and holds the up set of
@@ -318,9 +339,11 @@ def _block_keys(space: FiniteSpace, sets) -> list[tuple]:
     their up sets and of the sets' traces.  A pass over the blocks and one
     over the points in increasing order give each point its block and its
     bit there; one pass over the up sets and one over the sets' points
-    then build every block's masks, so no block is relabelled on its own.  A connected space's one block has the space's
-    own key, and the empty space's one empty block has the key of the
-    empty space.
+    then build every block's masks, so no block is relabelled on its own.
+    A one-point block has no key (None): its entry is read off the number
+    of sets holding its point (see _block_entry).  A connected space's one
+    block has the space's own key, and the empty space's one empty block
+    has the key of the empty space.
     """
     blocks = space.quasi_components
     if len(blocks) < 2:
@@ -341,19 +364,22 @@ def _block_keys(space: FiniteSpace, sets) -> list[tuple]:
     for i, K in enumerate(sets):
         for x in K:
             traces[block[x]][i] |= bit[x]
-    return [(tuple(u), tuple(t)) for u, t in zip(ups, traces)]
+    return [(tuple(u), tuple(t)) if len(u) > 1 else None for u, t in zip(ups, traces)]
 
 
-def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple) -> tuple:
+def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple | None) -> tuple:
     """The entry of the sets' traces on a quasi-component (or the empty block).
 
-    key is the block's key from _block_keys, the same key rule as a whole
-    space's.  A miss builds the complex of the traces on the caller's
-    space (see _cech) over Z, which checks d∘d.  A piece merges
-    quasi-components exactly when it has two degree-1 labels, which are
-    adjacent; the entry of a family with such a piece keeps only the first
-    one's index.
+    A one-point block's entry is that of the j sets holding its point (see
+    _point_entry), and takes no table slot.  For any other block, key is
+    its key from _block_keys, the same key rule as a whole space's.  A
+    miss builds the complex of the traces on the caller's space (see
+    _cech) over Z, which checks d∘d.  A piece merges quasi-components
+    exactly when it has two degree-1 labels, which are adjacent; the entry
+    of a family with such a piece keeps only the first one's index.
     """
+    if len(block) == 1:
+        return _point_entry(sum(block <= K for K in sets))
     entry = _MEMO.get(key)
     if entry is not None:
         return entry
@@ -365,6 +391,35 @@ def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple) -> tupl
     ranks = tuple(map(len, complex_.terms))
     factors = tuple(map(_invariants, complex_.diffs))
     return _store(key, (ranks, factors, not block or any(K & block for K in sets), None))
+
+
+@cache
+def _point_entry(j: int) -> tuple:
+    """The entry of a one-point block held by j of the sets, built once per j.
+
+    Every nonempty trace of the sets on the point is the point itself, so
+    the complex is the augmented cochain complex of the full simplex on
+    the j sets: term ranks C(j, m), every invariant factor 1, and exact
+    when j > 0 (for j = 0 it is one term, R).  It is built and eliminated by the general rule, on a one-point
+    space with j copies of its point, and so checked for d∘d; no piece
+    merges anything.
+    """
+    point = FiniteSpace.discrete(1)
+    whole = frozenset(point.points)
+    complex_ = ChainComplex(int_inf(), *_cech(point, (whole,) * j, whole))
+    return tuple(map(len, complex_.terms)), tuple(map(_invariants, complex_.diffs)), j > 0, None
+
+
+@lru_cache(maxsize=MEMO_COMPLEXES)
+def _points_entry(histogram: tuple[int, ...]) -> tuple:
+    """The entry of a discrete space with histogram[j] points held by j sets.
+
+    The histogram stops at the largest count, so families that hold the
+    points alike share it.  The entry is the sum of the points' entries
+    (see _point_entry); at most MEMO_COMPLEXES histograms are kept, the
+    least recently used dropped first.
+    """
+    return _sum_entries([_point_entry(j) for j, m in enumerate(histogram) for _ in range(m)])
 
 
 def _sum_entries(entries) -> tuple:

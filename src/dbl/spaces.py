@@ -143,6 +143,10 @@ class FiniteSpace:
         """Indices of the quasi-components making up a clopen U."""
         U = frozenset(U)
         if not self.is_clopen(U):
+            try:
+                _ints(U)  # a point that is not an int is named first
+            except ValueError as err:
+                raise NotClopen(str(err)) from None
             raise NotClopen(f"{sorted(U)} is not clopen")
         return frozenset(self._component_of[x] for x in U)
 

@@ -122,4 +122,4 @@ def test_criterion_10_extension_isometry():
     verdict = suite.extension_isometry()
     _report("10 extension isometry", verdict, started)
     assert verdict["pass"], verdict
-    assert verdict["cases"] > 0
+    assert verdict["cases"] == 18960

@@ -47,10 +47,16 @@ def fam(space, *sets):
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty table of integer invariants for the test, the module's restored after it."""
+    """An empty table of integer invariants for the test, the module's restored after it.
+
+    The entries of discrete spaces, which never enter the table, are
+    dropped before and after the test.
+    """
     table = {}
     monkeypatch.setattr(cech, "_MEMO", table)
-    return table
+    cech._points_entry.cache_clear()
+    yield table
+    cech._points_entry.cache_clear()
 
 
 def test_is_cover():
@@ -232,9 +238,11 @@ def _verdict_or_message(space, sets, ring):
 
 
 def block_pairs(space, sets):
-    """The distinct (subspace, traces) pairs of a space's quasi-components."""
+    """The distinct (subspace, traces) pairs of a space's quasi-components of two or more points."""
     pairs = set()
     for block in space.quasi_components:
+        if len(block) < 2:
+            continue
         sub, inclusion = inclusion_map(block, space)
         traces = tuple(
             frozenset(i for i, x in enumerate(inclusion.images) if x in K) for K in sets
@@ -248,11 +256,12 @@ def test_embedding_check_matches_the_per_piece_check(memo):
     # check on the degree-1 labels raises what the per-piece check raises,
     # and otherwise the verdict is the complex's homology.  Each ring's
     # cold verdict is taken on an empty table; the warm ones then read the
-    # entries the last ring left, on a fresh but equal space: one for the
-    # space and, when it has two or more quasi-components, one per
-    # distinct block
+    # entries the last ring left, on a fresh but equal space.  A discrete
+    # space leaves no table entry and one histogram entry; any other
+    # leaves one for the space and, when it has two or more
+    # quasi-components, one per distinct block of two or more points
     rings = (Z, zmod_triv(4), int_triv(), fp_triv(2), zmod_quot(6), zmod_triv(1))
-    cases = rejected = 0
+    cases = rejected = discretes = 0
     for n in range(4):
         for space in topologies(n):
             full = frozenset(space.points)
@@ -268,6 +277,7 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                     cold = {}
                     for ring in rings:
                         memo.clear()
+                        cech._points_entry.cache_clear()
                         cold[ring] = verdict = _verdict_or_message(space, sets, ring)
                         cases += 1
                         if want is not None:
@@ -282,8 +292,21 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                     for ring in rings:
                         assert _verdict_or_message(same, sets, ring) == cold[ring]
                     blocks = len(space.quasi_components)
-                    assert len(memo) == 1 + (len(block_pairs(space, sets)) if blocks > 1 else 0)
-    assert cases > rejected > 0
+                    discrete = blocks == space.n > 0
+                    histograms = cech._points_entry.cache_info().currsize
+                    if discrete:
+                        assert memo == {} and histograms == 1
+                        discretes += 1
+                    else:
+                        pairs = len(block_pairs(space, sets)) if blocks > 1 else 0
+                        assert len(memo) == 1 + pairs and histograms == 0
+    assert cases > rejected > 0 and discretes > 0
+
+
+# a space with the blocks {0, 1, 2} and {3, 4}, neither a point, so every
+# block entry goes through the table, and a family of closed sets on it
+TWO_BLOCK_OPENS = [{0}, {1}, {0, 1, 2}, {3}, {3, 4}]
+TWO_BLOCK_SETS = [{2, 3, 4}, {1, 2}, {0, 1, 2}]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -291,9 +314,9 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, 
     # the space's two quasi-components are split off by one components
     # call; each block's complex then takes one call per tuple of the sets
     # that meet it, the empty tuple's being the block itself: 2^r for the
-    # block {0, 1, 2}, 2 for {3}, which meets only {2, 3}, none for the
-    # embedding check, and all on the caller's space.  A fresh but equal
-    # space over a second ring reads the table
+    # block {0, 1, 2}, 2 for {3, 4}, which meets only {2, 3, 4}, none for
+    # the embedding check, and all on the caller's space.  A fresh but
+    # equal space over a second ring reads the table
     calls = []
     components = FiniteSpace.components
 
@@ -302,22 +325,21 @@ def test_verdict_computes_each_intersections_components_once(monkeypatch, memo, 
         return components(self, subset)
 
     monkeypatch.setattr(FiniteSpace, "components", counted)
-    sets = [{2, 3}, {1, 2}, {0, 1, 2}][:r]
-    opens = [{0}, {1}, {0, 1, 2}, {3}]
-    space = FiniteSpace(4, opens)
+    sets = TWO_BLOCK_SETS[:r]
+    space = FiniteSpace(5, TWO_BLOCK_OPENS)
     tate_verdict(space, fam(space, *sets), Z)
     assert len(calls) == 1 + 2**r + 2
     assert all(s is space for s in calls)
     calls.clear()
-    again = FiniteSpace(4, opens)
+    again = FiniteSpace(5, TWO_BLOCK_OPENS)
     tate_verdict(again, fam(again, *sets), zmod_triv(4))
     assert calls == []
 
 
 def test_cold_verdict_builds_no_space_and_no_family(monkeypatch, memo):
     # each block's complex is built on the caller's space and family sets
-    space = FiniteSpace(4, [{0}, {1}, {0, 1, 2}, {3}])
-    family = fam(space, {2, 3}, {1, 2}, {0, 1, 2})
+    space = FiniteSpace(5, TWO_BLOCK_OPENS)
+    family = fam(space, *TWO_BLOCK_SETS)
     built = []
     space_init, family_check = FiniteSpace.__init__, CoverFamily.__post_init__
 
@@ -337,30 +359,33 @@ def test_cold_verdict_builds_no_space_and_no_family(monkeypatch, memo):
 
 def test_block_keys_are_the_blocks_relabelled_one_by_one():
     # every topology on <= 4 points with every family of <= 3 closed sets:
-    # the one-pass keys are those of each block relabelled on its own
-    cases = split = 0
+    # the one-pass keys are those of each block relabelled on its own, and
+    # a one-point block beside others has none
+    cases = split = keyed = 0
     for n in range(5):
         for space in topologies(n):
             full = frozenset(space.points)
             closed = [full - U for U in space.opens]
             for size in (1, 2, 3):
                 for sets in combinations(closed, size):
-                    assert cech._block_keys(space, sets) == block_keys_by_relabelling(space, sets)
+                    keys = cech._block_keys(space, sets)
+                    assert keys == block_keys_by_relabelling(space, sets)
                     cases += 1
-                    split += len(space.quasi_components) > 1
-    assert cases > split > 0
+                    if len(keys) > 1:
+                        split += 1
+                        keyed += any(keys) and None in keys
+    assert cases > split > keyed > 0
 
 
 def test_whole_space_miss_reads_its_blocks_off_the_table(monkeypatch, memo):
     # with every block entry in the table and the space's own entry gone,
     # a verdict builds no complex and splits the space once
-    opens = [{0}, {1}, {0, 1, 2}, {3}]
-    sets = [{2, 3}, {1, 2}]
-    space = FiniteSpace(4, opens)
+    sets = TWO_BLOCK_SETS[:2]
+    space = FiniteSpace(5, TWO_BLOCK_OPENS)
     want = tate_verdict(space, fam(space, *sets), Z)
     del memo[cech._key(space.up, [frozenset(K) for K in sets])]
     assert len(memo) == 2
-    again = FiniteSpace(4, opens)
+    again = FiniteSpace(5, TWO_BLOCK_OPENS)
     family = fam(again, *sets)
     built = counted_builds(monkeypatch)
     calls = []
@@ -432,20 +457,29 @@ def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
 
 
 def test_memo_writes_from_threads_keep_the_bound(memo):
-    # four threads share a table of families of discrete(11), 1,600
-    # distinct in all and each thread's overlapping the next one's
+    # four threads share a table of one-set families of a 12-point space
+    # with the blocks {0, .., 10}, where 10 specializes to every other
+    # point, and {11}: 1,600 families distinct in all, each thread's
+    # overlapping the next one's, and each writing an entry for the space
+    # and one for the block {0, .., 10} when it is new.  A family is exact
+    # when its set holds 10 and 11
     import sys
     import threading
 
-    space = FiniteSpace.discrete(11)
-    subsets = [frozenset(x for x in range(11) if m >> x & 1) for m in range(2**11)]
+    space = FiniteSpace(12, [{x} for x in range(10)] + [range(11), {11}])
+    assert [len(B) for B in space.quasi_components] == [11, 1]
+    free = [*range(10), 11]
+    subsets = []
+    for m in range(2**11):
+        K = {x for i, x in enumerate(free) if m >> i & 1}
+        subsets.append(frozenset(K | {10} if K - {11} else K))
     errors = []
 
     def work(start):
         try:
             for K in subsets[start : start + 700]:
                 verdict = tate_verdict(space, fam(space, K), Z)
-                if verdict["exact"] != (len(K) == 11) or not verdict["agreement"]:
+                if verdict["exact"] != ({10, 11} <= K) or not verdict["agreement"]:
                     errors.append(K)
         except Exception as err:  # reported by the assertion below
             errors.append(err)
@@ -502,15 +536,18 @@ def test_memo_skips_entries_past_the_factor_bits(monkeypatch, memo):
 
 def test_torsion_survives_the_sum_over_blocks(monkeypatch, memo):
     # the RP^2 star cover beside an isolated point in no set: the verdict
-    # is the sum of two block entries, one complex built for each
+    # is the sum of two block entries, one complex built for the RP^2
+    # block and the point's entry, that of j = 0 sets holding it, read off
+    # its count and never stored in the table
     rp2, stars = rp2_star_cover()
     space = FiniteSpace(rp2.n + 1, list(rp2.up) + [{rp2.n}])
     family = CoverFamily.make(space, stars.sets)
     assert space.n == MAX_POINTS and len(space.quasi_components) == 2
     wants = {r: exactness(build_tate_cech(space, family, r)) for r in (Z, fp_triv(3))}
+    cech._point_entry(0)
     built = counted_builds(monkeypatch)
     verdict = tate_verdict(space, family, Z)
-    assert len(built) == 2
+    assert built == [stars.sets] and len(memo) == 2
     want = wants[Z]
     assert verdict["homology"] == want["degrees"]
     assert [(d["free_rank"], d["torsion"]) for d in want["degrees"]] == [
@@ -521,14 +558,15 @@ def test_torsion_survives_the_sum_over_blocks(monkeypatch, memo):
     assert verdict["homology"] == want["degrees"]
     assert [d["torsion"] for d in want["degrees"]] == [[3], [], [], []]
     assert all(d["free_rank"] == 0 for d in want["degrees"])
-    assert len(built) == 2  # the second ring reads the table
+    assert len(built) == 1  # the second ring reads the table
 
 
 def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
     # criterion 1's families of <= 3 subsets of discrete(n), n <= 4, split
-    # into one-point blocks, and a point's traces form one of 2 + 4 + 8
-    # patterns: 14 complexes for all 805 families over all three rings.
-    # Each verdict over Z is the homology of the family's whole complex
+    # into one-point blocks, and a point's entry depends only on the j sets
+    # holding it: 4 complexes (j = 0..3), each on a one-point space, for
+    # all 805 families over all three rings, and no table entry.  Each
+    # verdict over Z is the homology of the family's whole complex
     from dbl.suite import _tate_cases
 
     cases = _tate_cases(4, 3)
@@ -536,12 +574,57 @@ def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, 5)}
     families = [CoverFamily.make(spaces[n], sets) for n, sets in cases]
     wholes = [exactness(build_tate_cech(f.space, f, Z)) for f in families]
+    cech._point_entry.cache_clear()
     built = counted_builds(monkeypatch)
     for family, whole in zip(families, wholes):
         for ring in (Z, int_triv(), fp_triv(2)):
             assert tate_verdict(family.space, family, ring)["agreement"]
         assert tate_verdict(family.space, family, Z)["homology"] == whole["degrees"]
-    assert len(built) == 14
+    assert sorted(map(len, built)) == [0, 1, 2, 3] and memo == {}
+
+
+def test_a_points_entry_is_the_full_simplex_on_the_sets_holding_it():
+    # on a one-point block every nonempty trace is the point, so the
+    # complex is the augmented cochain complex of the full simplex on the
+    # j sets holding it: terms C(j, m), d_m of rank C(j - 1, m), every
+    # invariant factor 1, and a cover when j > 0
+    from math import comb
+
+    for j in range(cech.MAX_FAMILY + 1):
+        ranks, factors, covers, merging = cech._point_entry(j)
+        assert ranks == tuple(comb(j, m) for m in range(j + 1))
+        assert factors == tuple((comb(j - 1, m), ()) for m in range(j))
+        assert covers == (j > 0) and merging is None
+
+
+def test_discrete_verdicts_are_the_whole_complexes(memo):
+    # random families of 1..6 sets on discrete spaces up to the point cap,
+    # each set drawn with its own density: the verdict read off the
+    # histogram of the counts of sets holding each point is the homology
+    # of the family's whole complex over every ring, and no entry goes
+    # into the table
+    import random
+
+    rng = random.Random(26)
+    rings = (Z, int_triv(), fp_triv(2), zmod_triv(4), zmod_triv(1), zmod_quot(6))
+    cases = 0
+    for n in (1, 2, 3, 5, 8, 32):
+        space = FiniteSpace.discrete(n)
+        for _ in range(12):
+            density = rng.random()
+            sets = [
+                frozenset(x for x in space.points if rng.random() < density)
+                for _ in range(rng.randint(1, cech.MAX_FAMILY))
+            ]
+            family = CoverFamily.make(space, sets)
+            for ring in rings:
+                verdict = tate_verdict(space, family, ring)
+                hom = exactness(build_tate_cech(space, family, ring))
+                assert verdict["homology"] == hom["degrees"], (n, sets, ring)
+                assert verdict["exact"] == hom["exact"]
+                assert verdict["cover_components"] == is_cover(space, family)
+                cases += 1
+    assert cases == 6 * 12 * 6 and memo == {}
 
 
 def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):

@@ -376,6 +376,7 @@ PINNED = {
     "mahler-pairing": (["mahler", "--pairing"], ""),
     "mahler-coeffs": (["mahler", "--coeffs", "1,2,3"], ""),
     "sw": (["sw"], ""),
+    "suite": (["suite"], ""),
 }
 PINNED_REPORTS = Path(__file__).parent / "data" / "cli_reports.json"
 

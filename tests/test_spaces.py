@@ -164,6 +164,17 @@ def test_clopen_component_indices_reject_points_that_are_not_ints():
     assert d.clopen_component_indices({1}) == {1}
 
 
+def test_clopen_component_indices_name_a_point_that_is_not_an_int():
+    # a set mixing types cannot be sorted for the message; the point that
+    # is not an int is named instead, and the error stays NotClopen
+    d = FiniteSpace.discrete(2)
+    for U in ({"a", 1}, {"a"}, {1, None}):
+        with pytest.raises(NotClopen, match=r"^point .* is not an int$"):
+            d.clopen_component_indices(U)
+    with pytest.raises(NotClopen, match=r"^\[0, 5\] is not clopen$"):
+        d.clopen_component_indices({0, 5})
+
+
 def test_component_index_rejects_points_that_are_not_ints():
     d = FiniteSpace.discrete(2)
     for x in NOT_POINTS:
