@@ -11,7 +11,7 @@ apart.  The differentials are integer matrices: the rings here are
 discrete, so the complex over R is the integer complex tensored with R,
 and its homology over Z, F_p, Z/n and the zero ring is read off the
 invariant factors of each integer differential (intlinalg.invariant_factors,
-a sparse elimination that keeps no transforms) by one rule, _homology.
+a sparse elimination that keeps no transforms) by one rule, _degrees.
 
 C(X, R) is the product of C(B, R) over the quasi-components B of X, so
 the complex of a family is the direct sum of the complexes of its traces
@@ -31,18 +31,30 @@ one-point space, and never enters the table (_point_entry).  A discrete
 space, all of whose blocks are points, builds no key either: it counts
 the sets holding each point, and its entry, the sum of its points', is
 kept per histogram of those counts for the last MEMO_COMPLEXES
-histograms (_points_entry).  Every other entry, block or whole, goes into
-one first-in-first-out table of MEMO_COMPLEXES entries keyed on the point
-bitmasks of the up sets and of the family's sets, a block's relabelled
-to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
-and no space is kept alive).  A space missing from the table gets all
-its blocks' keys from one pass over its points, up sets and sets
-(_block_keys), so a miss whose blocks are all in the table or are points
-builds nothing.  An entry whose factors greater than 1 take more than
-MEMO_FACTOR_BITS bits in all is not stored.  A full table of
-6-set families of the connected 32-point space in which point 31
-specializes to every other point takes 1.9 MiB (tracemalloc), and one
-with every key, rank and factor at its bound about 3.3 MiB.
+histograms (_points_entry).  Whether a space is discrete is read off
+FiniteSpace.is_discrete, decided once when the space was built.  Every
+other entry, block or whole, goes into one first-in-first-out table of
+MEMO_COMPLEXES entries keyed on the point bitmasks of the up sets and of
+the family's sets, a block's relabelled to 0..m-1 (spaces are equal when
+their up sets are, so the key is exact, and no space is kept alive).  A
+space missing from the table gets all its blocks' keys from one pass over
+its points, up sets and sets (_block_keys), so a miss whose blocks are
+all in the table or are points builds nothing.  An entry whose factors
+greater than 1 take more than MEMO_FACTOR_BITS bits in all is not
+stored.  A full table of 6-set families of the connected 32-point space
+in which point 31 specializes to every other point takes 1.9 MiB
+(tracemalloc), and one with every key, rank and factor at its bound
+about 3.3 MiB.
+
+The homology over a ring is read off an entry by _degrees, and memoized
+per entry and ring: a second first-in-first-out table of MEMO_COMPLEXES
+results, keyed on the entry's term ranks and differentials' invariants
+and the ring's modulus (0 for Z), so every ring with that modulus reads
+it (see _homology).  A result is not stored when the factors greater
+than 1 of its key and its torsion take more than MEMO_FACTOR_BITS bits
+in all.  Full of seven-term entries at the 6-set bound on 32 points, each
+with 64 bits of factors and torsion, it takes about 1.8 MiB (tracemalloc);
+one pass of the cover benchmark leaves 110 results in 0.05 MiB.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
 characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
@@ -98,8 +110,7 @@ class CoverFamily:
 
 def is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
     """Set-theoretic union test on points."""
-    union = frozenset().union(*family.sets)
-    return union == frozenset(range(space.n))
+    return frozenset().union(*family.sets) == space._point_set
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,33 @@ def _invariants(d) -> tuple[int, tuple[int, ...]]:
 
 
 def _homology(ranks, factors, n: int) -> dict:
-    """Per-degree homology over Z/n (n = 0 for Z) of an integer complex.
+    """Per-degree homology report over Z/n (n = 0 for Z); see _degrees.
+
+    The degrees of each (ranks, factors, n), the ring-free entry of a
+    complex and the ring's modulus, are kept in one first-in-first-out
+    table of at most MEMO_COMPLEXES results, so every verdict on an entry
+    and a ring after the first reads them.  A result whose factors
+    greater than 1 and torsion take more than MEMO_FACTOR_BITS bits in
+    all is recomputed every time.  The report's dicts and lists are built
+    afresh on every call, so no caller shares them.
+    """
+    key = ranks, factors, n
+    degrees = _DEGREES.get(key)
+    if degrees is None:
+        degrees = _degrees(ranks, factors, n)
+        torsion_bits = sum(e.bit_length() for _, torsion, _ in degrees for e in torsion)
+        _store(_DEGREES, key, degrees, _factor_bits(factors) + torsion_bits)
+    return {
+        "degrees": [
+            {"degree": k, "free_rank": free, "torsion": list(torsion), "vanishes": vanishes}
+            for k, (free, torsion, vanishes) in enumerate(degrees)
+        ],
+        "exact": all(vanishes for _, _, vanishes in degrees),
+    }
+
+
+def _degrees(ranks, factors, n: int) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
+    """(free rank, torsion, vanishes) per degree of an integer complex over Z/n.
 
     ranks[k] is the rank of the degree-k term and factors[k] is
     _invariants of the differential out of it.  The complex over R is the
@@ -227,7 +264,7 @@ def _homology(ranks, factors, n: int) -> dict:
     coefficients).  Here Z/0 = Z, and a unit factor leaves Z/1 = 0, so it
     counts only in the rank.
     """
-    report = {"degrees": [], "exact": True}
+    degrees = []
     for k, rank in enumerate(ranks):
         r_out, e_out = factors[k] if k < len(factors) else (0, ())
         r_in, e_in = factors[k - 1] if k >= 1 else (0, ())
@@ -243,17 +280,13 @@ def _homology(ranks, factors, n: int) -> dict:
             )
             torsion = [e for e in invariant_factors(diagonal) if e > 1]
         free_rank = summands.count(0)
-        vanished = free_rank == 0 and not torsion
-        report["degrees"].append(
-            {"degree": k, "free_rank": free_rank, "torsion": torsion, "vanishes": vanished}
-        )
-        if not vanished:
-            report["exact"] = False
-    return report
+        degrees.append((free_rank, tuple(torsion), free_rank == 0 and not torsion))
+    return tuple(degrees)
 
 
 _MEMO: dict[tuple, tuple] = {}
-_MEMO_LOCK = Lock()  # held by every write to the memo; reads take no lock
+_DEGREES: dict[tuple, tuple] = {}
+_MEMO_LOCK = Lock()  # held by every write to a memo; reads take no lock
 
 
 def _mask(points) -> int:
@@ -276,9 +309,10 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     every space gets the sum of its blocks' entries (see _block_entry and
     _sum_entries), the empty space that of one empty block.  A one-point
     block's entry depends only on j, the number of sets holding the point
-    (see _point_entry).  So a discrete space, whose blocks are all points,
-    builds no key: it counts the sets holding each point and reads its
-    entry off the histogram of those counts (see _points_entry).  Every
+    (see _point_entry).  So a discrete space (space.is_discrete), whose
+    blocks are all points, builds no key: it counts the sets holding each
+    point and reads its entry off the histogram of those counts (see
+    _points_entry).  Every
     other space's entry, and each of its blocks' of two or more points,
     goes into one table of at most MEMO_COMPLEXES entries, the oldest
     dropped first, keyed on the point bitmasks of the up sets and of the
@@ -291,8 +325,8 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     MEMO_FACTOR_BITS bits in all is recomputed every time.
     """
     sets = family.sets
-    if space.n and sum(map(len, space.up)) == space.n:
-        # every up set is its point alone, so every block is a point
+    if space.n and space.is_discrete:
+        # every block is a point
         held = [0] * space.n
         for K in sets:
             for x in K:
@@ -304,9 +338,8 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
         if entry is None:
             blocks = space.quasi_components or (frozenset(),)
             keys = _block_keys(space, sets)
-            entry = _store(
-                key, _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
-            )
+            entry = _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
+            _store(_MEMO, key, entry, _factor_bits(entry[1]))
     *invariants, rejected = entry
     if rejected is not None:
         K = sets[rejected]
@@ -315,19 +348,25 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
     return invariants
 
 
-def _store(key, entry: tuple) -> tuple:
-    """Put a computed entry into the memo, within its bounds, and return it.
+def _factor_bits(factors) -> int:
+    """The bits of the invariant factors greater than 1 of an entry's differentials."""
+    return sum(e.bit_length() for _, big in factors for e in big)
 
-    Only the write takes the lock, so no lock is held while an entry is
-    computed from other entries.
+
+def _store(table: dict, key, value, bits: int):
+    """Put a computed value of that many bits into a memo table, within its bounds.
+
+    A value of more than MEMO_FACTOR_BITS bits is not stored, and a full
+    table drops its oldest value first.  Only the write takes the lock, so
+    no lock is held while an entry is computed from other entries.
     """
-    if sum(e.bit_length() for _, big in entry[1] for e in big) <= MEMO_FACTOR_BITS:
+    if bits <= MEMO_FACTOR_BITS:
         with _MEMO_LOCK:
-            if key not in _MEMO:
-                if len(_MEMO) >= MEMO_COMPLEXES:
-                    del _MEMO[next(iter(_MEMO))]
-                _MEMO[key] = entry
-    return entry
+            if key not in table:
+                if len(table) >= MEMO_COMPLEXES:
+                    del table[next(iter(table))]
+                table[key] = value
+    return value
 
 
 def _block_keys(space: FiniteSpace, sets) -> list[tuple | None]:
@@ -387,10 +426,11 @@ def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple | None) 
     pieces = [tup for tup, _ in complex_.terms[1]] if complex_.length > 1 else []
     merging = next((i for (i,), t in zip(pieces, pieces[1:]) if t == (i,)), None)
     if merging is not None:
-        return _store(key, ((), (), False, merging))
+        return _store(_MEMO, key, ((), (), False, merging), 0)
     ranks = tuple(map(len, complex_.terms))
     factors = tuple(map(_invariants, complex_.diffs))
-    return _store(key, (ranks, factors, not block or any(K & block for K in sets), None))
+    covers = not block or any(K & block for K in sets)
+    return _store(_MEMO, key, (ranks, factors, covers, None), _factor_bits(factors))
 
 
 @cache

@@ -66,9 +66,6 @@ class CfinFunction:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, x: int):
-        return self.values[self.space.component_index(x)]
-
     def _compat(self, other: "CfinFunction"):
         if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch("functions live on different spaces")

@@ -74,12 +74,6 @@ class WeightedFreeModule:
     def zero(self) -> tuple:
         return ()
 
-    def basis_element(self, s) -> tuple:
-        if s not in self.weights:
-            raise KeyError(f"{s!r} is not a basis symbol")
-        one = self.ring.one
-        return elem({s: one}) if one != 0 else ()
-
     def weight(self, s) -> NormValue:
         return self.weights[s]
 
@@ -162,19 +156,6 @@ class TensorElement:
     m0: WeightedFreeModule
     m1: WeightedFreeModule
     matrix: tuple  # canonical elem over pair symbols
-
-    @staticmethod
-    def from_pairs(m0, m1, pairs) -> "TensorElement":
-        ring = m0.ring
-        if m1.ring != ring:
-            raise RingMismatch("tensor factors over different rings")
-        coeffs: dict = {}
-        for e0, e1 in pairs:
-            for s0, c0 in e0:
-                for s1, c1 in e1:
-                    key = (s0, s1)
-                    coeffs[key] = ring.add(coeffs.get(key, 0), ring.mul(c0, c1))
-        return TensorElement(m0, m1, elem(coeffs))
 
     @staticmethod
     def zero(m0, m1) -> "TensorElement":

@@ -226,10 +226,6 @@ class NormValue:
     def is_one(self) -> bool:
         return self._r == 1
 
-    def is_rational(self) -> bool:
-        """True when the value is an actual rational number."""
-        return self._d == 1
-
     def bit_length(self) -> int:
         """The bits of r's numerator and denominator: the size of the value."""
         return self._r.numerator.bit_length() + self._r.denominator.bit_length()

@@ -88,10 +88,6 @@ class RingDescriptor:
         return NV_ONE
 
     @property
-    def one_norm(self) -> NormValue:
-        return NV_ZERO if self.is_zero_ring else NV_ONE
-
-    @property
     def spectrum_connected(self) -> bool:
         # Declared metadata: for Z/n the spectrum is one point per prime
         # divisor of n, so connected means n is a prime power.

@@ -9,10 +9,14 @@ a point — are the connected components of the graph joining x to up[x]
 (for a subset S, to up[x] & S, so no subspace is built to find them);
 they are the finite-stage fibers of the map to the Banaschewski
 compactification, which here is just the discrete space of
-quasi-components, built once per space with its quotient map.  Spaces
-have at most MAX_POINTS points, the one cap a command meets: a space goes
-on the wire as its minimal opens, and only an explicit listing of its
-opens or clopens stops at MAX_LISTED sets.
+quasi-components, built once per space with its quotient map.  Whether a
+space is discrete is decided once, when it is built, from its up sets
+(however its opens were given): a discrete space takes its up sets as its
+quasi-components and calls every set of its points closed, with no
+component or preorder pass.  Spaces have at most MAX_POINTS points, the
+one cap a command meets: a space goes on the wire as its minimal opens,
+and only an explicit listing of its opens or clopens stops at MAX_LISTED
+sets.
 """
 
 from __future__ import annotations
@@ -50,11 +54,15 @@ class FiniteSpace:
     spaces.  up is built in one pass over the generating opens: each is
     checked as it is read (its points ints within 0..n-1), then
     intersected into up[x] for each of its points x.  The point set is
-    kept as one frozenset, which the open, closed and component tests
-    read.
+    kept as one frozenset, which the closed, clopen and component tests
+    read.  Whether the space is discrete, every up[x] the point x alone,
+    is decided once, from up: a discrete space's quasi-components are its
+    up sets, and every subset of its points is closed.
     """
 
     def __init__(self, n: int, generating_opens=()):
+        if not _is_int(n):
+            raise ValueError(f"point count {n!r} is not an int")
         if n < 0:
             raise ValueError("point count must be >= 0")
         if n > MAX_POINTS:
@@ -70,11 +78,14 @@ class FiniteSpace:
             for x in U:
                 up[x] &= U
         self.up = tuple(up)
+        # each point is open alone, so every subset is clopen
+        self.is_discrete = sum(map(len, up)) == n
 
     @staticmethod
     def discrete(n: int) -> "FiniteSpace":
-        # a generator, so that the point cap is checked before it is built
-        return FiniteSpace(n, (frozenset([x]) for x in range(n)))
+        # range(n) is read only after the constructor has checked n, so a
+        # count that is no int, or is past the cap, builds nothing
+        return FiniteSpace(n, (frozenset([x]) for m in (n,) for x in range(m)))
 
     @staticmethod
     def sierpinski() -> "FiniteSpace":
@@ -86,14 +97,14 @@ class FiniteSpace:
         """Every open set (the unions of the sets up[x]), in canonical order."""
         return _unions(self.up)
 
-    def is_open(self, U) -> bool:
-        U = frozenset(U)
-        return U <= self._point_set and _all_ints(U) and all(self.up[x] <= U for x in U)
-
     def is_closed(self, K) -> bool:
         K = frozenset(K)
+        if not (K <= self._point_set and _all_ints(K)):
+            return False
+        if self.is_discrete:
+            return True
         U = self._point_set - K
-        return K <= self._point_set and _all_ints(K) and all(self.up[x] <= U for x in U)
+        return all(self.up[x] <= U for x in U)
 
     def is_clopen(self, U) -> bool:
         U = frozenset(U)
@@ -127,6 +138,8 @@ class FiniteSpace:
     @cached_property
     def quasi_components(self) -> tuple[frozenset, ...]:
         """Partition of the points; block of x = meet of clopens containing x."""
+        if self.is_discrete:
+            return self.up
         return self.components(self._point_set)
 
     @cached_property

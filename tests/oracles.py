@@ -9,9 +9,9 @@ from itertools import combinations
 from math import comb
 
 from dbl.cech import CoverFamily
-from dbl.errors import NotEmbedding, NotUltrafilter, ValidationFailure
+from dbl.errors import NotEmbedding, NotUltrafilter, RingMismatch, ValidationFailure
 from dbl.functions import indicator
-from dbl.modtensor import ARCH, TensorElement
+from dbl.modtensor import ARCH, TensorElement, elem
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue, nv_max, nv_sum
 from dbl.scalars import RingDescriptor
 from dbl.spaces import FiniteSpace, PointMap
@@ -126,9 +126,28 @@ def g_split_by_sweep(oracle: SeminormOracle) -> SpectrumPoint:
     raise NotUltrafilter("indicator values are not the ultrafilter of one quasi-component")
 
 
+def is_up_set(space: FiniteSpace, U) -> bool:
+    """The preorder's rule for an open set: it holds up[x] for each of its points x."""
+    return all(space.up[x] <= U for x in U)
+
+
+def tensor_from_pairs(m0, m1, pairs) -> TensorElement:
+    """The sum of the simple tensors e0 (x) e1 over the pairs, expanded term by term."""
+    ring = m0.ring
+    if m1.ring != ring:
+        raise RingMismatch("tensor factors over different rings")
+    coeffs: dict = {}
+    for e0, e1 in pairs:
+        for s0, c0 in e0:
+            for s1, c1 in e1:
+                key = (s0, s1)
+                coeffs[key] = ring.add(coeffs.get(key, 0), ring.mul(c0, c1))
+    return TensorElement(m0, m1, elem(coeffs))
+
+
 def representation_cost(t: TensorElement, pairs) -> NormValue:
     """Cost of one representation: sum (arch) or max (nonarch) of term norms."""
-    if TensorElement.from_pairs(t.m0, t.m1, pairs).matrix != t.matrix:
+    if tensor_from_pairs(t.m0, t.m1, pairs).matrix != t.matrix:
         raise ValueError("pairs do not represent the tensor")
     terms = [t.m0.norm(e0) * t.m1.norm(e1) for e0, e1 in pairs]
     if not terms:
@@ -198,7 +217,7 @@ def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
         "submultiplicative": True,
         "triangle": "strong" if ring.non_archimedean else "weak",
         "isolation_gap": ring.isolation_gap.to_json(),
-        "one_norm": ring.one_norm.to_json(),
+        "one_norm": ring.norm(ring.one).to_json(),
     }
 
 

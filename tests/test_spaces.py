@@ -18,7 +18,7 @@ from dbl.spaces import (
     banaschewski,
     merged_pair,
 )
-from oracles import inclusion_map, ultrafilters
+from oracles import inclusion_map, is_up_set, topologies, ultrafilters
 
 
 def brute_clopens(space):
@@ -27,7 +27,7 @@ def brute_clopens(space):
     for size in range(space.n + 1):
         for c in combinations(range(space.n), size):
             U = frozenset(c)
-            if space.is_open(U) and space.is_closed(U):
+            if is_up_set(space, U) and space.is_closed(U):
                 out.append(U)
     return sorted(out, key=lambda u: tuple(sorted(u)))
 
@@ -136,6 +136,20 @@ def test_points_are_ints():
             FiniteSpace(3, gens)
 
 
+def test_point_count_is_an_int():
+    # a bool, a float or a string is no point count: each is a ValueError
+    # before any work, so no space reports "points": true
+    for n in (True, False, 2.0, "3", None, Fraction(2)):
+        with pytest.raises(ValueError, match="point count .* is not an int"):
+            FiniteSpace(n)
+        with pytest.raises(ValueError, match="point count .* is not an int"):
+            FiniteSpace.discrete(n)
+    for n in (0, 1, 5, MAX_POINTS):
+        report = FiniteSpace.discrete(n).to_json()
+        assert type(report["points"]) is int and report["points"] == n
+        assert FiniteSpace.from_json(report) == FiniteSpace.discrete(n)
+
+
 # hash-equal stand-ins for the points 0 and 1 of a two-point space
 NOT_POINTS = (True, False, 1.0, 0.0, Fraction(1))
 
@@ -144,8 +158,8 @@ def test_open_closed_and_clopen_tests_are_false_for_points_that_are_not_ints():
     d = FiniteSpace.discrete(2)
     for x in NOT_POINTS:
         for S in ({x}, {x, 1 - x}):
-            assert not d.is_open(S) and not d.is_closed(S) and not d.is_clopen(S)
-    assert d.is_open({1}) and d.is_closed({1}) and d.is_clopen({0, 1})
+            assert not d.is_closed(S) and not d.is_clopen(S)
+    assert d.is_closed({1}) and d.is_clopen({0, 1})
 
 
 def test_components_reject_points_that_are_not_ints():
@@ -194,6 +208,48 @@ def test_point_maps_reject_images_that_are_not_ints():
 def test_clopen_closure_rejects_non_clopen():
     with pytest.raises(NotClopen):
         FiniteSpace.sierpinski().clopen_component_indices(frozenset({1}))
+
+
+# discrete spaces built in other ways than FiniteSpace.discrete: every up
+# set is its point alone, however the opens were given
+GENERATED_DISCRETE = (
+    (3, [{0, 1}, {1, 2}, {0}, {2}]),
+    (4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}]),
+    (5, [{0, 1, 2}, {2, 3, 4}, {0, 3}, {1, 4}, {0, 4}, {1, 3}]),
+    (MAX_POINTS, [set(range(MAX_POINTS)) - {x} for x in range(MAX_POINTS)]),
+)
+
+
+def short_path_spaces():
+    for n in range(5):
+        yield from topologies(n)
+    for n in range(MAX_POINTS + 1):
+        yield FiniteSpace.discrete(n)
+    for n, gens in GENERATED_DISCRETE:
+        yield FiniteSpace(n, gens)
+
+
+def test_discrete_spaces_take_the_short_path_to_the_same_answers():
+    # a space is discrete exactly when each up set is its point; then its
+    # quasi-components are the general components of its points, and
+    # is_closed agrees with the preorder's rule (the complement is an up
+    # set) on every subset up to 5 points.  Sets holding a bool, a float
+    # or a string are not closed, on either path
+    discrete = 0
+    for space in short_path_spaces():
+        points = frozenset(space.points)
+        assert space.is_discrete == all(space.up[x] == {x} for x in space.points)
+        discrete += space.is_discrete
+        assert space.quasi_components == space.components(points)
+        if space.n <= 5:
+            for size in range(space.n + 1):
+                for K in map(frozenset, combinations(space.points, size)):
+                    assert space.is_closed(K) == is_up_set(space, points - K), (space, K)
+        for bad in (True, 0.0, "a"):
+            assert not space.is_closed({bad})
+            assert not space.is_closed({bad} | points)
+    assert discrete == 1 + (MAX_POINTS + 1) + len(GENERATED_DISCRETE) + 4
+    assert not FiniteSpace.sierpinski().is_discrete and not glued_pairs().is_discrete
 
 
 def test_ultrafilters():
@@ -406,7 +462,7 @@ def test_preorder_matches_topology_closure(spec, data):
                 block &= U
         assert block == space.quasi_components[space.component_index(x)]
     for U in opens:
-        assert space.is_open(U) and space.is_closed(full - U)
+        assert is_up_set(space, U) and space.is_closed(full - U)
     # continuity is "preimages of opens are open" on random maps
     m, other_gens = data.draw(generated_spaces(max_points=4))
     if m:

@@ -365,7 +365,7 @@ def test_g_split_on_honest_squared_and_max_oracles():
     d2 = FiniteSpace.discrete(2)
     arch = g_inverse(1, BasePoint.arch(1), d2, Z)
     off_at_13 = SeminormOracle(
-        d2, Z, lambda f: NormValue.from_fraction(14) if f.eval(1) == 13 else arch(f)
+        d2, Z, lambda f: NormValue.from_fraction(14) if f.values[1] == 13 else arch(f)
     )
     with pytest.raises(UnrecognizedBasePoint, match="constant 13"):
         g_split(off_at_13)
@@ -411,14 +411,14 @@ def test_g_split_on_directly_built_oracles():
     # an oracle given as a bare evaluation closure, not via g_inverse
     space = FiniteSpace.discrete(2)
     two_adic = SeminormOracle(
-        space, Z, lambda f: base_eval(BasePoint.padic(2, 1), Z, f.eval(1))
+        space, Z, lambda f: base_eval(BasePoint.padic(2, 1), Z, f.values[1])
     )
     pt = g_split(two_adic)
     assert pt == SpectrumPoint(1, BasePoint.padic(2, 1))
 
     point_space = FiniteSpace.discrete(1)
     trivial = SeminormOracle(
-        point_space, Z, lambda f: base_eval(BasePoint.trivial(), Z, f.eval(0))
+        point_space, Z, lambda f: base_eval(BasePoint.trivial(), Z, f.values[0])
     )
     pt = g_split(trivial)
     assert pt == SpectrumPoint(0, BasePoint.trivial())
