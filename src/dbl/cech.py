@@ -105,7 +105,7 @@ class CoverFamily:
 
     @staticmethod
     def make(space: FiniteSpace, sets) -> "CoverFamily":
-        return CoverFamily(space, tuple(frozenset(K) for K in sets))
+        return CoverFamily(space, tuple(map(frozenset, sets)))
 
 
 def is_cover(space: FiniteSpace, family: CoverFamily) -> bool:

@@ -19,8 +19,9 @@ computes its modulus, and its one, once: on first use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
@@ -28,6 +29,11 @@ from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 _KINDS = ("IntInf", "IntTriv", "FpTriv", "ZmodTriv", "ZmodQuot")
 MAX_MODULUS = 2**32
 MAX_ELEMENTS = 2**16
+# how many names RingDescriptor.parse keeps a descriptor for
+PARSED_NAMES = 64
+_RING_NAME = re.compile(
+    rf"(IntInf|IntTriv)|(FpTriv|ZmodTriv|ZmodQuot)\(([0-9]{{1,{len(str(MAX_MODULUS))}}})\)"
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -195,20 +201,28 @@ class RingDescriptor:
         return RingDescriptor(obj["kind"], p=p, n=n)
 
     @staticmethod
+    @lru_cache(maxsize=PARSED_NAMES)
     def parse(text: str) -> "RingDescriptor":
-        """Parse 'IntInf', 'FpTriv(3)', 'ZmodQuot(6)', ..."""
+        """The ring a name such as 'IntInf', 'FpTriv(3)' or 'ZmodQuot(6)' names.
+
+        After surrounding whitespace is stripped, a name is exactly IntInf,
+        IntTriv, or Kind(d) for the three other kinds, with d ASCII digits,
+        no more of them than MAX_MODULUS has; anything else raises
+        UnsupportedRing.  Descriptors are immutable, so every call with one
+        name returns the same instance, from a table of the PARSED_NAMES
+        names used most recently; a rejected name raises on every call and
+        is never stored.
+        """
         text = text.strip()
-        if "(" in text:
-            name, _, rest = text.partition("(")
-            arg = int(rest.rstrip(")"))
-            if name == "FpTriv":
-                return RingDescriptor(name, p=arg)
-            if name in ("ZmodTriv", "ZmodQuot"):
-                return RingDescriptor(name, n=arg)
+        name = _RING_NAME.fullmatch(text)
+        if name is None:
             raise UnsupportedRing(f"cannot parse ring {text!r}")
-        if text in ("IntInf", "IntTriv"):
-            return RingDescriptor(text)
-        raise UnsupportedRing(f"cannot parse ring {text!r}")
+        plain, kind, digits = name.groups()
+        if plain is not None:
+            return RingDescriptor(plain)
+        if kind == "FpTriv":
+            return RingDescriptor(kind, p=int(digits))
+        return RingDescriptor(kind, n=int(digits))
 
     def __str__(self):
         m = self.modulus

@@ -13,10 +13,11 @@ quasi-components, built once per space with its quotient map.  Whether a
 space is discrete is decided once, when it is built, from its up sets
 (however its opens were given): a discrete space takes its up sets as its
 quasi-components and calls every set of its points closed, with no
-component or preorder pass.  Spaces have at most MAX_POINTS points, the
-one cap a command meets: a space goes on the wire as its minimal opens,
-and only an explicit listing of its opens or clopens stops at MAX_LISTED
-sets.
+component or preorder pass, and FiniteSpace.discrete(n) builds one from
+its count alone, with no generating open to check.  Spaces have at most
+MAX_POINTS points, the one cap a command meets: a space goes on the wire
+as its minimal opens, and only an explicit listing of its opens or
+clopens stops at MAX_LISTED sets.
 """
 
 from __future__ import annotations
@@ -57,19 +58,15 @@ class FiniteSpace:
     kept as one frozenset, which the closed, clopen and component tests
     read.  Whether the space is discrete, every up[x] the point x alone,
     is decided once, from up: a discrete space's quasi-components are its
-    up sets, and every subset of its points is closed.
+    up sets, set when it is built, and every subset of its points is
+    closed.  Any other space finds its quasi-components on first read.
+    FiniteSpace.discrete(n) checks n as the constructor does, then makes
+    the singletons itself, so it reads and checks no generating open; both
+    end in one finishing step, _finish.
     """
 
     def __init__(self, n: int, generating_opens=()):
-        if not _is_int(n):
-            raise ValueError(f"point count {n!r} is not an int")
-        if n < 0:
-            raise ValueError("point count must be >= 0")
-        if n > MAX_POINTS:
-            raise SizeExceeded(f"{n} points > cap {MAX_POINTS}")
-        self.n = n
-        self.points = tuple(range(n))
-        self._point_set = full = frozenset(self.points)
+        full = frozenset(range(_point_count(n)))
         up = [full] * n
         for U in generating_opens:
             U = _ints(U)
@@ -77,15 +74,33 @@ class FiniteSpace:
                 raise ValueError(f"open set {sorted(U)} not within 0..{n - 1}")
             for x in U:
                 up[x] &= U
-        self.up = tuple(up)
-        # each point is open alone, so every subset is clopen
-        self.is_discrete = sum(map(len, up)) == n
+        self._finish(full, tuple(up))
 
     @staticmethod
     def discrete(n: int) -> "FiniteSpace":
-        # range(n) is read only after the constructor has checked n, so a
-        # count that is no int, or is past the cap, builds nothing
-        return FiniteSpace(n, (frozenset([x]) for m in (n,) for x in range(m)))
+        """The discrete space on n points, built from n alone.
+
+        n is checked as the constructor checks it (an int and no bool,
+        0..MAX_POINTS); the up sets are the singletons, made here, so no
+        generating open is read or checked.  The result equals
+        FiniteSpace(n, the singletons) in every field.
+        """
+        space = object.__new__(FiniteSpace)
+        points = range(_point_count(n))
+        space._finish(frozenset(points), tuple(map(frozenset, zip(points))))
+        return space
+
+    def _finish(self, full: frozenset, up: tuple[frozenset, ...]):
+        """Set the fields of the space with these up sets on the points in full."""
+        self.n = n = len(up)
+        self.points = tuple(range(n))
+        self._point_set = full
+        self.up = up
+        # each point is open alone, so every subset is clopen and the up
+        # sets, already in point order, are the quasi-components
+        self.is_discrete = sum(map(len, up)) == n
+        if self.is_discrete:
+            self.quasi_components = up
 
     @staticmethod
     def sierpinski() -> "FiniteSpace":
@@ -137,9 +152,11 @@ class FiniteSpace:
 
     @cached_property
     def quasi_components(self) -> tuple[frozenset, ...]:
-        """Partition of the points; block of x = meet of clopens containing x."""
-        if self.is_discrete:
-            return self.up
+        """Partition of the points; block of x = meet of clopens containing x.
+
+        Computed on first read, except for a discrete space, which has it
+        from construction (see _finish).
+        """
         return self.components(self._point_set)
 
     @cached_property
@@ -196,6 +213,17 @@ class FiniteSpace:
         ):
             raise ValueError('a space is {"points": int, "opens": [[int, ...], ...]}')
         return FiniteSpace(obj["points"], [frozenset(U) for U in obj["opens"]])
+
+
+def _point_count(n) -> int:
+    """n, once it is checked to be a point count: an int (no bool), 0..MAX_POINTS."""
+    if not _is_int(n):
+        raise ValueError(f"point count {n!r} is not an int")
+    if n < 0:
+        raise ValueError("point count must be >= 0")
+    if n > MAX_POINTS:
+        raise SizeExceeded(f"{n} points > cap {MAX_POINTS}")
+    return n
 
 
 def _is_int(x) -> bool:

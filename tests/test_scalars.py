@@ -62,10 +62,52 @@ def test_ring_parse_and_json():
         r = RingDescriptor.parse(text)
         assert str(r) == text
         assert RingDescriptor.from_json(r.to_json()) == r
-    with pytest.raises(UnsupportedRing):
-        RingDescriptor.parse("NumberField(5)")
+    # a name is IntInf, IntTriv or Kind(d) with d ASCII digits, and no more
+    # of them than MAX_MODULUS has; surrounding whitespace is stripped
+    assert RingDescriptor.parse(" FpTriv(3)\n") == fp_triv(3)
+    assert RingDescriptor.parse("ZmodTriv(0004)") == zmod_triv(4)
+    for text in (
+        "NumberField(5)",
+        "FpTriv(3",
+        "ZmodTriv(4))))",
+        "ZmodTriv(1_6)",
+        "FpTriv(+3)",
+        "ZmodTriv(\u0664)",  # an Arabic-Indic digit four
+        "FpTriv(3)x",
+        "FpTriv( 3 )",
+        "FpTriv()",
+        "IntInf()",
+        "IntInf(3)",
+        "ZmodTriv(-1)",
+        "ZmodTriv(" + "0" * 10 + "4)",
+        "zmodtriv(4)",
+    ):
+        with pytest.raises(UnsupportedRing):
+            RingDescriptor.parse(text)
     with pytest.raises(UnsupportedRing):
         fp_triv(6)
+
+
+def test_parse_shares_one_descriptor_per_name():
+    rings = (
+        int_inf(),
+        int_triv(),
+        fp_triv(3),
+        zmod_triv(6),
+        zmod_quot(5),
+        fp_triv(65521),
+        zmod_quot(2**32),
+    )
+    for r in rings:
+        assert RingDescriptor.parse(str(r)) is RingDescriptor.parse(str(r))
+        assert RingDescriptor.parse(str(r)) == r
+    # a rejected name raises on every call and takes no place in the table
+    stored = RingDescriptor.parse.cache_info().currsize
+    for text in ("FpTriv(4)", "ZmodTriv(0)", "FpTriv(3"):
+        for _ in range(2):
+            with pytest.raises(UnsupportedRing):
+                RingDescriptor.parse(text)
+    assert RingDescriptor.parse.cache_info().currsize == stored
 
 
 @pytest.mark.parametrize(

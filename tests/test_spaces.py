@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbl import spaces
 from dbl.cech import CoverFamily
 from dbl.errors import NotClopen, NotContinuous, SizeExceeded
 from dbl.fixtures import chain_space, double_sierpinski, glued_pairs
@@ -144,6 +145,9 @@ def test_point_count_is_an_int():
             FiniteSpace(n)
         with pytest.raises(ValueError, match="point count .* is not an int"):
             FiniteSpace.discrete(n)
+    for build in (FiniteSpace, FiniteSpace.discrete):
+        with pytest.raises(ValueError, match="point count must be >= 0"):
+            build(-1)
     for n in (0, 1, 5, MAX_POINTS):
         report = FiniteSpace.discrete(n).to_json()
         assert type(report["points"]) is int and report["points"] == n
@@ -250,6 +254,30 @@ def test_discrete_spaces_take_the_short_path_to_the_same_answers():
             assert not space.is_closed({bad} | points)
     assert discrete == 1 + (MAX_POINTS + 1) + len(GENERATED_DISCRETE) + 4
     assert not FiniteSpace.sierpinski().is_discrete and not glued_pairs().is_discrete
+
+
+def test_discrete_is_built_from_its_count_alone(monkeypatch):
+    # discrete(n) makes its singletons itself and reads no generating open,
+    # yet equals the space those singletons generate in every field a
+    # caller sees (the counts it rejects are in test_point_count_is_an_int
+    # and test_size_cap)
+    calls = []
+    checked = spaces._ints
+    monkeypatch.setattr(spaces, "_ints", lambda S: calls.append(S) or checked(S))
+    for n in range(MAX_POINTS + 1):
+        fast = FiniteSpace.discrete(n)
+        assert not calls
+        general = FiniteSpace(n, [{x} for x in range(n)])
+        assert len(calls) == n
+        calls.clear()
+        assert fast == general and hash(fast) == hash(general)
+        assert fast.up == general.up and fast.is_discrete and general.is_discrete
+        assert fast.quasi_components == general.quasi_components == fast.components(fast.points)
+        # a discrete space has its quasi-components from construction
+        assert fast.quasi_components is fast.up and general.quasi_components is general.up
+        indices = [(fast.component_index(x), general.component_index(x)) for x in fast.points]
+        assert indices == [(x, x) for x in range(n)]
+        assert fast.to_json() == general.to_json()
 
 
 def test_ultrafilters():
