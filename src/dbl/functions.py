@@ -14,6 +14,7 @@ separating clopen with the exact norm bound |f0| + |f1| <= 2 |f|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul as _times
 
 from .errors import CannotSeparate, NotInIdeal, RingMismatch, SpaceMismatch
 from .normvalue import NV_ZERO, nv_max
@@ -74,13 +75,16 @@ class CfinFunction:
 
     # -- algebra ----------------------------------------------------------
 
+    # the operands share a space, so their value tuples have its length
+    # and the results are built unchecked
+
     def add(self, other: "CfinFunction") -> "CfinFunction":
         if self.space is not other.space or self.coeff is not other.coeff:
             self._compat(other)
         vals = tuple(
             self.coeff.add(a, b) for a, b in zip(self.values, other.values)
         )
-        return CfinFunction(self.space, self.coeff, vals)
+        return _unchecked(self.space, self.coeff, vals)
 
     def sub(self, other: "CfinFunction") -> "CfinFunction":
         if self.space is not other.space or self.coeff is not other.coeff:
@@ -88,13 +92,20 @@ class CfinFunction:
         vals = tuple(
             self.coeff.sub(a, b) for a, b in zip(self.values, other.values)
         )
-        return CfinFunction(self.space, self.coeff, vals)
+        return _unchecked(self.space, self.coeff, vals)
 
     def mul(self, other: "CfinFunction") -> "CfinFunction":
+        """The pointwise product: a * b, reduced mod n on Z/n, on whole tuples.
+
+        On int values it equals RingDescriptor.mul component by component,
+        without one Python call per component.
+        """
         if self.space is not other.space or self.coeff is not other.coeff:
             self._compat(other)
-        vals = tuple(map(self.coeff.mul, self.values, other.values))
-        return CfinFunction(self.space, self.coeff, vals)
+        vals = map(_times, self.values, other.values)
+        m = self.coeff.modulus
+        vals = tuple(vals) if m is None else tuple([v % m for v in vals])
+        return _unchecked(self.space, self.coeff, vals)
 
     def is_zero(self) -> bool:
         return all(self.coeff.eq(v, self.coeff.zero) for v in self.values)
@@ -142,6 +153,16 @@ class CfinFunction:
 _set_space = CfinFunction.space.__set__
 _set_coeff = CfinFunction.coeff.__set__
 _set_values = CfinFunction.values.__set__
+_new = object.__new__
+
+
+def _unchecked(space: FiniteSpace, coeff, values: tuple) -> CfinFunction:
+    """CfinFunction(space, coeff, values) without the length check."""
+    f = _new(CfinFunction)
+    _set_space(f, space)
+    _set_coeff(f, coeff)
+    _set_values(f, values)
+    return f
 
 
 def indicator(space: FiniteSpace, coeff, U) -> CfinFunction:

@@ -218,13 +218,15 @@ class NormValue:
 
     # -- predicates ---------------------------------------------------
 
+    # r >= 0, so r is 0 exactly when its numerator is
     @property
     def is_zero(self) -> bool:
-        return self._r == 0
+        return self._r.numerator == 0
 
     @property
     def is_one(self) -> bool:
-        return self._r == 1
+        r = self._r
+        return r.numerator == 1 and r.denominator == 1
 
     def bit_length(self) -> int:
         """The bits of r's numerator and denominator: the size of the value."""

@@ -9,6 +9,9 @@ evaluation seminorm from the pair and G_split recovers the pair from any
 seminorm oracle, reading the component off 2k+1 clopen indicators and the
 base point off the constants of one sample (every residue of Z/n, or
 -12..13 and 15 for Z), and rejecting oracles outside the family.  The
+oracle's values on the sample are read into one tuple, in sample order;
+each probe prime's value is read at its position there, and the tuple is
+compared with the candidate's values in one tuple comparison.  The
 values of each (base point, ring) pair are one dict (see _PointValues),
 which every evaluation reads by subscription; a miss is the checked
 evaluation, and stores the value if it is small.  The dicts of at most
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from threading import Lock
 
 from .errors import (
@@ -63,7 +66,9 @@ class BasePoint:
 
     kind is one of 'trivial', 'arch', 'padic', 'residue'.  Construction
     canonicalizes: arch/padic with exponent 0 become trivial.  The p of a
-    padic or residue point is a prime int <= MAX_MODULUS.
+    padic or residue point is a prime int <= MAX_MODULUS, and the eps of an
+    arch or padic point a Fraction; any other kind, and a p or eps on a
+    point whose kind takes none, raise UnrecognizedBasePoint.
     """
 
     kind: str
@@ -71,12 +76,21 @@ class BasePoint:
     eps: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind in ("padic", "residue"):
-            p = self.p
+        kind, p, eps = self.kind, self.p, self.eps
+        if kind not in ("trivial", "arch", "padic", "residue"):
+            raise UnrecognizedBasePoint(f"unknown kind {kind!r}")
+        if kind in ("padic", "residue"):
             if not (_is_int(p) and p <= MAX_MODULUS and _is_prime(p)):
                 raise UnrecognizedBasePoint(
-                    f"{self.kind} points need a prime p <= MAX_MODULUS, got {p!r}"
+                    f"{kind} points need a prime p <= MAX_MODULUS, got {p!r}"
                 )
+        elif p is not None:
+            raise UnrecognizedBasePoint(f"{kind} points take no p")
+        if kind in ("arch", "padic"):
+            if not isinstance(eps, Fraction):
+                raise UnrecognizedBasePoint(f"{kind} points need a Fraction eps, got {eps!r}")
+        elif eps is not None:
+            raise UnrecognizedBasePoint(f"{kind} points take no eps")
 
     @staticmethod
     def trivial() -> "BasePoint":
@@ -355,14 +369,17 @@ _LAST_PROBES: _Probes | None = None
 def _identify_base(probes: _Probes, oracle) -> BasePoint:
     """Match the oracle's values on constants against the admissible family.
 
-    The probe primes are those of _SAMPLE_PRIMES for Z and the prime
-    divisors of n for Z/n.  The first probe with a value other than 1
-    names the candidate (value 0: residue; p**eps: arch; p**-eps: p-adic);
-    with none it is the trivial point.  The candidate must be admissible
-    and match the oracle on every constant of the sample.  On Z the
-    sample also holds the products of two distinct _GRID_PRIMES, where the
-    max of two p-adic points of the grid first fails multiplicativity.
-    The constants past the kept ones are built as the loop reaches them.
+    The oracle is called once on the constant of each sample element, in
+    sample order, and the values are kept in one tuple.  The probe primes
+    are those of _SAMPLE_PRIMES for Z and the prime divisors of n for Z/n,
+    and each is read at its position in the sample.  The first probe with
+    a value other than 1 names the candidate (value 0: residue; p**eps:
+    arch; p**-eps: p-adic); with none it is the trivial point.  The
+    candidate must be admissible and match the oracle on every constant of
+    the sample.  On Z the sample also holds the products of two distinct
+    _GRID_PRIMES, where the max of two p-adic points of the grid first
+    fails multiplicativity.  The constants past the kept ones are built as
+    the oracle reaches them.
     """
     space, ring, sample, constants = probes.space, probes.ring, probes.sample, probes.constants
     if len(sample) > MAX_ELEMENTS:
@@ -370,12 +387,17 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     m = ring.modulus
     # on Z/n every residue is sampled, which holds the reduced probes
     primes = _SAMPLE_PRIMES if m is None else [q for q, _ in factor_int(m)]
-    k = len(space.quasi_components)
-    fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
-    table = {a: oracle(f) for a, f in zip(sample, chain(constants, fresh))}
+    functions = constants
+    if len(sample) > len(constants):
+        k = len(space.quasi_components)
+        fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
+        functions = chain(constants, fresh)
+    got = tuple(map(oracle, functions))
     candidate = BasePoint.trivial()
     for p in primes:
-        v = table[ring.reduce(p)]
+        v = got[sample.index(p if m is None else p % m)]
+        if not isinstance(v, NormValue):
+            raise UnrecognizedBasePoint(f"the value at {p} is a {type(v).__name__}, not a NormValue")
         if v.is_one:
             continue
         if v.is_zero:
@@ -392,10 +414,9 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
     values = _point_values(candidate, ring)
-    got = tuple(table.values())
-    want = tuple(values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in table)
+    want = tuple([values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in sample])
     if got != want:
-        a = next(a for a, v, w in zip(table, got, want) if v != w)
+        a = next(a for a, v, w in zip(sample, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
     return candidate
 
@@ -409,21 +430,30 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     exactly one |e_c| is nonzero and |1_U| != 0 exactly when U holds that
     component; a sample that shows otherwise raises NotUltrafilter.  No
     other clopen is tested.  The base point is identified from the values
-    on constants, then verified on the whole constant sample.
+    on constants, then verified on the whole constant sample.  A value on
+    an indicator that is not a NormValue raises NotUltrafilter, and one on
+    a probe prime raises UnrecognizedBasePoint.
     """
     global _LAST_PROBES
     probes = _LAST_PROBES
     if probes is None or probes.space is not oracle.space or probes.ring is not oracle.ring:
         probes = _LAST_PROBES = _Probes(oracle.space, oracle.ring)
-    if not oracle(probes.empty).is_zero:
+    empty = oracle(probes.empty)
+    if not isinstance(empty, NormValue):
+        raise NotUltrafilter(f"the empty clopen's value is a {type(empty).__name__}, not a NormValue")
+    if not empty.is_zero:
         raise NotUltrafilter("the empty clopen has nonzero value")
-    inside = [not oracle(f).is_zero for f in probes.inside]
-    outside = [not oracle(f).is_zero for f in probes.outside]
-    if inside.count(True) != 1 or outside != [not hit for hit in inside]:
+    values = [*map(oracle, probes.inside), *map(oracle, probes.outside)]
+    if not all(map(isinstance, values, repeat(NormValue))):
+        raise NotUltrafilter("an indicator's value is not a NormValue")
+    zero = [v.is_zero for v in values]
+    k = len(probes.inside)
+    # exactly one e_c is nonzero, and 1 - e_i is zero exactly when e_i is not
+    if zero[:k].count(False) != 1 or zero[k:] != [not z for z in zero[:k]]:
         raise NotUltrafilter(
             "indicator values are not the ultrafilter of one quasi-component"
         )
-    return SpectrumPoint(inside.index(True), _identify_base(probes, oracle))
+    return SpectrumPoint(zero.index(False), _identify_base(probes, oracle))
 
 
 def gelfand_roundtrip(space: FiniteSpace, ring: RingDescriptor) -> dict:

@@ -14,7 +14,7 @@ from dbl.functions import (
     separates_points,
 )
 from dbl.normvalue import NV_ZERO, NormValue, nv_sum
-from dbl.scalars import int_inf, int_triv, zmod_quot, zmod_triv
+from dbl.scalars import RingDescriptor, fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import FiniteSpace, PointMap, banaschewski
 from oracles import inclusion_map
 
@@ -296,3 +296,42 @@ def test_binary_operations_check_space_and_ring():
         with pytest.raises(RingMismatch):
             op(f, other_ring)
         assert op(f, g).values == op(f, twin).values == want
+
+
+BIG = 2**200 + 3
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [int_inf(), int_triv(), fp_triv(3), zmod_triv(1), zmod_triv(4), zmod_quot(6), zmod_quot(2**32)],
+    ids=str,
+)
+def test_mul_agrees_with_the_ring_product_per_component(ring):
+    # negative, unreduced and 200-bit values, on a reduced and an unreduced side
+    space = FiniteSpace.discrete(6)
+    f = CfinFunction(space, ring, (-7, 5, BIG, -BIG, 0, 2**32 + 1))
+    g = CfinFunction(space, ring, (3, -BIG, BIG, 11, -5, 2**32 - 1))
+    for a, b in ((f, g), (g, f), (f, f)):
+        prod = a.mul(b)
+        assert prod.values == tuple(map(ring.mul, a.values, b.values))
+        assert all(type(v) is int for v in prod.values)
+        # the operands' objects, so an oracle's identity guard passes at once
+        assert prod.space is space and prod.coeff is ring
+    twin = CfinFunction(FiniteSpace.discrete(6), RingDescriptor.from_json(ring.to_json()), g.values)
+    assert twin.space is not space and twin.coeff is not ring
+    prod = f.mul(twin)
+    assert prod.space is space and prod.coeff is ring and prod.values == f.mul(g).values
+    with pytest.raises(SpaceMismatch):
+        f.mul(CfinFunction(FiniteSpace.discrete(5), ring, g.values[:5]))
+    with pytest.raises(RingMismatch):
+        f.mul(CfinFunction(space, zmod_triv(5) if ring.modulus != 5 else Z, g.values))
+
+
+def test_mul_makes_no_per_component_ring_call(monkeypatch):
+    calls = []
+    ring_mul = RingDescriptor.mul
+    monkeypatch.setattr(RingDescriptor, "mul", lambda self, a, b: calls.append(a) or ring_mul(self, a, b))
+    for ring in (Z, zmod_quot(6)):
+        f = F((4, -1, 5), ring=ring)
+        assert f.mul(f).values == tuple(ring_mul(ring, a, a) for a in f.values)
+    assert calls == []

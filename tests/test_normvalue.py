@@ -522,3 +522,18 @@ def test_rational_products_match_the_general_path(a, b):
     assert product == general == NormValue.from_fraction(a * b)
     assert hash(product) == hash(general)
     assert product.to_json() == general.to_json()
+
+
+def test_zero_and_one_read_both_parts_of_r():
+    cases = (
+        (NV_ZERO, True, False),
+        (NormValue(Fraction(0)), True, False),
+        (NV_ONE, False, True),
+        (NormValue.from_pow(5, 0), False, True),
+        (NormValue.from_fraction(Fraction(1, 2)), False, False),
+        (NormValue.from_fraction(2), False, False),
+        (NormValue.from_pow(2, Fraction(-1, 3)), False, False),
+        (NormValue.from_pow(3, Fraction(1, 2)), False, False),
+    )
+    for v, zero, one in cases:
+        assert (v.is_zero, v.is_one) == (zero, one)

@@ -316,6 +316,55 @@ def test_base_points_need_a_prime():
             BasePoint.from_json({"kind": "PadicResidue", "p": p})
 
 
+def test_base_points_reject_malformed_fields():
+    half = Fraction(1, 2)
+    for kind, p, eps in (
+        ("bogus", None, None),
+        ("Trivial", None, None),
+        ("trivial", 2, None),
+        ("trivial", None, half),
+        ("arch", None, None),
+        ("arch", None, 1),
+        ("arch", 2, half),
+        ("padic", 2, None),
+        ("padic", 2, "1/2"),
+        ("residue", 3, Fraction(1)),
+        ("residue", 3, 1),
+    ):
+        with pytest.raises(UnrecognizedBasePoint):
+            BasePoint(kind, p=p, eps=eps)
+    assert BasePoint("residue", p=3) == BasePoint.residue(3)
+    assert BasePoint("arch", eps=half) == BasePoint.arch(half)
+    assert BasePoint("padic", p=2, eps=half) == BasePoint.padic(2, half)
+    assert BasePoint("trivial") == BasePoint.trivial()
+    # no oracle is built on a point the constructor refuses
+    with pytest.raises(UnrecognizedBasePoint):
+        g_inverse(0, BasePoint("bogus"), FiniteSpace.discrete(2), Z)
+
+
+def test_g_split_rejects_an_oracle_that_returns_no_norm_value():
+    space = FiniteSpace.discrete(2)
+    honest = g_inverse(1, BasePoint.arch(1), space, Z)
+
+    def lying(at):
+        return SeminormOracle(space, Z, lambda f: 1 if at(f.values) else honest(f))
+
+    for at, error in (
+        (lambda v: True, NotUltrafilter),  # the empty clopen
+        (lambda v: v == (0, 1), NotUltrafilter),  # an e_i
+        (lambda v: v == (1, 0), NotUltrafilter),  # a 1 - e_i
+        (lambda v: v == (2, 2), UnrecognizedBasePoint),  # a probe prime
+        (lambda v: v == (13, 13), UnrecognizedBasePoint),  # the last probe prime
+        (lambda v: v == (4, 4), UnrecognizedBasePoint),  # a sample constant only
+    ):
+        with pytest.raises(error):
+            g_split(lying(at))
+    residue = g_inverse(0, BasePoint.residue(3), space, zmod_quot(6))
+    liar = SeminormOracle(space, zmod_quot(6), lambda f: None if f.values == (3, 3) else residue(f))
+    with pytest.raises(UnrecognizedBasePoint):
+        g_split(liar)
+
+
 def _powered(b: BasePoint, k: int) -> BasePoint:
     """The point whose values are those of b raised to the k-th power."""
     if b.kind == "arch":
