@@ -53,7 +53,7 @@ and the ring's modulus (0 for Z), so every ring with that modulus reads
 it (see _homology).  A result is not stored when the factors greater
 than 1 of its key and its torsion take more than MEMO_FACTOR_BITS bits
 in all.  Full of seven-term entries at the 6-set bound on 32 points, each
-with 64 bits of factors and torsion, it takes about 1.8 MiB (tracemalloc);
+with 64 bits of factors and torsion, it takes about 1.9 MiB (tracemalloc);
 one pass of the cover benchmark leaves 110 results in 0.05 MiB.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
@@ -77,7 +77,7 @@ from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, Size
 from .functions import CfinFunction
 from .intlinalg import identity, invariant_factors, matmul
 from .scalars import RingDescriptor, int_inf
-from .spaces import FiniteSpace, _ints, merged_pair
+from .spaces import _PLAIN_INT, FiniteSpace, _ints, merged_pair
 
 MAX_FAMILY = 6
 
@@ -94,12 +94,23 @@ class CoverFamily:
     sets: tuple[frozenset, ...]
 
     def __post_init__(self):
-        if not self.sets:
+        space, sets = self.space, self.sets
+        if not sets:
             raise ValueError("family must be nonempty")
-        if len(self.sets) > MAX_FAMILY:
-            raise SizeExceeded(f"family size {len(self.sets)} > {MAX_FAMILY}")
-        for K in self.sets:
-            if not self.space.is_closed(K):
+        if len(sets) > MAX_FAMILY:
+            raise SizeExceeded(f"family size {len(sets)} > {MAX_FAMILY}")
+        # every set of points of a discrete space is closed, so one pass
+        # over the family's points checks it: each a plain int, and all
+        # among the space's points; a family that fails takes the per-set
+        # check below, which names the fault
+        if (
+            space.is_discrete
+            and _PLAIN_INT.issuperset(map(type, chain.from_iterable(sets)))
+            and space._point_set.issuperset(chain.from_iterable(sets))
+        ):
+            return
+        for K in sets:
+            if not space.is_closed(K):
                 _ints(K)  # a point that is not an int is named first
                 raise ValueError(f"{sorted(K)} is not closed")
 
@@ -233,21 +244,28 @@ def _homology(ranks, factors, n: int) -> dict:
     table of at most MEMO_COMPLEXES results, so every verdict on an entry
     and a ring after the first reads them.  A result whose factors
     greater than 1 and torsion take more than MEMO_FACTOR_BITS bits in
-    all is recomputed every time.  The report's dicts and lists are built
-    afresh on every call, so no caller shares them.
+    all is recomputed every time.  A result is kept as the report's rows,
+    each degree's (degree, free rank, torsion, vanishes), and whether the
+    complex is exact; the report's dicts and lists are built afresh from
+    them on every call, so no caller shares them.
     """
     key = ranks, factors, n
-    degrees = _DEGREES.get(key)
-    if degrees is None:
+    result = _DEGREES.get(key)
+    if result is None:
         degrees = _degrees(ranks, factors, n)
+        result = (
+            tuple((k, *d) for k, d in enumerate(degrees)),
+            all(vanishes for _, _, vanishes in degrees),
+        )
         torsion_bits = sum(e.bit_length() for _, torsion, _ in degrees for e in torsion)
-        _store(_DEGREES, key, degrees, _factor_bits(factors) + torsion_bits)
+        _store(_DEGREES, key, result, _factor_bits(factors) + torsion_bits)
+    rows, exact = result
     return {
         "degrees": [
-            {"degree": k, "free_rank": free, "torsion": list(torsion), "vanishes": vanishes}
-            for k, (free, torsion, vanishes) in enumerate(degrees)
+            {"degree": k, "free_rank": free, "torsion": [*torsion], "vanishes": vanishes}
+            for k, free, torsion, vanishes in rows
         ],
-        "exact": all(vanishes for _, _, vanishes in degrees),
+        "exact": exact,
     }
 
 
@@ -552,18 +570,29 @@ def descent_faithful_witness(
 ) -> CfinFunction:
     """A nonzero function restricting to zero on every set of a non-cover.
 
-    It is the indicator of the first quasi-component that no set meets.
+    It is the indicator of the first quasi-component that no set meets
+    (see _witness_values).
     """
     if ring.is_zero_ring:
         raise IsCover("the zero ring makes every family a cover")
+    values = _witness_values(space, family.sets, ring)
+    if values is None:
+        raise IsCover("the family covers every quasi-component")
+    return CfinFunction(space, ring, values)
+
+
+def _witness_values(space: FiniteSpace, sets, ring: RingDescriptor) -> tuple | None:
+    """The values of the indicator of the first quasi-component no set meets.
+
+    A quasi-component is clopen, so its indicator, 1 on it alone, is a
+    function on the space; None when the sets meet every quasi-component.
+    """
     blocks = space.quasi_components
     for c, block in enumerate(blocks):
-        if all(block.isdisjoint(K) for K in family.sets):
-            # a quasi-component is clopen: its indicator is 1 on it alone
-            values = [ring.zero] * len(blocks)
-            values[c] = ring.one
-            return CfinFunction(space, ring, tuple(values))
-    raise IsCover("the family covers every quasi-component")
+        if all(map(block.isdisjoint, sets)):
+            zero = (ring.zero,)
+            return zero * c + (ring.one,) + zero * (len(blocks) - 1 - c)
+    return None
 
 
 def tate_verdict(space: FiniteSpace, family: CoverFamily, ring: RingDescriptor) -> dict:
@@ -610,8 +639,7 @@ def tate_equivalence_report(
         **verdict,
     }
     if not (verdict["cover_components"] or verdict["zero_ring"]):
-        witness = descent_faithful_witness(space, family, ring)
-        report["witness"] = list(witness.values)
+        report["witness"] = list(_witness_values(space, family.sets, ring))
     if not report["agreement"]:
         raise EquivalenceViolation(
             f"cover test and homology disagree: {report}"

@@ -23,7 +23,8 @@ value off it in one frame, its own call.  The functions
 G_split evaluates an oracle on depend only on (space, ring), so the
 probes of the last pair split are kept and reused while the next split
 is on the same space and ring objects (see _Probes), and the candidate
-base point's values on the sample are read off its dict.
+base point's values on the sample are read off its dict once per sample
+and kept with it.
 """
 
 from __future__ import annotations
@@ -94,20 +95,21 @@ class BasePoint:
 
     @staticmethod
     def trivial() -> "BasePoint":
-        return BasePoint("trivial")
+        """The trivial point, one shared object (points are frozen)."""
+        return _TRIVIAL
 
     @staticmethod
     def arch(eps) -> "BasePoint":
         eps = Fraction(eps)
         if eps == 0:
-            return BasePoint("trivial")
+            return _TRIVIAL
         return BasePoint("arch", eps=eps)
 
     @staticmethod
     def padic(p: int, eps) -> "BasePoint":
         eps = Fraction(eps)
         if eps == 0:
-            return BasePoint("trivial")
+            return _TRIVIAL
         return BasePoint("padic", p=p, eps=eps)
 
     @staticmethod
@@ -149,6 +151,9 @@ class BasePoint:
         if kind == "PadicResidue":
             return BasePoint.residue(obj["p"])
         raise UnrecognizedBasePoint(f"unknown kind {kind!r}")
+
+
+_TRIVIAL = BasePoint("trivial")
 
 
 def canonical_point(ring: RingDescriptor, point: BasePoint) -> BasePoint:
@@ -228,14 +233,17 @@ class _PointValues(dict):
     element and the point as _evaluate does, so an input that is rejected
     raises every time and is never stored.  At most MEMO_ELEMENTS values
     are kept, the oldest dropped first, and only small ones (see
-    MEMO_KEY_BITS and MEMO_VALUE_BITS).
+    MEMO_KEY_BITS and MEMO_VALUE_BITS).  want is None or the last sample
+    _identify_base checked this point on, with the point's values there
+    in one tuple, read off this dict when that table was built.
     """
 
-    __slots__ = ("point", "ring")
+    __slots__ = ("point", "ring", "want")
 
     def __init__(self, point: BasePoint, ring: RingDescriptor):
         self.point = point
         self.ring = ring
+        self.want = None
 
     def __missing__(self, a: int) -> NormValue:
         v = _evaluate(self.point, self.ring, a)
@@ -257,10 +265,13 @@ def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
     At most MEMO_POINTS pairs are kept, the least recently used dropped
     first: at most MEMO_POINTS * MEMO_ELEMENTS = 16,384 values in all,
     each of at most MEMO_VALUE_BITS bits under a key of at most
-    MEMO_KEY_BITS: about 5 MiB at worst.  Two threads that first use a
-    pair at once may each build a memo, of which the cache keeps one.  An
-    oracle of g_inverse keeps its pair's memo alive after the pair leaves
-    the cache.
+    MEMO_KEY_BITS: about 5 MiB at worst.  Each pair also keeps one want
+    table (see _identify_base), one reference per sample element: at most
+    MAX_ELEMENTS of them, 0.5 MiB, on Z/n, whose values past the kept ones
+    are the shared 0 and 1, so 16 MiB for MEMO_POINTS pairs at the cap.
+    Two threads that first use a pair at once may each build a memo, of
+    which the cache keeps one.  An oracle of g_inverse keeps its pair's
+    memo alive after the pair leaves the cache.
     """
     return _PointValues(point, ring)
 
@@ -379,7 +390,9 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     the sample.  On Z the sample also holds the products of two distinct
     _GRID_PRIMES, where the max of two p-adic points of the grid first
     fails multiplicativity.  The constants past the kept ones are built as
-    the oracle reaches them.
+    the oracle reaches them.  The candidate's values on the sample, the
+    want table, are built once per (point, ring, sample) and kept on the
+    pair's dict (see _PointValues); every split compares all of them.
     """
     space, ring, sample, constants = probes.space, probes.ring, probes.sample, probes.constants
     if len(sample) > MAX_ELEMENTS:
@@ -393,7 +406,7 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
         fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
         functions = chain(constants, fresh)
     got = tuple(map(oracle, functions))
-    candidate = BasePoint.trivial()
+    candidate = _TRIVIAL
     for p in primes:
         v = got[sample.index(p if m is None else p % m)]
         if not isinstance(v, NormValue):
@@ -414,7 +427,12 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
     values = _point_values(candidate, ring)
-    want = tuple([values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in sample])
+    kept = values.want
+    if kept is not None and kept[0] == sample:
+        want = kept[1]
+    else:
+        want = tuple([values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in sample])
+        values.want = sample, want
     if got != want:
         a = next(a for a, v, w in zip(sample, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")

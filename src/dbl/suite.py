@@ -118,10 +118,9 @@ def tate_exhaustive(max_points: int = 4, max_sets: int = 3, rings=None) -> dict:
     if rings is None:
         rings = (int_inf(), int_triv(), fp_triv(2))
     _check_case_count(max_points, max_sets, len(rings))
-    spaces = {n: FiniteSpace.discrete(n) for n in range(1, max_points + 1)}
     total = sections = constant = 0
     for n, fam in _tate_cases(max_points, max_sets):
-        space = spaces[n]
+        space = FiniteSpace.discrete(n)
         family = CoverFamily.make(space, fam)
         covers = False
         for ring in rings:

@@ -783,7 +783,7 @@ def test_degrees_table_drops_its_oldest_result_and_stays_small(degrees):
     assert len(degrees) == MEMO_COMPLEXES
     assert (*entries[0], 0) not in degrees and (*entries[1], 0) in degrees
     # the full table, measured as the allocations of an equal copy (about
-    # 1.8 MiB), stays under the entry table's 5 MiB
+    # 1.9 MiB), stays under the entry table's 5 MiB
     data = pickle.dumps(degrees)
     tracemalloc.start()
     try:
@@ -838,6 +838,57 @@ def test_family_points_are_ints():
             CoverFamily.make(D2, sets)
     with pytest.raises(ValueError, match="is not an int"):
         CoverFamily(D2, (frozenset({1}), frozenset({0.0})))
+
+
+def test_discrete_family_check_names_each_fault_as_the_per_set_check(monkeypatch):
+    # a family on a discrete space is checked in one pass over its points;
+    # a family that fails it gets the per-set check's message, and the
+    # per-set check is not reached by a family that passes
+    wants = {
+        frozenset({True}): "point True is not an int",
+        frozenset({0.0}): "point 0.0 is not an int",
+        frozenset({"a", 1}): "point 'a' is not an int",
+        frozenset({2}): "[2] is not closed",
+        frozenset({-1}): "[-1] is not closed",
+    }
+    for bad, want in wants.items():
+        for sets in ([bad], [{0}, bad], [{1}, bad, {0, 1}]):
+            with pytest.raises(ValueError) as err:
+                CoverFamily.make(D2, sets)
+            assert type(err.value) is ValueError and str(err.value) == want
+    with pytest.raises(ValueError, match="^family must be nonempty$"):
+        CoverFamily.make(D2, [])
+    with pytest.raises(SizeExceeded, match=r"^family size 7 > 6$"):
+        CoverFamily.make(D2, [{0}] * 7)
+    monkeypatch.setattr(FiniteSpace, "is_closed", lambda self, K: pytest.fail("per-set check"))
+    for sets in ([set()], [{0}, {1}], [{0, 1}] * 6):
+        assert CoverFamily.make(D2, sets).sets == tuple(map(frozenset, sets))
+
+
+def test_report_witness_is_the_descent_faithful_witness(monkeypatch):
+    # every non-cover of criterion 1 reports the values of
+    # descent_faithful_witness, and the report builds no function for it
+    from dbl.suite import _tate_cases
+
+    rings = (Z, int_triv(), fp_triv(2))
+    cases = [(FiniteSpace.discrete(n), sets) for n, sets in _tate_cases(4, 3)]
+    witnesses = {}
+    for space, sets in cases:
+        family = CoverFamily.make(space, sets)
+        for ring in rings:
+            try:
+                witnesses[space, sets, ring] = descent_faithful_witness(space, family, ring).values
+            except IsCover:
+                pass
+    monkeypatch.setattr(cech, "CfinFunction", lambda *args: pytest.fail("built a function"))
+    reported = {}
+    for space, sets in cases:
+        family = CoverFamily.make(space, sets)
+        for ring in rings:
+            report = tate_equivalence_report(space, family, ring)
+            if "witness" in report:
+                reported[space, sets, ring] = tuple(report["witness"])
+    assert reported == witnesses and len(reported) > 0
 
 
 def test_size_caps():

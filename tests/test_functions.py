@@ -288,7 +288,7 @@ def test_binary_operations_check_space_and_ring():
     other_space = F((2, 5), FiniteSpace(3, [{0}, {1, 2}]))
     other_ring = F((2, 1), d2, zmod_triv(4))
     # equal space and ring, held by other objects
-    twin = F((2, 5), FiniteSpace.discrete(2), int_inf())
+    twin = F((2, 5), FiniteSpace(2, [{0}, {1}]), int_inf())
     assert twin.space is not d2 and twin.coeff is not Z
     for op, want in ((CfinFunction.add, (5, 4)), (CfinFunction.sub, (1, -6)), (CfinFunction.mul, (6, -5))):
         with pytest.raises(SpaceMismatch):
@@ -317,7 +317,8 @@ def test_mul_agrees_with_the_ring_product_per_component(ring):
         assert all(type(v) is int for v in prod.values)
         # the operands' objects, so an oracle's identity guard passes at once
         assert prod.space is space and prod.coeff is ring
-    twin = CfinFunction(FiniteSpace.discrete(6), RingDescriptor.from_json(ring.to_json()), g.values)
+    singletons = [{x} for x in range(6)]
+    twin = CfinFunction(FiniteSpace(6, singletons), RingDescriptor.from_json(ring.to_json()), g.values)
     assert twin.space is not space and twin.coeff is not ring
     prod = f.mul(twin)
     assert prod.space is space and prod.coeff is ring and prod.values == f.mul(g).values

@@ -257,10 +257,10 @@ def test_discrete_spaces_take_the_short_path_to_the_same_answers():
 
 
 def test_discrete_is_built_from_its_count_alone(monkeypatch):
-    # discrete(n) makes its singletons itself and reads no generating open,
-    # yet equals the space those singletons generate in every field a
-    # caller sees (the counts it rejects are in test_point_count_is_an_int
-    # and test_size_cap)
+    # a call of discrete(n) reads no generating open, yet its space equals
+    # the one those singletons generate in every field a caller sees (the
+    # counts it rejects are in test_point_count_is_an_int and
+    # test_size_cap)
     calls = []
     checked = spaces._ints
     monkeypatch.setattr(spaces, "_ints", lambda S: calls.append(S) or checked(S))
@@ -278,6 +278,60 @@ def test_discrete_is_built_from_its_count_alone(monkeypatch):
         indices = [(fast.component_index(x), general.component_index(x)) for x in fast.points]
         assert indices == [(x, x) for x in range(n)]
         assert fast.to_json() == general.to_json()
+
+
+def test_discrete_spaces_are_shared_per_point_count():
+    # one space per point count, equal to the space its singletons
+    # generate; its JSON form is computed once, but each call returns fresh
+    # lists.  A bad count is checked on every call, so it raises the same
+    # error each time and is never cached
+    for n in range(MAX_POINTS + 1):
+        shared = FiniteSpace.discrete(n)
+        assert FiniteSpace.discrete(n) is shared
+        general = FiniteSpace(n, [{x} for x in range(n)])
+        assert shared is not general and shared == general
+        for field in ("n", "points", "up", "is_discrete", "quasi_components"):
+            assert getattr(shared, field) == getattr(general, field), (n, field)
+        assert shared.to_json() == general.to_json() == {"points": n, "opens": [[x] for x in range(n)]}
+        report = shared.to_json()
+        report["opens"].append([n])
+        if n:
+            report["opens"][0].append(n)
+        assert shared.to_json() == general.to_json()
+    for bad in (True, -1, MAX_POINTS + 1, 2.0):
+        errors = []
+        for _ in range(3):
+            with pytest.raises((ValueError, SizeExceeded)) as err:
+                FiniteSpace.discrete(bad)
+            errors.append((type(err.value), str(err.value)))
+        assert errors == errors[:1] * 3, bad
+
+
+def test_threads_that_first_ask_for_a_discrete_space_get_one_object(monkeypatch):
+    # four threads ask for every point count on an empty cache, with a
+    # short switch interval: each count still has one shared space
+    import sys
+    import threading
+
+    monkeypatch.setattr(spaces, "_DISCRETE", {})
+    got = [[] for _ in range(4)]
+
+    def work(out):
+        out.extend(FiniteSpace.discrete(n) for n in range(MAX_POINTS + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in range(MAX_POINTS + 1):
+        assert {id(out[n]) for out in got} == {id(spaces._DISCRETE[n])}
 
 
 def test_ultrafilters():

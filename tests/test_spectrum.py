@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -567,11 +568,16 @@ def test_every_reader_reads_the_one_dict_of_its_pair():
     values[7] = planted
     assert base_eval(p, Z, 7) is planted
     assert g_inverse(0, p, space, Z)(CfinFunction(space, Z, (7, 0))) is planted
-    # _identify_base checks an oracle that reads no memo against the dict
+    # _identify_base checks an oracle that reads no memo against the want
+    # table it builds off the dict once per sample, so the table holds the
+    # planted value; a dict changed by hand needs its table dropped too
     direct = SeminormOracle(space, Z, lambda f: spectrum._evaluate(p, Z, f.values[0]))
     with pytest.raises(UnrecognizedBasePoint, match="constant 7 disagrees with ArchPow"):
         g_split(direct)
+    sample, want = values.want
+    assert want[sample.index(7)] is planted
     del values[7]
+    values.want = None
     assert g_split(direct) == SpectrumPoint(0, p)
     assert base_eval(p, Z, 7) is values[7] == NormValue.from_fraction(7)
 
@@ -652,6 +658,33 @@ def test_probes_keep_at_most_memo_elements_constants_and_test_every_residue():
         g_split(liar)
 
 
+def test_the_trivial_point_is_one_shared_object():
+    trivial = BasePoint.trivial()
+    assert trivial is BasePoint.trivial() is BasePoint.arch(0) is BasePoint.padic(2, 0)
+    assert trivial == BasePoint("trivial") and trivial is not BasePoint("trivial")
+    assert canonical_point(fp_triv(5), BasePoint.residue(5)) is trivial
+
+
+def test_a_kept_want_table_still_checks_every_constant():
+    # a candidate's values on the sample are built once per (point, ring,
+    # sample) and kept with its memo: an oracle that agrees with an
+    # already-kept table on every constant but one is still rejected, and
+    # the error names that constant
+    space = FiniteSpace.discrete(2)
+    for ring, point, wrong in ((zmod_triv(1024), BasePoint.residue(2), 1001), (Z, BasePoint.arch(1), 15)):
+        honest = g_inverse(0, point, space, ring)
+        assert g_split(honest) == SpectrumPoint(0, point)
+        kept = _memo(point, ring).want
+        assert g_split(honest) == SpectrumPoint(0, point)
+        assert _memo(point, ring).want is kept  # read, not rebuilt
+        liar = SeminormOracle(
+            space, ring, lambda f: NV_ZERO if f.values == (wrong, wrong) else honest(f)
+        )
+        with pytest.raises(UnrecognizedBasePoint, match=re.escape(f"constant {wrong} disagrees with {point}")):
+            g_split(liar)
+        assert _memo(point, ring).want is kept
+
+
 def _reference(point: BasePoint, ring, a: int) -> NormValue:
     """The value of an admissible point, built without the memo."""
     if a == 0:
@@ -728,7 +761,7 @@ def test_g_inverse_oracle_keeps_its_guards():
     other = FiniteSpace(3, [{0}, {1, 2}])  # two components, other up sets
     with pytest.raises(RingMismatch):
         oracle(CfinFunction(other, Z, (-7, 2)))
-    twin = FiniteSpace.discrete(2)  # equal, another object
+    twin = FiniteSpace(2, [{0}, {1}])  # equal, another object
     assert twin is not space
     assert oracle(CfinFunction(twin, Z, (-7, 0))) == NormValue.from_fraction(7)
 
