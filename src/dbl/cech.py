@@ -15,46 +15,29 @@ a sparse elimination that keeps no transforms) by one rule, _degrees.
 
 C(X, R) is the product of C(B, R) over the quasi-components B of X, so
 the complex of a family is the direct sum of the complexes of its traces
-on the blocks.  tate_verdict therefore builds and eliminates the integer
-complex of each block's traces once for every ring and every space that
-contains it (see _integer_invariants): its term ranks, each
-differential's rank and invariant factors greater than 1, the
-quasi-component cover test, and the index of the first piece with two
-degree-1 labels, if any.  A block's complex is built on the caller's
-space, its labels the components of each intersection within the block
-(each tuple's intersection cut from its prefix's, and only nonempty
-prefixes extended), and a verdict is the sum of its blocks' entries; the
-empty space has one empty block.  A one-point block's complex is the
-augmented cochain complex of the full simplex on the j sets holding its
-point, so its entry depends on j alone: it is built once per j, on a
-one-point space, and never enters the table (_point_entry).  A discrete
-space, all of whose blocks are points, builds no key either: it counts
-the sets holding each point, and its entry, the sum of its points', is
-kept per histogram of those counts for the last MEMO_COMPLEXES
-histograms (_points_entry).  Whether a space is discrete is read off
-FiniteSpace.is_discrete, decided once when the space was built.  Every
-other entry, block or whole, goes into one first-in-first-out table of
-MEMO_COMPLEXES entries keyed on the point bitmasks of the up sets and of
-the family's sets, a block's relabelled to 0..m-1 (spaces are equal when
-their up sets are, so the key is exact, and no space is kept alive).  A
-space missing from the table gets all its blocks' keys from one pass over
-its points, up sets and sets (_block_keys), so a miss whose blocks are
-all in the table or are points builds nothing.  An entry whose factors
-greater than 1 take more than MEMO_FACTOR_BITS bits in all is not
-stored.  A full table of 6-set families of the connected 32-point space
-in which point 31 specializes to every other point takes 1.9 MiB
-(tracemalloc), and one with every key, rank and factor at its bound
-about 3.3 MiB.
-
-The homology over a ring is read off an entry by _degrees, and memoized
-per entry and ring: a second first-in-first-out table of MEMO_COMPLEXES
-results, keyed on the entry's term ranks and differentials' invariants
-and the ring's modulus (0 for Z), so every ring with that modulus reads
-it (see _homology).  A result is not stored when the factors greater
-than 1 of its key and its torsion take more than MEMO_FACTOR_BITS bits
-in all.  Full of seven-term entries at the 6-set bound on 32 points, each
-with 64 bits of factors and torsion, it takes about 1.9 MiB (tracemalloc);
-one pass of the cover benchmark leaves 110 results in 0.05 MiB.
+on the blocks, and a verdict is the sum of its blocks' entries: term
+ranks, each differential's rank and invariant factors greater than 1,
+the quasi-component cover test, and the index of the first piece with
+two degree-1 labels, if any (see _integer_invariants); the empty space
+has one empty block.  A block's complex is built on the caller's space,
+its labels the components of each intersection within the block (each
+tuple's intersection cut from its prefix's, and only nonempty prefixes
+extended).  Entries are memoized in _memo tables, so each is built and
+eliminated once for every ring and every space that contains it.  A
+one-point block's complex is the augmented cochain complex of the full
+simplex on the j sets holding its point, so its entry depends on j alone
+(_point_entry).  A discrete space (FiniteSpace.is_discrete, decided when
+the space was built), all of whose blocks are points, builds no key: its
+entry is kept per histogram of the counts of sets holding each point.
+Every other entry, block or whole, is kept in _MEMO, keyed on the point
+bitmasks of the up sets and of the family's sets, a block's relabelled
+to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
+and no space is kept alive); a space missing from it gets all its
+blocks' keys from one pass (_block_keys), so a miss whose blocks are all
+kept builds nothing.  The homology over a ring is read off an entry by
+_degrees and kept in _DEGREES per entry and modulus (see _homology).
+The README's "Memory bounds" table gives each table's key, bound and
+worst-case size.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
 characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
@@ -67,12 +50,11 @@ zero on every set of a non-cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
 from itertools import chain, zip_longest
 from math import gcd
 from operator import add
-from threading import Lock
 
+from ._memo import Memo
 from .errors import EquivalenceViolation, IsCover, NoSection, NotEmbedding, SizeExceeded
 from .functions import CfinFunction
 from .intlinalg import identity, invariant_factors, matmul
@@ -81,7 +63,8 @@ from .spaces import _PLAIN_INT, FiniteSpace, _ints, merged_pair
 
 MAX_FAMILY = 6
 
-# bounds of the integer-invariant memo behind tate_verdict (see _integer_invariants)
+# bounds of the memo tables behind tate_verdict: entries, and the bits of
+# the factors greater than 1 (and torsion) of a kept entry or result
 MEMO_COMPLEXES = 1024
 MEMO_FACTOR_BITS = 64
 
@@ -240,11 +223,8 @@ def _homology(ranks, factors, n: int) -> dict:
     """Per-degree homology report over Z/n (n = 0 for Z); see _degrees.
 
     The degrees of each (ranks, factors, n), the ring-free entry of a
-    complex and the ring's modulus, are kept in one first-in-first-out
-    table of at most MEMO_COMPLEXES results, so every verdict on an entry
-    and a ring after the first reads them.  A result whose factors
-    greater than 1 and torsion take more than MEMO_FACTOR_BITS bits in
-    all is recomputed every time.  A result is kept as the report's rows,
+    complex and the ring's modulus, are kept in _DEGREES, its bits those
+    of its factors greater than 1 and its torsion, as the report's rows,
     each degree's (degree, free rank, torsion, vanishes), and whether the
     complex is exact; the report's dicts and lists are built afresh from
     them on every call, so no caller shares them.
@@ -258,7 +238,7 @@ def _homology(ranks, factors, n: int) -> dict:
             all(vanishes for _, _, vanishes in degrees),
         )
         torsion_bits = sum(e.bit_length() for _, torsion, _ in degrees for e in torsion)
-        _store(_DEGREES, key, result, _factor_bits(factors) + torsion_bits)
+        result = _DEGREES.store(key, result, _factor_bits(factors) + torsion_bits)
     rows, exact = result
     return {
         "degrees": [
@@ -302,9 +282,10 @@ def _degrees(ranks, factors, n: int) -> tuple[tuple[int, tuple[int, ...], bool],
     return tuple(degrees)
 
 
-_MEMO: dict[tuple, tuple] = {}
-_DEGREES: dict[tuple, tuple] = {}
-_MEMO_LOCK = Lock()  # held by every write to a memo; reads take no lock
+_MEMO = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # entry per (space or block, family) key
+_DEGREES = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # degrees per (entry, modulus)
+_HISTOGRAMS = Memo(MEMO_COMPLEXES)  # a discrete space's entry per histogram
+_POINT_ENTRIES = Memo(MAX_FAMILY + 1)  # a one-point block's entry per j
 
 
 def _mask(points) -> int:
@@ -321,26 +302,18 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
 
     Returns the term ranks of the integer complex, _invariants of each
     differential and the quasi-component cover test, or raises
-    NotEmbedding when a piece merges quasi-components.  C(X, R) is the
-    product of C(B, R) over the quasi-components B of X, so the complex is
-    the direct sum of the complexes of the family's traces on each block:
-    every space gets the sum of its blocks' entries (see _block_entry and
-    _sum_entries), the empty space that of one empty block.  A one-point
-    block's entry depends only on j, the number of sets holding the point
-    (see _point_entry).  So a discrete space (space.is_discrete), whose
-    blocks are all points, builds no key: it counts the sets holding each
-    point and reads its entry off the histogram of those counts (see
-    _points_entry).  Every
-    other space's entry, and each of its blocks' of two or more points,
-    goes into one table of at most MEMO_COMPLEXES entries, the oldest
-    dropped first, keyed on the point bitmasks of the up sets and of the
-    family's sets; no space or exception object is kept.  A space missing
-    from the table takes its blocks' keys from _block_keys, one pass for
-    all of them, and looks each block up before it builds that block's
-    complex.  An entry stores the index of the first piece that merges
-    quasi-components, and the NotEmbedding message is built from the
-    caller's space.  An entry whose factors greater than 1 take more than
-    MEMO_FACTOR_BITS bits in all is recomputed every time.
+    NotEmbedding when a piece merges quasi-components.  Every space gets
+    the sum of its blocks' entries (see _block_entry and _sum_entries).
+    A discrete space (space.is_discrete), whose blocks are all points,
+    counts the sets holding each point and reads its entry off the
+    histogram of those counts in _HISTOGRAMS.  Every other space's entry,
+    and each of its blocks' of two or more points, is kept in _MEMO under
+    _key; a space missing from it takes its blocks' keys from _block_keys,
+    one pass for all of them, and looks each block up before it builds
+    that block's complex.  An entry's bits are those of its factors
+    greater than 1.  An entry stores the index of the first piece that
+    merges quasi-components, and the NotEmbedding message is built from
+    the caller's space, so no space or exception object is kept.
     """
     sets = family.sets
     if space.n and space.is_discrete:
@@ -349,7 +322,12 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
         for K in sets:
             for x in K:
                 held[x] += 1
-        entry = _points_entry(tuple(map(held.count, range(max(held) + 1))))
+        # histogram[j] points are held by j sets; it stops at the largest count
+        histogram = tuple(map(held.count, range(max(held) + 1)))
+        entry = _HISTOGRAMS.get(histogram)
+        if entry is None:
+            points = [_point_entry(j) for j, m in enumerate(histogram) for _ in range(m)]
+            entry = _HISTOGRAMS.store(histogram, _sum_entries(points))
     else:
         key = _key(space.up, sets)
         entry = _MEMO.get(key)
@@ -357,7 +335,7 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
             blocks = space.quasi_components or (frozenset(),)
             keys = _block_keys(space, sets)
             entry = _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
-            _store(_MEMO, key, entry, _factor_bits(entry[1]))
+            entry = _MEMO.store(key, entry, _factor_bits(entry[1]))
     *invariants, rejected = entry
     if rejected is not None:
         K = sets[rejected]
@@ -369,22 +347,6 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
 def _factor_bits(factors) -> int:
     """The bits of the invariant factors greater than 1 of an entry's differentials."""
     return sum(e.bit_length() for _, big in factors for e in big)
-
-
-def _store(table: dict, key, value, bits: int):
-    """Put a computed value of that many bits into a memo table, within its bounds.
-
-    A value of more than MEMO_FACTOR_BITS bits is not stored, and a full
-    table drops its oldest value first.  Only the write takes the lock, so
-    no lock is held while an entry is computed from other entries.
-    """
-    if bits <= MEMO_FACTOR_BITS:
-        with _MEMO_LOCK:
-            if key not in table:
-                if len(table) >= MEMO_COMPLEXES:
-                    del table[next(iter(table))]
-                table[key] = value
-    return value
 
 
 def _block_keys(space: FiniteSpace, sets) -> list[tuple | None]:
@@ -428,7 +390,7 @@ def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple | None) 
     """The entry of the sets' traces on a quasi-component (or the empty block).
 
     A one-point block's entry is that of the j sets holding its point (see
-    _point_entry), and takes no table slot.  For any other block, key is
+    _point_entry), and takes no slot in _MEMO.  For any other block, key is
     its key from _block_keys, the same key rule as a whole space's.  A
     miss builds the complex of the traces on the caller's space (see
     _cech) over Z, which checks d∘d.  A piece merges quasi-components
@@ -444,40 +406,31 @@ def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple | None) 
     pieces = [tup for tup, _ in complex_.terms[1]] if complex_.length > 1 else []
     merging = next((i for (i,), t in zip(pieces, pieces[1:]) if t == (i,)), None)
     if merging is not None:
-        return _store(_MEMO, key, ((), (), False, merging), 0)
+        return _MEMO.store(key, ((), (), False, merging))
     ranks = tuple(map(len, complex_.terms))
     factors = tuple(map(_invariants, complex_.diffs))
     covers = not block or any(K & block for K in sets)
-    return _store(_MEMO, key, (ranks, factors, covers, None), _factor_bits(factors))
+    return _MEMO.store(key, (ranks, factors, covers, None), _factor_bits(factors))
 
 
-@cache
 def _point_entry(j: int) -> tuple:
-    """The entry of a one-point block held by j of the sets, built once per j.
+    """The entry of a one-point block held by j of the sets, kept per j.
 
     Every nonempty trace of the sets on the point is the point itself, so
     the complex is the augmented cochain complex of the full simplex on
     the j sets: term ranks C(j, m), every invariant factor 1, and exact
-    when j > 0 (for j = 0 it is one term, R).  It is built and eliminated by the general rule, on a one-point
-    space with j copies of its point, and so checked for d∘d; no piece
-    merges anything.
+    when j > 0 (for j = 0 it is one term, R).  It is built and eliminated
+    by the general rule, on a one-point space with j copies of its point,
+    and so checked for d∘d; no piece merges anything.
     """
-    point = FiniteSpace.discrete(1)
-    whole = frozenset(point.points)
-    complex_ = ChainComplex(int_inf(), *_cech(point, (whole,) * j, whole))
-    return tuple(map(len, complex_.terms)), tuple(map(_invariants, complex_.diffs)), j > 0, None
-
-
-@lru_cache(maxsize=MEMO_COMPLEXES)
-def _points_entry(histogram: tuple[int, ...]) -> tuple:
-    """The entry of a discrete space with histogram[j] points held by j sets.
-
-    The histogram stops at the largest count, so families that hold the
-    points alike share it.  The entry is the sum of the points' entries
-    (see _point_entry); at most MEMO_COMPLEXES histograms are kept, the
-    least recently used dropped first.
-    """
-    return _sum_entries([_point_entry(j) for j, m in enumerate(histogram) for _ in range(m)])
+    entry = _POINT_ENTRIES.get(j)
+    if entry is None:
+        point = FiniteSpace.discrete(1)
+        whole = frozenset(point.points)
+        complex_ = ChainComplex(int_inf(), *_cech(point, (whole,) * j, whole))
+        ranks, factors = tuple(map(len, complex_.terms)), tuple(map(_invariants, complex_.diffs))
+        entry = _POINT_ENTRIES.store(j, (ranks, factors, j > 0, None))
+    return entry
 
 
 def _sum_entries(entries) -> tuple:

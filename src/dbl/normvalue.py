@@ -24,32 +24,45 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
+from types import SimpleNamespace
 
+from ._memo import Memo
 from .errors import SizeExceeded, UnsupportedValue
 
 MAX_BITS = 1 << 22
+MEMO_FACTORS = 4096  # how many factorizations factor_int keeps
+
+_FACTORS = Memo(MEMO_FACTORS)  # the factorization of each n
+_factor_calls = 0  # calls of factor_int, for factor_int.cache_info
 
 
-@lru_cache(maxsize=4096)
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer by trial division, kept in _FACTORS."""
+    global _factor_calls
+    _factor_calls += 1
+    factors = _FACTORS.get(n)
+    if factors is not None:
+        return factors
     if n <= 0:
         raise ValueError("factor_int needs a positive integer")
-    out = []
+    out, m = [], n
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d * d <= m:
+        if m % d == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while m % d == 0:
+                m //= d
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    if m > 1:
+        out.append((m, 1))
+    return _FACTORS.store(n, tuple(out))
+
+
+# factor_int's hits and misses, as functools' caches report them, for dblbench's tracer
+factor_int.cache_info = lambda: SimpleNamespace(hits=_factor_calls - _FACTORS.misses, misses=_FACTORS.misses)
 
 
 def _power(q: Fraction, k: int) -> Fraction:

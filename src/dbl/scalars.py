@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from ._memo import Memo
 from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 
@@ -31,6 +32,7 @@ MAX_MODULUS = 2**32
 MAX_ELEMENTS = 2**16
 # how many names RingDescriptor.parse keeps a descriptor for
 PARSED_NAMES = 64
+_PARSED = Memo(PARSED_NAMES)  # the descriptor of each ring name parsed
 _RING_NAME = re.compile(
     rf"(IntInf|IntTriv)|(FpTriv|ZmodTriv|ZmodQuot)\(([0-9]{{1,{len(str(MAX_MODULUS))}}})\)"
 )
@@ -201,28 +203,28 @@ class RingDescriptor:
         return RingDescriptor(obj["kind"], p=p, n=n)
 
     @staticmethod
-    @lru_cache(maxsize=PARSED_NAMES)
     def parse(text: str) -> "RingDescriptor":
         """The ring a name such as 'IntInf', 'FpTriv(3)' or 'ZmodQuot(6)' names.
 
         After surrounding whitespace is stripped, a name is exactly IntInf,
         IntTriv, or Kind(d) for the three other kinds, with d ASCII digits,
-        no more of them than MAX_MODULUS has; anything else raises
-        UnsupportedRing.  Descriptors are immutable, so every call with one
-        name returns the same instance, from a table of the PARSED_NAMES
-        names used most recently; a rejected name raises on every call and
-        is never stored.
+        no more of them than MAX_MODULUS has; anything else, and anything
+        that is not a str, raises UnsupportedRing.  Descriptors are
+        immutable, so every call with one name returns the same instance
+        while the name is in _PARSED; a rejected name raises on every call
+        and is never stored.
         """
-        text = text.strip()
-        name = _RING_NAME.fullmatch(text)
-        if name is None:
-            raise UnsupportedRing(f"cannot parse ring {text!r}")
-        plain, kind, digits = name.groups()
-        if plain is not None:
-            return RingDescriptor(plain)
-        if kind == "FpTriv":
-            return RingDescriptor(kind, p=int(digits))
-        return RingDescriptor(kind, n=int(digits))
+        if not isinstance(text, str):
+            raise UnsupportedRing(f"a ring name is a str, not a {type(text).__name__}")
+        ring = _PARSED.get(text)
+        if ring is None:
+            name = _RING_NAME.fullmatch(text.strip())
+            if name is None:
+                raise UnsupportedRing(f"cannot parse ring {text.strip()!r}")
+            plain, kind, digits = name.groups()
+            modulus = {"p" if kind == "FpTriv" else "n": int(digits)} if kind else {}
+            ring = _PARSED.store(text, RingDescriptor(plain or kind, **modulus))
+        return ring
 
     def __str__(self):
         m = self.modulus

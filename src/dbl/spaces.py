@@ -14,10 +14,9 @@ space is discrete is decided once, when it is built, from its up sets
 (however its opens were given): a discrete space takes its up sets as its
 quasi-components and calls every set of its points closed, with no
 component or preorder pass.  FiniteSpace.discrete(n) returns one shared
-space per point count, built on its first request; what a shared space
-caches stays with it for the life of the process: opens and clopens
-cached on all of discrete(0..32) hold 6.5 MiB (tracemalloc), and only
-n <= 12 can list them.  Spaces have at most MAX_POINTS points, the one
+space per point count, built on its first request and kept in the _memo
+table _DISCRETE with what it caches (see the README's "Memory bounds"
+table).  Spaces have at most MAX_POINTS points, the one
 cap a command meets: a space goes on the wire as its minimal opens, and
 only an explicit listing of its opens or clopens stops at MAX_LISTED
 sets.
@@ -30,12 +29,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 
+from ._memo import Memo
 from .errors import NotClopen, NotContinuous, SizeExceeded
 
 MAX_POINTS = 32
 MAX_LISTED = 4096
 
-_DISCRETE: dict[int, FiniteSpace] = {}  # the shared discrete space of each point count
+_DISCRETE = Memo(MAX_POINTS + 1)  # the shared discrete space of each point count
 
 
 def _canon(points) -> tuple[int, ...]:
@@ -65,10 +65,8 @@ class FiniteSpace:
     is decided once, from up: a discrete space's quasi-components are its
     up sets, set when it is built, and every subset of its points is
     closed.  Any other space finds its quasi-components on first read.
-    Discrete spaces are shared per point count: FiniteSpace.discrete(n)
-    checks n as the constructor does and returns the one space kept for
-    it, built from the singletons it makes itself, so it reads and checks
-    no generating open; both end in one finishing step, _finish.
+    The constructor and the shared FiniteSpace.discrete(n) end in one
+    finishing step, _finish.
     """
 
     def __init__(self, n: int, generating_opens=()):
@@ -90,16 +88,14 @@ class FiniteSpace:
         no bool, 0..MAX_POINTS), so a bad n raises each time.  The space is
         built on the first request for n, with the singletons made here, so
         no generating open is read or checked; it equals FiniteSpace(n, the
-        singletons) in every field, and threads that first ask at once all
-        get the one kept.  Whatever it caches (its opens, clopens, ...)
-        stays with it: see the module docstring for the bound.
+        singletons) in every field, and is kept in _DISCRETE.
         """
         space = _DISCRETE.get(_point_count(n))
         if space is None:
             space = object.__new__(FiniteSpace)
             points = range(n)
             space._finish(frozenset(points), tuple(map(frozenset, zip(points))))
-            space = _DISCRETE.setdefault(n, space)
+            space = _DISCRETE.store(n, space)
         return space
 
     def _finish(self, full: frozenset, up: tuple[frozenset, ...]):

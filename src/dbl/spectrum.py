@@ -12,29 +12,28 @@ base point off the constants of one sample (every residue of Z/n, or
 oracle's values on the sample are read into one tuple, in sample order;
 each probe prime's value is read at its position there, and the tuple is
 compared with the candidate's values in one tuple comparison.  The
-values of each (base point, ring) pair are one dict (see _PointValues),
-which every evaluation reads by subscription; a miss is the checked
-evaluation, and stores the value if it is small.  The dicts of at most
-MEMO_POINTS pairs are kept, the least recently used dropped first (see
-_point_values); two threads that first use a pair at the same moment may
-each build a dict, and only the cache keeps one, each within
-MEMO_ELEMENTS.  An oracle of G_inverse holds its pair's dict and reads a
-value off it in one frame, its own call.  The functions
-G_split evaluates an oracle on depend only on (space, ring), so the
-probes of the last pair split are kept and reused while the next split
-is on the same space and ring objects (see _Probes), and the candidate
-base point's values on the sample are read off its dict once per sample
-and kept with it.
+values of each (base point, ring) pair are one _memo table (see
+_PointValues), which every evaluation reads by subscription; a miss is
+the checked evaluation, and keeps the value if it is small.  The tables
+of MEMO_POINTS pairs are kept in _POINT_VALUES.  An oracle of G_inverse
+holds its pair's table and reads a value off it in one frame, its own
+call.  The functions G_split evaluates an oracle on depend only on
+(space, ring), so the probes of the last pair split are kept in
+_PROBES and reused while the next split is on the same space and ring
+objects (see _Probes), and the candidate base point's values on the
+sample are read off its table once per sample and kept with it.  The
+README's "Memory bounds" table gives each table's key, bound and
+worst-case size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, combinations, islice, repeat
-from threading import Lock
 
+from ._memo import Memo
 from .errors import (
     DisconnectedSpectrum,
     NotUltrafilter,
@@ -201,7 +200,7 @@ def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
     return True
 
 
-# bounds of the value memo behind base_eval (see _point_values); g_split
+# bounds of the value tables behind base_eval (see _PointValues); g_split
 # also keeps at most MEMO_ELEMENTS constant functions (see _Probes)
 MEMO_POINTS = 32
 MEMO_ELEMENTS = 512
@@ -225,55 +224,41 @@ def _evaluate(point: BasePoint, ring: RingDescriptor, a) -> NormValue:
     return NV_ZERO if a % point.p == 0 else NV_ONE
 
 
-class _PointValues(dict):
-    """The values of one base point on one ring, memoized per element.
+class _PointValues(Memo):
+    """The values of one base point on one ring, a table of MEMO_ELEMENTS elements.
 
     Its keys are plain ints: a reader sends anything else (True hashes
     like 1 but is no element) straight to _evaluate.  A miss checks the
     element and the point as _evaluate does, so an input that is rejected
-    raises every time and is never stored.  At most MEMO_ELEMENTS values
-    are kept, the oldest dropped first, and only small ones (see
-    MEMO_KEY_BITS and MEMO_VALUE_BITS).  want is None or the last sample
-    _identify_base checked this point on, with the point's values there
-    in one tuple, read off this dict when that table was built.
+    raises every time and is never stored.  Only small values are kept:
+    an element of at most MEMO_KEY_BITS bits with a value of at most
+    MEMO_VALUE_BITS.  want is None or the last sample _identify_base
+    checked this point on, with the point's values there in one tuple,
+    read off this table when that tuple was built.
     """
 
     __slots__ = ("point", "ring", "want")
 
     def __init__(self, point: BasePoint, ring: RingDescriptor):
+        super().__init__(MEMO_ELEMENTS, MEMO_VALUE_BITS)
         self.point = point
         self.ring = ring
         self.want = None
 
     def __missing__(self, a: int) -> NormValue:
         v = _evaluate(self.point, self.ring, a)
-        if a.bit_length() <= MEMO_KEY_BITS and v.bit_length() <= MEMO_VALUE_BITS:
-            with _MEMO_LOCK:
-                if len(self) >= MEMO_ELEMENTS:
-                    del self[next(iter(self))]
-                self[a] = v
-        return v
+        return self.store(a, v, v.bit_length()) if a.bit_length() <= MEMO_KEY_BITS else v
 
 
-_MEMO_LOCK = Lock()  # held by every write to a memo; reads take no lock
+_POINT_VALUES = Memo(MEMO_POINTS)  # the value table of each (point, ring) pair
 
 
-@lru_cache(maxsize=MEMO_POINTS)
 def _point_values(point: BasePoint, ring: RingDescriptor) -> _PointValues:
-    """The shared value memo of a (point, ring) pair.
-
-    At most MEMO_POINTS pairs are kept, the least recently used dropped
-    first: at most MEMO_POINTS * MEMO_ELEMENTS = 16,384 values in all,
-    each of at most MEMO_VALUE_BITS bits under a key of at most
-    MEMO_KEY_BITS: about 5 MiB at worst.  Each pair also keeps one want
-    table (see _identify_base), one reference per sample element: at most
-    MAX_ELEMENTS of them, 0.5 MiB, on Z/n, whose values past the kept ones
-    are the shared 0 and 1, so 16 MiB for MEMO_POINTS pairs at the cap.
-    Two threads that first use a pair at once may each build a memo, of
-    which the cache keeps one.  An oracle of g_inverse keeps its pair's
-    memo alive after the pair leaves the cache.
-    """
-    return _PointValues(point, ring)
+    """The value table of a (point, ring) pair, one while the pair is in _POINT_VALUES."""
+    values = _POINT_VALUES.get((point, ring))
+    if values is None:
+        values = _POINT_VALUES.store((point, ring), _PointValues(point, ring))
+    return values
 
 
 def base_eval(point: BasePoint, ring: RingDescriptor, a: int) -> NormValue:
@@ -307,8 +292,8 @@ class SeminormOracle:
 class _EvaluationOracle(SeminormOracle):
     """The oracle of g_inverse, evaluated in one frame.
 
-    It reads the component's value of f off its pair's memo by
-    subscription, as base_eval does: a plain int hits or takes the memo's
+    It reads the component's value of f off its pair's value table
+    by subscription, as base_eval does: a plain int hits or takes the table's
     checked miss, and any other value goes straight to _evaluate.
     """
 
@@ -331,7 +316,7 @@ class _EvaluationOracle(SeminormOracle):
 def g_inverse(component: int, base: BasePoint, space: FiniteSpace, ring: RingDescriptor) -> SeminormOracle:
     """The seminorm f -> base(limit of f along the component).
 
-    The oracle looks the point's value memo up once, here, and reads the
+    The oracle looks the point's value table up once, here, and reads the
     component's value of f straight off it in its own call.  The component
     must be an int in 0..k-1 for a space with k quasi-components.
     """
@@ -372,9 +357,9 @@ class _Probes:
         self.constants = tuple(fn((a,) * k) for a in islice(self.sample, MEMO_ELEMENTS))
 
 
-# the probes of the last (space, ring) split; a case loop splits one pair
-# many times in a row, so one slot keeps every reuse a table would
-_LAST_PROBES: _Probes | None = None
+# the probes of the last split, keyed on the ids of its space and ring objects
+# (which they keep alive): a case loop splits one pair many times in a row
+_PROBES = Memo(1)
 
 
 def _identify_base(probes: _Probes, oracle) -> BasePoint:
@@ -392,7 +377,7 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     fails multiplicativity.  The constants past the kept ones are built as
     the oracle reaches them.  The candidate's values on the sample, the
     want table, are built once per (point, ring, sample) and kept on the
-    pair's dict (see _PointValues); every split compares all of them.
+    pair's table (see _PointValues); every split compares all of them.
     """
     space, ring, sample, constants = probes.space, probes.ring, probes.sample, probes.constants
     if len(sample) > MAX_ELEMENTS:
@@ -452,10 +437,10 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     an indicator that is not a NormValue raises NotUltrafilter, and one on
     a probe prime raises UnrecognizedBasePoint.
     """
-    global _LAST_PROBES
-    probes = _LAST_PROBES
-    if probes is None or probes.space is not oracle.space or probes.ring is not oracle.ring:
-        probes = _LAST_PROBES = _Probes(oracle.space, oracle.ring)
+    key = id(oracle.space), id(oracle.ring)
+    probes = _PROBES.get(key)
+    if probes is None:
+        probes = _PROBES.store(key, _Probes(oracle.space, oracle.ring))
     empty = oracle(probes.empty)
     if not isinstance(empty, NormValue):
         raise NotUltrafilter(f"the empty clopen's value is a {type(empty).__name__}, not a NormValue")

@@ -90,6 +90,9 @@ DELETED = [
     ("bases", "basis_change_matrix"),
     ("bases", "is_unimodular_basis"),
     ("bases", "mahler_family"),
+    ("cech", "_MEMO_LOCK"),
+    ("cech", "_points_entry"),
+    ("cech", "_store"),
     ("cech", "GluedModule"),
     ("cech", "ModulePiece"),
     ("cech", "glue_modules"),
@@ -106,7 +109,9 @@ DELETED = [
     ("modtensor", "free_base_change"),
     ("normvalue", "nv_compare"),
     ("spaces", "zeta_embedding_check"),
+    ("spectrum", "_LAST_PROBES"),
     ("spectrum", "_MEMOS"),
+    ("spectrum", "_MEMO_LOCK"),
     ("spectrum", "_vp"),
     ("spectrum", "eval_seminorm"),
 ]

@@ -1,11 +1,13 @@
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from dbl import cech
+from dbl._memo import Memo
 from dbl.cech import (
     MEMO_COMPLEXES,
+    MEMO_FACTOR_BITS,
     ChainComplex,
     CoverFamily,
     build_tate_cech,
@@ -49,14 +51,13 @@ def fam(space, *sets):
 def memo(monkeypatch):
     """An empty table of integer invariants for the test, the module's restored after it.
 
-    The entries of discrete spaces, which never enter the table, are
-    dropped before and after the test.
+    The entries of discrete spaces, which never enter it, go to an empty
+    table of histograms too.
     """
-    table = {}
+    table = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)
     monkeypatch.setattr(cech, "_MEMO", table)
-    cech._points_entry.cache_clear()
-    yield table
-    cech._points_entry.cache_clear()
+    monkeypatch.setattr(cech, "_HISTOGRAMS", Memo(MEMO_COMPLEXES))
+    return table
 
 
 def test_is_cover():
@@ -277,7 +278,7 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                     cold = {}
                     for ring in rings:
                         memo.clear()
-                        cech._points_entry.cache_clear()
+                        cech._HISTOGRAMS.clear()
                         cold[ring] = verdict = _verdict_or_message(space, sets, ring)
                         cases += 1
                         if want is not None:
@@ -293,7 +294,7 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                         assert _verdict_or_message(same, sets, ring) == cold[ring]
                     blocks = len(space.quasi_components)
                     discrete = blocks == space.n > 0
-                    histograms = cech._points_entry.cache_info().currsize
+                    histograms = len(cech._HISTOGRAMS)
                     if discrete:
                         assert memo == {} and histograms == 1
                         discretes += 1
@@ -413,92 +414,6 @@ def counted_builds(monkeypatch):
     return built
 
 
-def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
-    # MEMO_COMPLEXES + 1 distinct 6-set families of a connected 32-point
-    # space, each set {a, 31}, so every family has one entry and every
-    # complex has all seven terms: reading the first entry does not move
-    # it, and the next miss drops it
-    import gc
-    import pickle
-    import tracemalloc
-
-    built = counted_builds(monkeypatch)
-    # point 31 specializes to every other point, so {a, 31} is closed
-    space = FiniteSpace(32, [{a} for a in range(31)] + [range(32)])
-    assert len(space.quasi_components) == 1
-    families = (
-        CoverFamily.make(space, sets)
-        for sets in combinations([{a, 31} for a in range(31)], 6)
-    )
-    first = next(families)
-    assert len(tate_verdict(space, first, Z)["homology"]) == 7
-    for _ in range(MEMO_COMPLEXES - 1):
-        tate_verdict(space, next(families), Z)
-    assert len(memo) == len(built) == MEMO_COMPLEXES
-    tate_verdict(space, first, zmod_triv(4))
-    assert len(built) == MEMO_COMPLEXES
-    tate_verdict(space, next(families), Z)
-    tate_verdict(space, first, zmod_triv(4))
-    assert len(memo) == MEMO_COMPLEXES
-    assert len(built) == MEMO_COMPLEXES + 2 and built[-1] == first.sets
-    # the full table, measured as the allocations of an equal copy, stays
-    # under the seminorm memo's 5 MiB (about 1.9 MiB)
-    data = pickle.dumps(memo)
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        copy = pickle.loads(data)
-        size = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert copy == memo
-    assert size < 5 * 2**20
-
-
-def test_memo_writes_from_threads_keep_the_bound(memo):
-    # four threads share a table of one-set families of a 12-point space
-    # with the blocks {0, .., 10}, where 10 specializes to every other
-    # point, and {11}: 1,600 families distinct in all, each thread's
-    # overlapping the next one's, and each writing an entry for the space
-    # and one for the block {0, .., 10} when it is new.  A family is exact
-    # when its set holds 10 and 11
-    import sys
-    import threading
-
-    space = FiniteSpace(12, [{x} for x in range(10)] + [range(11), {11}])
-    assert [len(B) for B in space.quasi_components] == [11, 1]
-    free = [*range(10), 11]
-    subsets = []
-    for m in range(2**11):
-        K = {x for i, x in enumerate(free) if m >> i & 1}
-        subsets.append(frozenset(K | {10} if K - {11} else K))
-    errors = []
-
-    def work(start):
-        try:
-            for K in subsets[start : start + 700]:
-                verdict = tate_verdict(space, fam(space, K), Z)
-                if verdict["exact"] != ({10, 11} <= K) or not verdict["agreement"]:
-                    errors.append(K)
-        except Exception as err:  # reported by the assertion below
-            errors.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(1348 - 300 * k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(memo) == MEMO_COMPLEXES
-
-
 def rp2_star_cover():
     """The six vertex stars of the 6-vertex RP^2, on its 31-point face poset.
 
@@ -516,49 +431,53 @@ def rp2_star_cover():
     return space, CoverFamily.make(space, stars)
 
 
-def test_memo_skips_entries_past_the_factor_bits(monkeypatch, memo):
-    # the factor 2 of the RP^2 star cover is stored under the default cap
-    # and recomputed when the cap is 1 bit; the verdicts are the same
+def test_memo_skips_entries_past_the_factor_bits(monkeypatch):
+    # the RP^2 star complex's factor 2 takes 2 bits: a table of 1 bit keeps
+    # nothing, and the default one keeps its degrees once per modulus; the
+    # reports are the same, Z/2 in degree 3 over Z, exact over F_3 only
     space, family = rp2_star_cover()
     rings = (Z, fp_triv(2), fp_triv(3), zmod_triv(4))
-    want = {r: exactness(build_tate_cech(space, family, r)) for r in rings}
+    complexes = {r: build_tate_cech(space, family, r) for r in rings}
+    want = {}
+    for bits, stored in ((1, 0), (MEMO_FACTOR_BITS, len(rings))):
+        table = Memo(MEMO_COMPLEXES, bits)
+        monkeypatch.setattr(cech, "_DEGREES", table)
+        for ring in rings * 2:
+            report = exactness(complexes[ring])
+            assert want.setdefault(ring, report) == report
+        assert len(table) == stored and table.misses == (2 if bits == 1 else 1) * len(rings)
     assert [d["torsion"] for d in want[Z]["degrees"]] == [[], [], [], [2]]
     assert want[fp_triv(3)]["exact"] and not want[fp_triv(2)]["exact"]
-    for bits, stored in ((1, 0), (cech.MEMO_FACTOR_BITS, 1)):
-        monkeypatch.setattr(cech, "MEMO_FACTOR_BITS", bits)
-        memo.clear()
-        for r in rings:
-            verdict = tate_verdict(space, family, r)
-            assert verdict["homology"] == want[r]["degrees"]
-            assert verdict["cover_components"] and verdict["agreement"] == want[r]["exact"]
-        assert len(memo) == stored
 
 
-def test_torsion_survives_the_sum_over_blocks(monkeypatch, memo):
-    # the RP^2 star cover beside an isolated point in no set: the verdict
-    # is the sum of two block entries, one complex built for the RP^2
-    # block and the point's entry, that of j = 0 sets holding it, read off
-    # its count and never stored in the table
+def test_torsion_survives_the_sum_over_blocks():
+    # the RP^2 star cover beside an isolated point in no set: the sum of the
+    # RP^2 block's entry, read off its whole complex, and the point's, that
+    # of j = 0 sets holding it, has the homology of the 32-point complex,
+    # torsion and all.  A sum adds ranks and concatenates the factors
+    # greater than 1, so two RP^2 blocks have two factors 2
     rp2, stars = rp2_star_cover()
     space = FiniteSpace(rp2.n + 1, list(rp2.up) + [{rp2.n}])
     family = CoverFamily.make(space, stars.sets)
     assert space.n == MAX_POINTS and len(space.quasi_components) == 2
-    wants = {r: exactness(build_tate_cech(space, family, r)) for r in (Z, fp_triv(3))}
-    cech._point_entry(0)
-    built = counted_builds(monkeypatch)
-    verdict = tate_verdict(space, family, Z)
-    assert built == [stars.sets] and len(memo) == 2
-    want = wants[Z]
-    assert verdict["homology"] == want["degrees"]
-    assert [(d["free_rank"], d["torsion"]) for d in want["degrees"]] == [
-        (1, []), (0, []), (0, []), (0, [2])
-    ]
-    verdict = tate_verdict(space, family, fp_triv(3))
-    want = wants[fp_triv(3)]
-    assert verdict["homology"] == want["degrees"]
-    assert [d["torsion"] for d in want["degrees"]] == [[3], [], [], []]
-    assert all(d["free_rank"] == 0 for d in want["degrees"])
-    assert len(built) == 1  # the second ring reads the table
+    block = build_tate_cech(rp2, stars, Z)
+    entry = (tuple(map(len, block.terms)), tuple(map(cech._invariants, block.diffs)), True, None)
+    assert [big for _, big in entry[1]] == [(), (), (2,)]
+    ranks, factors, covers, merging = cech._sum_entries([entry, cech._point_entry(0)])
+    assert ranks == (entry[0][0] + 1, *entry[0][1:]) and factors == entry[1]
+    assert not covers and merging is None
+    wants = {
+        Z: [(1, []), (0, []), (0, []), (0, [2])],
+        fp_triv(3): [(0, [3]), (0, []), (0, []), (0, [])],
+    }
+    for ring, want in wants.items():
+        report = exactness(build_tate_cech(space, family, ring))
+        assert cech._homology(ranks, factors, ring.modulus or 0) == report
+        assert [(d["free_rank"], d["torsion"]) for d in report["degrees"]] == want
+    twice = cech._sum_entries([entry, entry])
+    assert twice[0] == tuple(2 * r for r in entry[0])
+    assert twice[1] == tuple((2 * r, big + big) for r, big in entry[1])
+    assert cech._homology(*twice[:2], 0)["degrees"][3]["torsion"] == [2, 2]
 
 
 def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
@@ -574,7 +493,7 @@ def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, 5)}
     families = [CoverFamily.make(spaces[n], sets) for n, sets in cases]
     wholes = [exactness(build_tate_cech(f.space, f, Z)) for f in families]
-    cech._point_entry.cache_clear()
+    monkeypatch.setattr(cech, "_POINT_ENTRIES", Memo(cech.MAX_FAMILY + 1))
     built = counted_builds(monkeypatch)
     for family, whole in zip(families, wholes):
         for ring in (Z, int_triv(), fp_triv(2)):
@@ -675,7 +594,7 @@ def test_verdicts_are_the_whole_complexes_on_every_small_topology(memo):
 @pytest.fixture
 def degrees(monkeypatch):
     """An empty table of homology degrees for the test, the module's restored after it."""
-    table = {}
+    table = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)
     monkeypatch.setattr(cech, "_DEGREES", table)
     return table
 
@@ -720,114 +639,33 @@ def test_stored_degrees_are_the_direct_computation(memo, degrees):
     assert 0 < len(degrees) < checked // 4
 
 
-def test_a_verdict_shares_no_state_with_the_next(memo, degrees):
-    # the RP^2 star cover has torsion Z/2 in degree 3 over Z: changing one
-    # verdict's lists and dicts leaves the next verdict as it was
+def test_a_verdict_shares_no_state_with_the_next(degrees):
+    # the RP^2 star complex has torsion Z/2 in degree 3 over Z: changing the
+    # lists and dicts of one homology report, which tate_verdict returns as
+    # it is, leaves the next report off the kept result as it was
     space, family = rp2_star_cover()
-    want = exactness(build_tate_cech(space, family, Z))
-    first = tate_verdict(space, family, Z)
-    assert first["homology"] == want["degrees"] and len(degrees) == 1
-    first["homology"][3]["torsion"].append(7)
-    first["homology"][3]["torsion"][0] = 5
-    first["homology"][0]["free_rank"] = 9
-    first["homology"].pop()
-    again = tate_verdict(space, family, Z)
-    assert again["homology"] == want["degrees"]
-    assert again["homology"][3]["torsion"] == [2]
-    assert again["homology"][3]["torsion"] is not first["homology"][2]["torsion"]
+    complex_ = build_tate_cech(space, family, Z)
+    first = exactness(complex_)["degrees"]
+    assert len(degrees) == 1
+    want = [dict(d, torsion=list(d["torsion"])) for d in first]
+    first[3]["torsion"].append(7)
+    first[3]["torsion"][0] = 5
+    first[0]["free_rank"] = 9
+    first.pop()
+    again = exactness(complex_)["degrees"]
+    assert again == want and again[3]["torsion"] == [2]
+    assert again[3]["torsion"] is not first[2]["torsion"]
 
 
-def test_degrees_past_the_factor_bits_are_not_stored(monkeypatch, memo, degrees):
-    # the RP^2 star cover's factor 2 takes 2 bits: a cap of 1 bit stores
-    # nothing, and the default cap stores its degrees once per modulus
-    space, family = rp2_star_cover()
-    rings = (Z, fp_triv(2), zmod_triv(4))
-    want = {r: exactness(build_tate_cech(space, family, r))["degrees"] for r in rings}
-    for bits, stored in ((1, 0), (cech.MEMO_FACTOR_BITS, len(rings))):
-        monkeypatch.setattr(cech, "MEMO_FACTOR_BITS", bits)
-        degrees.clear()
-        for ring in rings * 2:
-            assert tate_verdict(space, family, ring)["homology"] == want[ring]
-        assert len(degrees) == stored
+def test_degrees_past_the_factor_bits_are_not_stored(memo, degrees):
     # 32 points in no set leave (Z/4)^32 in degree 0, 96 bits of torsion:
     # the degrees are computed every time and not stored
     d32 = FiniteSpace.discrete(MAX_POINTS)
     empty = fam(d32, set())
-    degrees.clear()
     for _ in range(2):
         homology = tate_verdict(d32, empty, zmod_triv(4))["homology"]
         assert homology == [{"degree": 0, "free_rank": 0, "torsion": [4] * 32, "vanishes": False}]
-    assert degrees == {}
-
-
-def test_degrees_table_drops_its_oldest_result_and_stays_small(degrees):
-    # MEMO_COMPLEXES + 1 distinct entries of seven terms at the 6-set bound
-    # on 32 points, 16 factors 2 spread over the six differentials in a
-    # different way in each, so over Z their torsion is 16 copies of Z/2:
-    # 64 bits in all, the most a stored result holds.  The table keeps the
-    # last MEMO_COMPLEXES
-    import gc
-    import pickle
-    import tracemalloc
-
-    ranks = (32, 192, 480, 640, 480, 192, 32)
-    dranks = (32, 160, 320, 320, 160, 32)
-    entries = [
-        ((*ranks,), tuple((r, (2,) * c) for r, c in zip(dranks, (*cuts, 16 - sum(cuts)))))
-        for cuts in product(range(17), repeat=5)
-        if sum(cuts) <= 16
-    ][: MEMO_COMPLEXES + 1]
-    for ranks_, factors in entries:
-        report = cech._homology(ranks_, factors, 0)
-        assert sum(len(d["torsion"]) for d in report["degrees"]) == 16
-    assert len(degrees) == MEMO_COMPLEXES
-    assert (*entries[0], 0) not in degrees and (*entries[1], 0) in degrees
-    # the full table, measured as the allocations of an equal copy (about
-    # 1.9 MiB), stays under the entry table's 5 MiB
-    data = pickle.dumps(degrees)
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        copy = pickle.loads(data)
-        size = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert copy == degrees
-    assert size < 5 * 2**20
-
-
-def test_degrees_writes_from_threads_keep_the_bound(degrees):
-    # four threads read the homology of 1,600 one-term complexes Z^k, each
-    # thread's range overlapping the next one's: every report is right and
-    # the table ends full, never past MEMO_COMPLEXES
-    import sys
-    import threading
-
-    errors = []
-
-    def work(start):
-        try:
-            for k in range(start, start + 700):
-                report = cech._homology((k,), (), 0)
-                if report["degrees"][0]["free_rank"] != k or report["exact"] != (k == 0):
-                    errors.append(k)
-        except Exception as err:  # reported by the assertion below
-            errors.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(300 * k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(degrees) == MEMO_COMPLEXES
+    assert degrees == {} and degrees.misses == 2
 
 
 def test_family_points_are_ints():

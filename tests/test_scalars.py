@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dbl import scalars
 from dbl.errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
 from dbl.normvalue import NV_ONE, NV_ZERO, NormValue
 from dbl.scalars import (
@@ -102,12 +103,18 @@ def test_parse_shares_one_descriptor_per_name():
         assert RingDescriptor.parse(str(r)) is RingDescriptor.parse(str(r))
         assert RingDescriptor.parse(str(r)) == r
     # a rejected name raises on every call and takes no place in the table
-    stored = RingDescriptor.parse.cache_info().currsize
+    stored = len(scalars._PARSED)
     for text in ("FpTriv(4)", "ZmodTriv(0)", "FpTriv(3"):
         for _ in range(2):
             with pytest.raises(UnsupportedRing):
                 RingDescriptor.parse(text)
-    assert RingDescriptor.parse.cache_info().currsize == stored
+    assert len(scalars._PARSED) == stored
+
+
+def test_parse_rejects_a_name_that_is_no_str_before_the_table():
+    for bad in (["IntInf"], 3, None, b"IntInf", ("IntInf",)):
+        with pytest.raises(UnsupportedRing, match="a ring name is a str"):
+            RingDescriptor.parse(bad)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,55 @@
+"""What the README promises of the source: the standard library only, no
+floats anywhere, and every cache a _memo table."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dbl"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_source_is_read():
+    assert {"__init__.py", "_memo.py", "cech.py", "spectrum.py"} <= set(TREES)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_absolute_import_is_from_the_standard_library(name):
+    for node in ast.walk(TREES[name]):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] in sys.stdlib_module_names, (name, module)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_float_literal_and_no_float_name(name):
+    for node in ast.walk(TREES[name]):
+        assert not (isinstance(node, ast.Constant) and type(node.value) is float), (name, node.lineno)
+        assert not (isinstance(node, ast.Name) and node.id == "float"), (name, node.lineno)
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"_memo.py"}))
+def test_every_cache_is_a_memo_table(name):
+    # no functools cache and no lock of its own, and no module-level dict,
+    # list or set but __all__: a module keeps what it memoizes in a Memo
+    for node in ast.walk(TREES[name]):
+        if isinstance(node, ast.ImportFrom) and node.module in ("functools", "threading"):
+            assert not {a.name for a in node.names} & {"cache", "lru_cache", "Lock", "RLock"}, name
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("cache", "lru_cache", "Lock", "RLock"), (name, node.lineno)
+    for node in TREES[name].body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            mutable = isinstance(node.value, (ast.Dict, ast.List, ast.Set)) or (
+                isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in ("dict", "list", "set")
+            )
+            assert not mutable or [t.id for t in targets] == ["__all__"], (name, node.lineno)

@@ -206,18 +206,24 @@ def _counted_split(oracle) -> tuple:
     return _verdict(g_split, counting), calls
 
 
+def _last_probes():
+    """The probes kept for the last split."""
+    (probes,) = spectrum._PROBES.values()
+    return probes
+
+
 def test_g_split_calls_the_oracle_alike_on_cold_and_warm_probes():
-    spectrum._LAST_PROBES = None
-    spectrum._point_values.cache_clear()
+    spectrum._PROBES.clear()
+    spectrum._POINT_VALUES.clear()
     for ring in (Z, fp_triv(5), zmod_triv(8), zmod_quot(9)):
         for space in (FiniteSpace.discrete(3), glued_pairs(), FiniteSpace.sierpinski()):
             for b in admissible_points(ring):
                 for c in range(len(space.quasi_components)):
                     oracle = g_inverse(c, b, space, ring)
                     cold = _counted_split(oracle)
-                    assert spectrum._LAST_PROBES.space is space and spectrum._LAST_PROBES.ring is ring
+                    assert _last_probes().space is space and _last_probes().ring is ring
                     assert cold == _counted_split(oracle)
-                    spectrum._LAST_PROBES = None
+                    spectrum._PROBES.clear()
                     assert cold == _counted_split(oracle)
                     assert cold[0] == SpectrumPoint(c, canonical_point(ring, b))
 
@@ -235,7 +241,7 @@ def test_warm_probes_still_reject_adversarial_oracles():
     )
     cold = []
     for fn, _ in adversaries:
-        spectrum._LAST_PROBES = None
+        spectrum._PROBES.clear()
         cold.append(_counted_split(SeminormOracle(space, Z, fn)))
     assert g_split(honest) == SpectrumPoint(0, BasePoint.arch(1))  # warms (space, Z)
     warm = [_counted_split(SeminormOracle(space, Z, fn)) for fn, _ in adversaries]
@@ -246,7 +252,7 @@ def test_warm_probes_still_reject_adversarial_oracles():
 def test_g_split_rejects_an_oracle_that_gives_none_where_the_memo_has_no_value():
     space, trivial = FiniteSpace.discrete(2), BasePoint.trivial()
     honest = g_inverse(0, trivial, space, Z)
-    spectrum._point_values.cache_clear()
+    spectrum._POINT_VALUES.clear()
     for a in spectrum._Z_SAMPLE:
         if a != 4:
             base_eval(trivial, Z, a)
@@ -519,7 +525,7 @@ def test_memo_stays_within_its_bounds():
     assert MEMO_ELEMENTS + 99 in memo and 0 not in memo  # the oldest went first
     for k in range(1, MEMO_POINTS + 10):
         base_eval(BasePoint.padic(2, Fraction(1, k)), Z, 12)
-    assert spectrum._point_values.cache_info().currsize == MEMO_POINTS
+    assert len(spectrum._POINT_VALUES) == MEMO_POINTS
     # large elements and large values are computed but not kept
     big = BasePoint.arch(Fraction(99, 100))
     for a in (2**MEMO_KEY_BITS, 2**20 - 1):
@@ -529,38 +535,8 @@ def test_memo_stays_within_its_bounds():
     assert not _memo(big, Z)
 
 
-def test_memo_writes_from_threads_keep_the_bound():
-    import sys
-    import threading
-
-    p = BasePoint.arch(Fraction(1, 5))
-    errors = []
-
-    def work(offset):
-        try:
-            for a in range(offset, offset + 4 * MEMO_ELEMENTS, 3):
-                if base_eval(p, Z, a) != NormValue.from_pow(a, Fraction(1, 5)):
-                    errors.append(a)
-        except Exception as err:  # reported by the assertion below
-            errors.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k + 1,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(_memo(p, Z)) == MEMO_ELEMENTS
-
-
 def test_every_reader_reads_the_one_dict_of_its_pair():
-    spectrum._point_values.cache_clear()
+    spectrum._POINT_VALUES.clear()
     space, p = FiniteSpace.discrete(2), BasePoint.arch(1)
     values = _memo(p, Z)
     assert _memo(p, Z) is values
@@ -583,7 +559,7 @@ def test_every_reader_reads_the_one_dict_of_its_pair():
 
 
 def test_every_reader_rejects_what_is_no_element_and_never_stores_it():
-    spectrum._point_values.cache_clear()
+    spectrum._POINT_VALUES.clear()
     space, ring, p = FiniteSpace.discrete(1), zmod_triv(4), BasePoint.residue(2)
     values = _memo(p, ring)
     oracle = g_inverse(0, p, space, ring)
@@ -610,19 +586,6 @@ def test_every_reader_rejects_what_is_no_element_and_never_stores_it():
         assert base_eval(p, ring, 1) is values[1] == NV_ONE  # True and 1.0 hash like 1
 
 
-def test_point_values_drop_the_least_recently_used_pair_first():
-    spectrum._point_values.cache_clear()
-    points = [BasePoint.padic(2, Fraction(1, k)) for k in range(1, MEMO_POINTS + 11)]
-    memos = [_memo(b, Z) for b in points[:MEMO_POINTS]]
-    assert _memo(points[0], Z) is memos[0]  # now the most recently used
-    _memo(points[MEMO_POINTS], Z)  # drops points[1], the least recently used
-    assert _memo(points[0], Z) is memos[0]
-    assert _memo(points[1], Z) is not memos[1]
-    for b in points:
-        _memo(b, Z)
-    assert spectrum._point_values.cache_info().currsize == MEMO_POINTS
-
-
 # -- the probes behind g_split -------------------------------------------------
 
 
@@ -630,27 +593,27 @@ def test_probes_are_kept_for_the_last_pair_on_its_objects():
     spaces = [s for n in (3, 4) for s in topologies(n)][:10]
     for space in spaces:
         g_split(g_inverse(0, BasePoint.trivial(), space, Z))
-        assert spectrum._LAST_PROBES.space is space and spectrum._LAST_PROBES.ring is Z
-    kept = spectrum._LAST_PROBES
+        assert _last_probes().space is space and _last_probes().ring is Z
+    kept = _last_probes()
     g_split(g_inverse(0, BasePoint.arch(1), spaces[-1], Z))
-    assert spectrum._LAST_PROBES is kept
+    assert _last_probes() is kept
     # an equal space of another object gets probes of its own
     twin = FiniteSpace(spaces[-1].n, spaces[-1].up)
     assert twin == spaces[-1] and twin is not spaces[-1]
     g_split(g_inverse(0, BasePoint.trivial(), twin, Z))
-    probes = spectrum._LAST_PROBES
+    probes = _last_probes()
     assert probes is not kept and probes.space is twin
     assert all(f.space is twin for f in (probes.empty, *probes.inside, *probes.outside, *probes.constants))
 
 
 def test_probes_keep_at_most_memo_elements_constants_and_test_every_residue():
     space, ring = FiniteSpace.discrete(32), zmod_triv(4096)
-    spectrum._LAST_PROBES = None
+    spectrum._PROBES.clear()
     oracle = g_inverse(31, BasePoint.residue(2), space, ring)
     for _ in range(2):  # cold, then warm
         verdict, calls = _counted_split(oracle)
         assert verdict == SpectrumPoint(31, BasePoint.residue(2))
-        assert len(spectrum._LAST_PROBES.constants) == MEMO_ELEMENTS
+        assert len(_last_probes().constants) == MEMO_ELEMENTS
         assert calls[2 * 32 + 1 :] == [(a,) * 32 for a in range(4096)]
     # an oracle wrong only past the kept constants is still rejected
     liar = SeminormOracle(space, ring, lambda f: NV_ONE if f.values == (4094,) * 32 else oracle(f))
@@ -808,7 +771,7 @@ def test_g_split_of_g_inverse_evaluates_each_element_once(ring, monkeypatch):
         calls.append((point, a))
         return evaluate(point, ring, a)
 
-    spectrum._point_values.cache_clear()
+    spectrum._POINT_VALUES.clear()
     monkeypatch.setattr(spectrum, "_evaluate", counted)
     for s, space in enumerate((FiniteSpace.discrete(3), glued_pairs())):
         k = len(space.quasi_components)
