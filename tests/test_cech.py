@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -414,6 +414,93 @@ def counted_builds(monkeypatch):
     return built
 
 
+def test_memo_drops_its_oldest_entry_and_stays_small(monkeypatch, memo):
+    # MEMO_COMPLEXES + 1 distinct 6-set families of a connected 32-point
+    # space, each set {a, 31}, so every family has one entry and every
+    # complex has all seven terms: reading the first entry does not move
+    # it, and the next miss drops it
+    import gc
+    import pickle
+    import tracemalloc
+
+    built = counted_builds(monkeypatch)
+    # point 31 specializes to every other point, so {a, 31} is closed
+    space = FiniteSpace(32, [{a} for a in range(31)] + [range(32)])
+    assert len(space.quasi_components) == 1
+    families = (
+        CoverFamily.make(space, sets)
+        for sets in combinations([{a, 31} for a in range(31)], 6)
+    )
+    first = next(families)
+    assert len(tate_verdict(space, first, Z)["homology"]) == 7
+    for _ in range(MEMO_COMPLEXES - 1):
+        tate_verdict(space, next(families), Z)
+    assert len(memo) == len(built) == MEMO_COMPLEXES
+    tate_verdict(space, first, zmod_triv(4))
+    assert len(built) == MEMO_COMPLEXES
+    tate_verdict(space, next(families), Z)
+    tate_verdict(space, first, zmod_triv(4))
+    assert len(memo) == MEMO_COMPLEXES
+    assert len(built) == MEMO_COMPLEXES + 2 and built[-1] == first.sets
+    # the full table, measured as the allocations of an equal copy, stays
+    # under the seminorm memo's 5 MiB (about 1.9 MiB)
+    data = pickle.dumps(memo)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        copy = pickle.loads(data)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert copy == memo
+    assert size < 5 * 2**20
+
+
+def test_memo_writes_from_threads_keep_the_bound(memo):
+    # four threads share a table of one-set families of a 12-point space
+    # with the blocks {0, .., 10}, where 10 specializes to every other
+    # point, and {11}: 1,600 families distinct in all, each thread's
+    # overlapping the next one's, and each writing an entry for the space
+    # and one for the block {0, .., 10} when it is new.  A family is exact
+    # when its set holds 10 and 11
+    import sys
+    import threading
+
+    space = FiniteSpace(12, [{x} for x in range(10)] + [range(11), {11}])
+    assert [len(B) for B in space.quasi_components] == [11, 1]
+    free = [*range(10), 11]
+    subsets = []
+    for m in range(2**11):
+        K = {x for i, x in enumerate(free) if m >> i & 1}
+        subsets.append(frozenset(K | {10} if K - {11} else K))
+    errors = []
+
+    def work(start):
+        try:
+            for K in subsets[start : start + 700]:
+                verdict = tate_verdict(space, fam(space, K), Z)
+                if verdict["exact"] != ({10, 11} <= K) or not verdict["agreement"]:
+                    errors.append(K)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(1348 - 300 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo) == MEMO_COMPLEXES
+
+
+
 def rp2_star_cover():
     """The six vertex stars of the 6-vertex RP^2, on its 31-point face poset.
 
@@ -666,6 +753,77 @@ def test_degrees_past_the_factor_bits_are_not_stored(memo, degrees):
         homology = tate_verdict(d32, empty, zmod_triv(4))["homology"]
         assert homology == [{"degree": 0, "free_rank": 0, "torsion": [4] * 32, "vanishes": False}]
     assert degrees == {} and degrees.misses == 2
+
+
+def test_degrees_table_drops_its_oldest_result_and_stays_small(degrees):
+    # MEMO_COMPLEXES + 1 distinct entries of seven terms at the 6-set bound
+    # on 32 points, 16 factors 2 spread over the six differentials in a
+    # different way in each, so over Z their torsion is 16 copies of Z/2:
+    # 64 bits in all, the most a stored result holds.  The table keeps the
+    # last MEMO_COMPLEXES
+    import gc
+    import pickle
+    import tracemalloc
+
+    ranks = (32, 192, 480, 640, 480, 192, 32)
+    dranks = (32, 160, 320, 320, 160, 32)
+    entries = [
+        ((*ranks,), tuple((r, (2,) * c) for r, c in zip(dranks, (*cuts, 16 - sum(cuts)))))
+        for cuts in product(range(17), repeat=5)
+        if sum(cuts) <= 16
+    ][: MEMO_COMPLEXES + 1]
+    for ranks_, factors in entries:
+        report = cech._homology(ranks_, factors, 0)
+        assert sum(len(d["torsion"]) for d in report["degrees"]) == 16
+    assert len(degrees) == MEMO_COMPLEXES
+    assert (*entries[0], 0) not in degrees and (*entries[1], 0) in degrees
+    # the full table, measured as the allocations of an equal copy (about
+    # 1.9 MiB), stays under the entry table's 5 MiB
+    data = pickle.dumps(degrees)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        copy = pickle.loads(data)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert copy == degrees
+    assert size < 5 * 2**20
+
+
+def test_degrees_writes_from_threads_keep_the_bound(degrees):
+    # four threads read the homology of 1,600 one-term complexes Z^k, each
+    # thread's range overlapping the next one's: every report is right and
+    # the table ends full, never past MEMO_COMPLEXES
+    import sys
+    import threading
+
+    errors = []
+
+    def work(start):
+        try:
+            for k in range(start, start + 700):
+                report = cech._homology((k,), (), 0)
+                if report["degrees"][0]["free_rank"] != k or report["exact"] != (k == 0):
+                    errors.append(k)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(300 * k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(degrees) == MEMO_COMPLEXES
+
 
 
 def test_family_points_are_ints():

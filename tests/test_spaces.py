@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbl import spaces
+from dbl._memo import Memo
 from dbl.cech import CoverFamily
 from dbl.errors import NotClopen, NotContinuous, SizeExceeded
 from dbl.fixtures import chain_space, double_sierpinski, glued_pairs
@@ -305,6 +306,34 @@ def test_discrete_spaces_are_shared_per_point_count():
                 FiniteSpace.discrete(bad)
             errors.append((type(err.value), str(err.value)))
         assert errors == errors[:1] * 3, bad
+
+
+def test_threads_that_first_ask_for_a_discrete_space_get_one_object(monkeypatch):
+    # four threads ask for every point count on an empty cache, with a
+    # short switch interval: each count still has one shared space
+    import sys
+    import threading
+
+    monkeypatch.setattr(spaces, "_DISCRETE", Memo(MAX_POINTS + 1))
+    got = [[] for _ in range(4)]
+
+    def work(out):
+        out.extend(FiniteSpace.discrete(n) for n in range(MAX_POINTS + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in range(MAX_POINTS + 1):
+        assert {id(out[n]) for out in got} == {id(spaces._DISCRETE[n])}
+
 
 
 def test_ultrafilters():

@@ -535,6 +535,37 @@ def test_memo_stays_within_its_bounds():
     assert not _memo(big, Z)
 
 
+def test_memo_writes_from_threads_keep_the_bound():
+    import sys
+    import threading
+
+    p = BasePoint.arch(Fraction(1, 5))
+    errors = []
+
+    def work(offset):
+        try:
+            for a in range(offset, offset + 4 * MEMO_ELEMENTS, 3):
+                if base_eval(p, Z, a) != NormValue.from_pow(a, Fraction(1, 5)):
+                    errors.append(a)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k + 1,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(_memo(p, Z)) == MEMO_ELEMENTS
+
+
+
 def test_every_reader_reads_the_one_dict_of_its_pair():
     spectrum._POINT_VALUES.clear()
     space, p = FiniteSpace.discrete(2), BasePoint.arch(1)
@@ -584,6 +615,21 @@ def test_every_reader_rejects_what_is_no_element_and_never_stores_it():
         assert 5 not in values and (1 in values) == warm
         assert [k for k in values if type(k) is not int] == []
         assert base_eval(p, ring, 1) is values[1] == NV_ONE  # True and 1.0 hash like 1
+
+
+def test_point_values_drop_the_oldest_pair_first():
+    spectrum._POINT_VALUES.clear()
+    points = [BasePoint.padic(2, Fraction(1, k)) for k in range(1, MEMO_POINTS + 11)]
+    memos = [_memo(b, Z) for b in points[:MEMO_POINTS]]
+    assert _memo(points[0], Z) is memos[0]  # a hit moves nothing
+    _memo(points[MEMO_POINTS], Z)  # drops points[0], the oldest
+    assert _memo(points[1], Z) is memos[1]
+    assert _memo(points[0], Z) is not memos[0]  # back in, dropping points[1]
+    assert _memo(points[1], Z) is not memos[1]
+    for b in points:
+        _memo(b, Z)
+    assert len(spectrum._POINT_VALUES) == MEMO_POINTS
+
 
 
 # -- the probes behind g_split -------------------------------------------------
