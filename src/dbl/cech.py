@@ -29,15 +29,14 @@ simplex on the j sets holding its point, so its entry depends on j alone
 (_point_entry).  A discrete space (FiniteSpace.is_discrete, decided when
 the space was built), all of whose blocks are points, builds no key: its
 entry is kept per histogram of the counts of sets holding each point.
-Every other entry, block or whole, is kept in _MEMO, keyed on the point
-bitmasks of the up sets and of the family's sets, a block's relabelled
-to 0..m-1 (spaces are equal when their up sets are, so the key is exact,
-and no space is kept alive); a space missing from it gets all its
-blocks' keys from one pass (_block_keys), so a miss whose blocks are all
-kept builds nothing.  The homology over a ring is read off an entry by
-_degrees and kept in _DEGREES per entry and modulus (see _homology).
-The README's "Memory bounds" table gives each table's key, bound and
-worst-case size.
+The entry of a block of two or more points is kept in _MEMO, keyed on
+the point bitmasks of its up sets and of the sets' traces on it, its
+points relabelled 0..m-1 (spaces are equal when their up sets are, so
+the key is exact, and no space is kept alive); a connected space's one
+block is the space itself.  The homology over a ring is read off an
+entry by _degrees and kept in _DEGREES per entry and modulus (see
+_homology).  The README's "Memory bounds" table gives each table's key,
+bound and worst-case size.
 
 The only cap on the points of a complex is spaces.MAX_POINTS.  Covers are
 characterized by exactness (Ben-Bassat and Kremnizer, arXiv:1312.0338).
@@ -282,36 +281,23 @@ def _degrees(ranks, factors, n: int) -> tuple[tuple[int, tuple[int, ...], bool],
     return tuple(degrees)
 
 
-_MEMO = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # entry per (space or block, family) key
+_MEMO = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # entry per (block, traces) key
 _DEGREES = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # degrees per (entry, modulus)
 _HISTOGRAMS = Memo(MEMO_COMPLEXES)  # a discrete space's entry per histogram
 _POINT_ENTRIES = Memo(MAX_FAMILY + 1)  # a one-point block's entry per j
 
 
-def _mask(points) -> int:
-    return sum(map((1).__lshift__, points))
-
-
-def _key(up, sets) -> tuple:
-    """The memo key of a space and a family: the point bitmasks of its up sets and sets."""
-    return tuple(map(_mask, up)), tuple(map(_mask, sets))
-
-
 def _integer_invariants(space: FiniteSpace, family: CoverFamily):
-    """The ring-free part of tate_verdict, memoized per (space, family).
+    """The ring-free part of tate_verdict: the sum of its blocks' entries.
 
     Returns the term ranks of the integer complex, _invariants of each
     differential and the quasi-component cover test, or raises
-    NotEmbedding when a piece merges quasi-components.  Every space gets
-    the sum of its blocks' entries (see _block_entry and _sum_entries).
-    A discrete space (space.is_discrete), whose blocks are all points,
-    counts the sets holding each point and reads its entry off the
-    histogram of those counts in _HISTOGRAMS.  Every other space's entry,
-    and each of its blocks' of two or more points, is kept in _MEMO under
-    _key; a space missing from it takes its blocks' keys from _block_keys,
-    one pass for all of them, and looks each block up before it builds
-    that block's complex.  An entry's bits are those of its factors
-    greater than 1.  An entry stores the index of the first piece that
+    NotEmbedding when a piece merges quasi-components.  A discrete space
+    (space.is_discrete), whose blocks are all points, counts the sets
+    holding each point and reads its entry off the histogram of those
+    counts in _HISTOGRAMS.  Any other space sums its blocks' entries (see
+    _sum_entries) on every call; each block's entry is kept (see
+    _block_entry).  An entry stores the index of the first piece that
     merges quasi-components, and the NotEmbedding message is built from
     the caller's space, so no space or exception object is kept.
     """
@@ -329,13 +315,8 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
             points = [_point_entry(j) for j, m in enumerate(histogram) for _ in range(m)]
             entry = _HISTOGRAMS.store(histogram, _sum_entries(points))
     else:
-        key = _key(space.up, sets)
-        entry = _MEMO.get(key)
-        if entry is None:
-            blocks = space.quasi_components or (frozenset(),)
-            keys = _block_keys(space, sets)
-            entry = _sum_entries([_block_entry(space, sets, B, k) for B, k in zip(blocks, keys)])
-            entry = _MEMO.store(key, entry, _factor_bits(entry[1]))
+        blocks = space.quasi_components or (frozenset(),)
+        entry = _sum_entries([_block_entry(space, sets, B) for B in blocks])
     *invariants, rejected = entry
     if rejected is not None:
         K = sets[rejected]
@@ -349,56 +330,27 @@ def _factor_bits(factors) -> int:
     return sum(e.bit_length() for _, big in factors for e in big)
 
 
-def _block_keys(space: FiniteSpace, sets) -> list[tuple | None]:
-    """The memo key of the sets' traces on each block, in the blocks' order.
-
-    A block is a quasi-component, so it is clopen and holds the up set of
-    each of its points.  Its key is that of a whole space (see _key) on
-    its points relabelled 0..m-1 in increasing order: the bitmasks of
-    their up sets and of the sets' traces.  A pass over the blocks and one
-    over the points in increasing order give each point its block and its
-    bit there; one pass over the up sets and one over the sets' points
-    then build every block's masks, so no block is relabelled on its own.
-    A one-point block has no key (None): its entry is read off the number
-    of sets holding its point (see _block_entry).  A connected space's one
-    block has the space's own key, and the empty space's one empty block
-    has the key of the empty space.
-    """
-    blocks = space.quasi_components
-    if len(blocks) < 2:
-        return [_key(space.up, sets)]
-    block = [0] * space.n
-    for c, B in enumerate(blocks):
-        for x in B:
-            block[x] = c
-    count = [0] * len(blocks)
-    bit = []
-    for c in block:
-        bit.append(1 << count[c])
-        count[c] += 1
-    ups = [[] for _ in blocks]
-    for c, U in zip(block, space.up):
-        ups[c].append(sum(map(bit.__getitem__, U)))
-    traces = [[0] * len(sets) for _ in blocks]
-    for i, K in enumerate(sets):
-        for x in K:
-            traces[block[x]][i] |= bit[x]
-    return [(tuple(u), tuple(t)) if len(u) > 1 else None for u, t in zip(ups, traces)]
-
-
-def _block_entry(space: FiniteSpace, sets, block: frozenset, key: tuple | None) -> tuple:
+def _block_entry(space: FiniteSpace, sets, block: frozenset) -> tuple:
     """The entry of the sets' traces on a quasi-component (or the empty block).
 
     A one-point block's entry is that of the j sets holding its point (see
-    _point_entry), and takes no slot in _MEMO.  For any other block, key is
-    its key from _block_keys, the same key rule as a whole space's.  A
-    miss builds the complex of the traces on the caller's space (see
-    _cech) over Z, which checks d∘d.  A piece merges quasi-components
-    exactly when it has two degree-1 labels, which are adjacent; the entry
-    of a family with such a piece keeps only the first one's index.
+    _point_entry), and takes no slot in _MEMO.  Any other block's entry is
+    kept in _MEMO under its key: the bitmasks of its points' up sets (a
+    quasi-component is clopen, so it holds them) and of the sets' traces,
+    its points relabelled 0..m-1 in increasing order; an entry's bits are
+    those of its factors greater than 1.  A miss builds the complex of the
+    traces on the caller's space (see _cech) over Z, which checks d∘d.  A
+    piece merges quasi-components exactly when it has two degree-1
+    labels, which are adjacent; the entry of a family with such a piece
+    keeps only the first one's index.
     """
     if len(block) == 1:
         return _point_entry(sum(block <= K for K in sets))
+    bit = {x: 1 << i for i, x in enumerate(sorted(block))}
+    key = (
+        tuple(sum(map(bit.__getitem__, space.up[x])) for x in bit),
+        tuple(sum(map(bit.__getitem__, K & block)) for K in sets),
+    )
     entry = _MEMO.get(key)
     if entry is not None:
         return entry

@@ -131,7 +131,10 @@ def cmd_tensor(args) -> list[dict]:
 
 
 def cmd_basis(args) -> list[dict]:
-    if args.p is not None and args.k is not None:
+    if (args.p is None) != (args.k is None):
+        given, missing = ("--p", "--k") if args.k is None else ("--k", "--p")
+        raise ValueError(f"{given} needs {missing}")
+    if args.p is not None:
         fam = vdp_basis_level(args.p, args.k)
         det = family_determinant(fam)
         return [
@@ -238,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("mahler", help="Mahler pairing and coefficients")
-    p.add_argument("--pairing", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--pairing", action="store_true")
+    which.add_argument("--coeffs", help="comma-separated values f(0..N)")
     p.add_argument("--max", type=int, default=12)
-    p.add_argument("--coeffs", help="comma-separated values f(0..N)")
     p.set_defaults(fn=cmd_mahler)
 
     p = sub.add_parser("sw", help="indicator membership certificate")

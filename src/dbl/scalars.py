@@ -151,10 +151,7 @@ class RingDescriptor:
         return self.reduce(a - b)
 
     def mul(self, a: int, b: int) -> int:
-        m = self.modulus
-        if m is None:
-            return int(a * b)
-        return int(a * b) % m
+        return self.reduce(a * b)
 
     def eq(self, a: int, b: int) -> bool:
         return self.reduce(a) == self.reduce(b)

@@ -70,12 +70,11 @@ def block_keys_by_relabelling(space: FiniteSpace, sets) -> list[tuple]:
     Each quasi-component (the empty space has one empty block) is
     relabelled 0..m-1 in increasing order on its own; its key is the
     bitmasks of its points' up sets and of the sets' traces on it.  A
-    one-point block beside other blocks has no key (None).
+    one-point block has no key (None).
     """
     keys = []
-    blocks = space.quasi_components or (frozenset(),)
-    for block in blocks:
-        if len(block) == 1 < len(blocks):
+    for block in space.quasi_components or (frozenset(),):
+        if len(block) == 1:
             keys.append(None)
             continue
         index = {x: i for i, x in enumerate(sorted(block))}

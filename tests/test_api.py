@@ -91,6 +91,9 @@ DELETED = [
     ("bases", "is_unimodular_basis"),
     ("bases", "mahler_family"),
     ("cech", "_MEMO_LOCK"),
+    ("cech", "_block_keys"),
+    ("cech", "_key"),
+    ("cech", "_mask"),
     ("cech", "_points_entry"),
     ("cech", "_store"),
     ("cech", "GluedModule"),

@@ -339,6 +339,18 @@ def test_basis_level_out_of_range_exits_2(capsys, argv, error):
     assert report["error"].startswith(error)
 
 
+@pytest.mark.parametrize("given, missing", [("--p", "--k"), ("--k", "--p")])
+def test_basis_level_needs_both_flags(capsys, given, missing):
+    code, report, _ = run_cli(capsys, ["basis", given, "2"])
+    assert code == 2 and report["error"] == f"ValueError: {given} needs {missing}"
+
+
+def test_mahler_pairing_and_coeffs_exclude_each_other(capsys):
+    assert run(["mahler", "--pairing", "--coeffs", "1,2,4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --pairing" in err
+
+
 def test_mahler_coeffs_command(capsys):
     code, report, _ = run_cli(capsys, ["mahler", "--coeffs", "0,1,4,9"])
     assert code == 0
