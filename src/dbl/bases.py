@@ -1,11 +1,14 @@
 """Integer bases of function algebras: partitions, van der Put, Mahler.
 
-A basis family carries an evaluation matrix (members x quasi-components);
-a unimodularity certificate is its determinant being +-1, which proves
-Z-linear basis status over any coefficient ring.  Van der Put families
-consist of nested-or-disjoint clopen indicators (pair products land in
-{e0, e1, 0}); the Mahler matrix of truncated binomial coefficients is
-lower unitriangular on 0..p^k-1.
+A basis family is a list of clopen indicators in member order.  It is
+certified by its shape: member i holds quasi-component i and none before
+it, so the members x quasi-components matrix is upper unitriangular, its
+determinant is 1, and the family is a Z-linear basis over any coefficient
+ring (Schikhof, Ultrametric Calculus, 62-63).  Expansion is back
+substitution in that order.  Van der Put families consist of
+nested-or-disjoint clopen indicators (pair products land in {e0, e1, 0});
+the Mahler matrix of truncated binomial coefficients is lower
+unitriangular on 0..p^k-1.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import SizeExceeded, SizeMismatch
-from .intlinalg import bareiss_det, inverse_unimodular, matvec, transpose
 from .normvalue import NV_ZERO
 from .scalars import RingDescriptor
 from .spaces import MAX_POINTS, BallNode, FiniteSpace, UltrametricSpace, ball_tree
@@ -37,61 +39,54 @@ def _level_size(p: int, k: int, cap: int) -> int:
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """A finite family of functions given by an evaluation matrix.
-
-    rows[i][c] is the value of member i on quasi-component c.  For
-    idempotent kinds the members are clopen indicators and clopens[i]
-    records the point set.
-    """
+    """A finite family of clopen indicators: member i is 1 on clopens[i]."""
 
     kind: str  # 'partition' | 'vanDerPut' | 'generalisedVdP'
     space: FiniteSpace
-    rows: tuple
-    clopens: tuple | None = None
+    clopens: tuple
 
     @property
     def size(self) -> int:
-        return len(self.rows)
-
-    def member(self, i: int, ring: RingDescriptor) -> CfinFunction:
-        return CfinFunction(
-            self.space, ring, tuple(ring.reduce(v) for v in self.rows[i])
-        )
+        return len(self.clopens)
 
     def to_json(self):
-        out = {"kind": self.kind, "size": self.size}
-        if self.clopens is not None:
-            out["clopens"] = [sorted(U) for U in self.clopens]
-        else:
-            out["rows"] = [list(r) for r in self.rows]
-        return out
+        return {
+            "kind": self.kind,
+            "size": self.size,
+            "clopens": [sorted(U) for U in self.clopens],
+        }
 
 
-def _indicator_rows(space: FiniteSpace, clopens):
-    rows = []
-    for U in clopens:
-        comps = space.clopen_component_indices(U)
-        rows.append(
-            tuple(
-                1 if c in comps else 0
-                for c in range(len(space.quasi_components))
+def _certified_members(family: BasisFamily) -> list[frozenset]:
+    """The quasi-component indices of each member, once the family is certified.
+
+    The certificate: there are as many members as quasi-components, and
+    the least component of member i is i.  A set that is not clopen raises
+    NotClopen; the first member that breaks the order raises SizeMismatch.
+    """
+    space = family.space
+    if family.size != len(space.quasi_components):
+        raise SizeMismatch("family is not square")
+    members = [space.clopen_component_indices(U) for U in family.clopens]
+    for i, comps in enumerate(members):
+        least = min(comps, default=None)
+        if least != i:
+            raise SizeMismatch(
+                f"family is not unitriangular at member {i}: "
+                f"its least quasi-component is {least}, not {i}"
             )
-        )
-    return tuple(rows)
-
-
-def partition_basis(space: FiniteSpace) -> BasisFamily:
-    """Indicators of the quasi-components (a permutation matrix)."""
-    clopens = tuple(space.quasi_components)
-    return BasisFamily(
-        "partition", space, _indicator_rows(space, clopens), clopens
-    )
+    return members
 
 
 def family_determinant(family: BasisFamily) -> int:
-    if family.size != len(family.space.quasi_components):
-        raise SizeMismatch("family is not square")
-    return bareiss_det(family.rows)
+    """1, the determinant of a certified family's upper unitriangular matrix."""
+    _certified_members(family)
+    return 1
+
+
+def partition_basis(space: FiniteSpace) -> BasisFamily:
+    """Indicators of the quasi-components (the identity matrix)."""
+    return BasisFamily("partition", space, tuple(space.quasi_components))
 
 
 def vdp_basis_level(p: int, k: int) -> BasisFamily:
@@ -99,19 +94,16 @@ def vdp_basis_level(p: int, k: int) -> BasisFamily:
 
     Member 0 is the whole space; member n (1 <= n < p^k) is the set of
     residues congruent to n modulo the smallest power of p exceeding n.
-    Each set is a ball for the p-adic metric.
+    Each set is a ball for the p-adic metric, and n is its least point.
     """
     size = _level_size(p, k, MAX_POINTS)
-    space = FiniteSpace.discrete(size)
     clopens = [frozenset(range(size))]
     for n in range(1, size):
         q = p
         while q <= n:
             q *= p
-        clopens.append(frozenset(x for x in range(size) if x % q == n % q))
-    return BasisFamily(
-        "vanDerPut", space, _indicator_rows(space, clopens), tuple(clopens)
-    )
+        clopens.append(frozenset(range(n, size, q)))
+    return BasisFamily("vanDerPut", FiniteSpace.discrete(size), tuple(clopens))
 
 
 def _collect_generalised(node: BallNode, out: list):
@@ -126,39 +118,44 @@ def generalised_vdp(um: UltrametricSpace) -> BasisFamily:
 
     At each node the child containing the minimal point is distinguished
     and omitted; the remaining balls, with the whole space, give exactly
-    one indicator per point, pairwise products in {e0, e1, 0}.
+    one indicator per point, pairwise products in {e0, e1, 0}.  Point x > 0
+    is the least point of exactly one of them, the largest ball it is
+    least in, so in order of least points member x starts at x.
     """
     tree = ball_tree(um)
-    space = FiniteSpace.discrete(um.n)
     sets = [tree.points]
     _collect_generalised(tree, sets)
-    sets = [sets[0]] + sorted(sets[1:], key=lambda b: (min(b), -len(b)))
-    return BasisFamily(
-        "generalisedVdP", space, _indicator_rows(space, sets), tuple(sets)
-    )
+    sets = [sets[0]] + sorted(sets[1:], key=min)
+    return BasisFamily("generalisedVdP", FiniteSpace.discrete(um.n), tuple(sets))
 
 
 def vdp_expand(f: CfinFunction, family: BasisFamily) -> tuple:
-    """Coefficients a with sum a_i * member_i = f, solved exactly.
+    """Coefficients a with sum a_i * member_i = f, by back substitution.
 
-    The family must be unimodular on f's space; over Z the inverse matrix
-    is integral, and residues reduce it modulo the ring.
+    On a certified family f(c) is a_c plus the a_i of the members i < c
+    that hold c, so a_c = f(c) - those a_i, exactly over Z; each is then
+    reduced in f's ring.
     """
     if f.space != family.space:
         raise SizeMismatch("function and family live on different spaces")
-    det = family_determinant(family)
-    if det not in (1, -1):
-        raise SizeMismatch(f"family is not unimodular (det {det})")
-    ring = f.coeff
-    inv = inverse_unimodular(transpose(family.rows))
-    coeffs = matvec(inv, f.values)
-    return tuple(ring.reduce(c) for c in coeffs)
+    members = _certified_members(family)
+    coeffs = []
+    for c, v in enumerate(f.values):
+        coeffs.append(v - sum(a for a, comps in zip(coeffs, members) if c in comps))
+    return tuple(map(f.coeff.reduce, coeffs))
 
 
 def vdp_reconstruct(family: BasisFamily, ring: RingDescriptor, coeffs) -> CfinFunction:
-    vals = matvec(transpose(family.rows), coeffs)
+    """sum a_i * member_i: at each quasi-component, the a_i of the members holding it."""
+    space = family.space
+    members = [space.clopen_component_indices(U) for U in family.clopens]
     return CfinFunction(
-        family.space, ring, tuple(ring.reduce(v) for v in vals)
+        space,
+        ring,
+        tuple(
+            ring.reduce(sum(a for a, comps in zip(coeffs, members) if c in comps))
+            for c in range(len(space.quasi_components))
+        ),
     )
 
 
@@ -199,12 +196,6 @@ def mahler_pairing(n: int, i: int) -> int:
     return acc
 
 
-def mahler_matrix(size: int):
-    return tuple(
-        tuple(comb(i, n) for n in range(size)) for i in range(size)
-    )
-
-
 def mahler_level_unimodular(p: int, k: int) -> dict:
     """Certificate that [C(i, n)] on 0..p^k-1 is lower unitriangular.
 
@@ -212,11 +203,8 @@ def mahler_level_unimodular(p: int, k: int) -> dict:
     so the truncated binomials are a basis over any coefficient ring.
     """
     size = _level_size(p, k, MAX_MAHLER_LEVEL)
-    m = mahler_matrix(size)
     for i in range(size):
-        if m[i][i] != 1:
+        # entry (i, n) is C(i, n): 1 on the diagonal, 0 for every n > i
+        if comb(i, i) != 1 or any(comb(i, n) for n in range(i + 1, size)):
             return {"size": size, "unimodular": False, "det": None}
-        for n in range(i + 1, size):
-            if m[i][n] != 0:
-                return {"size": size, "unimodular": False, "det": None}
     return {"size": size, "unimodular": True, "det": 1, "triangular": True}

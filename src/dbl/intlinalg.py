@@ -1,15 +1,12 @@
 """Exact integer linear algebra.
 
 Matrices are tuples of tuples of ints.  Everything here is big-integer
-exact: Bareiss determinants, invariant factors (the Smith diagonal, found
-by sparse row elimination without transforms) and inverses of unimodular
-matrices.  Ranks and homology over Q, F_p and Z/n are read off invariant
-factors by callers.
+exact: identities, products and invariant factors (the Smith diagonal,
+found by sparse row elimination without transforms).  Ranks and homology
+over Q, F_p and Z/n are read off invariant factors by callers.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def identity(n: int):
@@ -32,39 +29,6 @@ def matmul(a, b):
                 acc = [s + x * y for s, y in zip(acc, b_row)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def matvec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def transpose(a):
-    return tuple(zip(*a)) if a else ()
-
-
-def bareiss_det(a) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def invariant_factors(a) -> list[int]:
@@ -141,22 +105,3 @@ def _least_entry(rows) -> tuple[int, int, int]:
                 best = (i, j, x)
     return best
 
-
-def inverse_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det = bareiss_det(a)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    # a**-1 = det * adj(a) is integral; Gauss-Jordan over Q finds it
-    n = len(a)
-    rows = [list(map(Fraction, row)) + list(map(Fraction, e)) for row, e in zip(a, identity(n))]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(map(int, row[n:])) for row in rows)

@@ -403,8 +403,9 @@ def ball_tree(space: UltrametricSpace) -> BallNode:
     disjoint).
     """
     balls = {frozenset(range(space.n))}
+    radii = space.radii()
     for x in range(space.n):
-        for r in space.radii():
+        for r in radii:
             balls.add(space.closed_ball(x, r))
     balls.discard(frozenset())
     ordered = sorted(balls, key=lambda b: (-len(b), min(b)))

@@ -355,28 +355,21 @@ def basis_certificates(levels=None, seeds: int = 20, expansions: int = 100) -> d
     _check_flag(seeds, MAX_BASIS_SEEDS, "seeds")
     if levels is None:
         levels = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
+    # family_determinant raises, naming the first member out of order,
+    # on a family that is not unitriangular
     dets = {}
     for p, k in levels:
-        fam = vdp_basis_level(p, k)
-        det = family_determinant(fam)
-        if det not in (1, -1):
-            return {"name": "basis_certificates", "pass": False, "witness": f"vdp{(p, k)}"}
-        dets[f"vdp({p},{k})"] = det
+        dets[f"vdp({p},{k})"] = family_determinant(vdp_basis_level(p, k))
         cert = mahler_level_unimodular(p, k)
         if not cert["unimodular"]:
             return {"name": "basis_certificates", "pass": False, "witness": f"mahler{(p, k)}"}
     for seed in range(seeds):
         um = fixtures.seeded_ultrametric(1000 + seed)
         fam = generalised_vdp(um)
-        if fam.size != um.n:
-            return {"name": "basis_certificates", "pass": False, "witness": f"size{seed}"}
-        if family_determinant(fam) not in (1, -1):
-            return {"name": "basis_certificates", "pass": False, "witness": f"det{seed}"}
+        family_determinant(fam)  # one member per point, each in order
         if not _products_in_family(fam):
             return {"name": "basis_certificates", "pass": False, "witness": f"prod{seed}"}
-    part = partition_basis(fixtures.glued_pairs())
-    if family_determinant(part) not in (1, -1):
-        return {"name": "basis_certificates", "pass": False, "witness": "partition"}
+    family_determinant(partition_basis(fixtures.glued_pairs()))
     rng = random.Random(99)
     checked = 0
     for _ in range(expansions):

@@ -178,6 +178,44 @@ def mahler_eval(coeffs, x: int, ring: RingDescriptor | None = None):
     return ring.reduce(acc) if ring is not None else acc
 
 
+def mahler_matrix(size: int):
+    """The binomials [C(i, n)] for i, n < size, every entry built."""
+    return tuple(tuple(comb(i, n) for n in range(size)) for i in range(size))
+
+
+def matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def transpose(a):
+    return tuple(zip(*a)) if a else ()
+
+
+def bareiss_det(a) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss 1968)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
     """Check the normed-ring laws on all pairs of sampled elements.
 

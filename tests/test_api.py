@@ -87,6 +87,7 @@ NAMES = [
 
 # (defining module, name): deleted outright
 DELETED = [
+    ("bases", "_indicator_rows"),
     ("bases", "basis_change_matrix"),
     ("bases", "is_unimodular_basis"),
     ("bases", "mahler_family"),
@@ -108,6 +109,7 @@ DELETED = [
     ("functions", "tietze_extend"),
     ("intlinalg", "_inverse_q"),
     ("intlinalg", "inverse_mod"),
+    ("intlinalg", "inverse_unimodular"),
     ("modtensor", "_SUPPORTED_HOMS"),
     ("modtensor", "free_base_change"),
     ("normvalue", "nv_compare"),
@@ -119,9 +121,19 @@ DELETED = [
     ("spectrum", "eval_seminorm"),
 ]
 
+# (defining module, class, name): a field or method deleted outright
+DELETED_MEMBERS = [
+    ("bases", "BasisFamily", "member"),
+    ("bases", "BasisFamily", "rows"),
+]
+
 # (former module, name): moved to tests/oracles.py
 MOVED = [
     ("bases", "mahler_eval"),
+    ("bases", "mahler_matrix"),
+    ("intlinalg", "bareiss_det"),
+    ("intlinalg", "matvec"),
+    ("intlinalg", "transpose"),
     ("scalars", "validate_ring"),
     ("spaces", "inclusion_map"),
     ("spectrum", "validate_point"),
@@ -149,6 +161,13 @@ def test_submodules_are_package_attributes():
 def test_removed_name_is_gone(module, name):
     assert not hasattr(dbl, name)
     assert not hasattr(importlib.import_module(f"dbl.{module}"), name)
+
+
+@pytest.mark.parametrize("module, cls, name", DELETED_MEMBERS)
+def test_removed_member_is_gone(module, cls, name):
+    cls = getattr(importlib.import_module(f"dbl.{module}"), cls)
+    assert not hasattr(cls, name)
+    assert name not in getattr(cls, "__dataclass_fields__", {})
 
 
 @pytest.mark.parametrize("module, name", MOVED)

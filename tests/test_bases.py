@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -10,7 +11,6 @@ from dbl.bases import (
     generalised_vdp,
     mahler_coeffs,
     mahler_level_unimodular,
-    mahler_matrix,
     mahler_pairing,
     partition_basis,
     vdp_basis_level,
@@ -18,13 +18,17 @@ from dbl.bases import (
     vdp_orthonormal_check,
     vdp_reconstruct,
 )
-from dbl.errors import SizeExceeded, SizeMismatch
-from dbl.fixtures import glued_pairs, seeded_ultrametric
+from dbl.errors import NotClopen, SizeExceeded, SizeMismatch
+from dbl.fixtures import glued_pairs, many_fixture_spaces, seeded_ultrametric
 from dbl.functions import CfinFunction, indicator
-from dbl.intlinalg import bareiss_det
-from dbl.scalars import fp_triv, int_inf, int_triv, zmod_triv
-from dbl.spaces import FiniteSpace, UltrametricSpace
-from oracles import mahler_eval
+from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
+from dbl.spaces import MAX_POINTS, FiniteSpace, UltrametricSpace
+from oracles import bareiss_det, mahler_eval, mahler_matrix
+
+# every van der Put level of at most MAX_POINTS points, p prime or not
+SMALL_LEVELS = [
+    (p, k) for p in range(2, MAX_POINTS + 1) for k in range(1, 6) if p**k <= MAX_POINTS
+]
 
 
 def test_partition_basis():
@@ -39,19 +43,75 @@ def test_partition_basis():
 
 
 def indicator_family(space, clopens) -> BasisFamily:
-    clopens = tuple(map(frozenset, clopens))
-    rows = tuple(indicator(space, int_inf(), U).values for U in clopens)
-    return BasisFamily("vanDerPut", space, rows, clopens)
+    return BasisFamily("vanDerPut", space, tuple(map(frozenset, clopens)))
+
+
+def indicator_det(family) -> int:
+    # the oracle: a Bareiss determinant of the members x components matrix
+    rows = tuple(indicator(family.space, int_inf(), U).values for U in family.clopens)
+    return bareiss_det(rows)
 
 
 def test_is_unimodular_basis():
-    # a family of clopen indicators is a basis exactly when its determinant is +-1
+    # a family is certified when member i starts at quasi-component i
     d3 = FiniteSpace.discrete(3)
-    assert family_determinant(indicator_family(d3, [{0}, {1}, {2}])) in (1, -1)
-    assert family_determinant(indicator_family(d3, [{0, 1, 2}, {1}, {2}])) in (1, -1)  # triangular
-    assert family_determinant(indicator_family(d3, [{0, 1, 2}, {0, 1}, {0, 1}])) == 0  # repeated member
-    with pytest.raises(SizeMismatch):
+    assert family_determinant(indicator_family(d3, [{0}, {1}, {2}])) == 1
+    assert family_determinant(indicator_family(d3, [{0, 1, 2}, {1}, {2}])) == 1  # triangular
+    with pytest.raises(SizeMismatch, match="member 1"):  # a repeated member
+        family_determinant(indicator_family(d3, [{0, 1, 2}, {0, 1}, {0, 1}]))
+    with pytest.raises(SizeMismatch, match="not square"):
         family_determinant(indicator_family(d3, [{0}, {1}]))
+    with pytest.raises(NotClopen):
+        family_determinant(indicator_family(FiniteSpace.sierpinski(), [{0}]))
+
+
+def test_a_unimodular_family_out_of_order_is_refused():
+    # det -1, a basis, but member 1 holds component 0: no order is guessed
+    fam = indicator_family(FiniteSpace.discrete(3), [{0, 1}, {0}, {2}])
+    assert indicator_det(fam) == -1
+    refusal = "at member 1: its least quasi-component is 0, not 1"
+    with pytest.raises(SizeMismatch, match=refusal):
+        family_determinant(fam)
+    with pytest.raises(SizeMismatch, match=refusal):
+        vdp_expand(CfinFunction.constant(fam.space, int_inf(), 1), fam)
+
+
+def certified_families():
+    for p, k in SMALL_LEVELS:
+        yield vdp_basis_level(p, k)
+    for seed in range(30):
+        yield generalised_vdp(seeded_ultrametric(seed, max_points=MAX_POINTS))
+    for space in many_fixture_spaces(30):
+        yield partition_basis(space)
+
+
+def test_the_certificate_agrees_with_the_determinant():
+    families = list(certified_families())
+    assert len(families) >= len(SMALL_LEVELS) + 20 + 30
+    for fam in families:
+        assert family_determinant(fam) == indicator_det(fam) == 1, fam.to_json()
+
+
+def drop_leading_digit(n: int, p: int) -> int:
+    q = 1
+    while q * p <= n:
+        q *= p
+    return n % q
+
+
+def test_vdp_coefficients_have_a_closed_form():
+    # a_0 = f(0) and a_n = f(n) - f(n-), n- being n without its leading base-p digit
+    rng = random.Random(17)
+    for p, k in SMALL_LEVELS:
+        fam = vdp_basis_level(p, k)
+        for ring in (int_inf(), int_triv(), fp_triv(3), zmod_quot(4)):
+            v = tuple(ring.reduce(rng.randint(-50, 50)) for _ in range(fam.size))
+            f = CfinFunction(fam.space, ring, v)
+            want = (v[0],) + tuple(
+                ring.reduce(v[n] - v[drop_leading_digit(n, p)]) for n in range(1, fam.size)
+            )
+            assert vdp_expand(f, fam) == want, (p, k, ring)
+            assert vdp_reconstruct(fam, ring, want) == f
 
 
 def test_vdp_level_21():
@@ -119,7 +179,7 @@ def test_vdp_expand_examples():
     ring = int_triv()
     ones = CfinFunction.constant(fam.space, ring, 1)
     assert vdp_expand(ones, fam) == (1, 1, 1)
-    member = fam.member(1, ring)
+    member = indicator(fam.space, ring, fam.clopens[1])
     assert vdp_expand(member, fam) == (0, 1, 0)
 
 
@@ -204,6 +264,13 @@ def test_mahler_level_unimodular():
         mahler_level_unimodular(2, 11)
 
 
+def test_mahler_level_at_the_cap_answers_quickly():
+    started = time.perf_counter()
+    cert = mahler_level_unimodular(2, 10)
+    assert time.perf_counter() - started < 2.0
+    assert cert == {"size": MAX_MAHLER_LEVEL, "unimodular": True, "det": 1, "triangular": True}
+
+
 def test_mahler_matrix_22_frozen():
     assert mahler_matrix(4) == (
         (1, 0, 0, 0),
@@ -214,8 +281,6 @@ def test_mahler_matrix_22_frozen():
 
 
 def test_vdp_expand_over_residue_rings():
-    from dbl.scalars import zmod_quot
-
     fam = vdp_basis_level(2, 2)
     ring = zmod_quot(4)
     import itertools

@@ -20,20 +20,16 @@ from dbl.cech import (
 )
 from dbl.errors import IsCover, NoSection, NotEmbedding, SizeExceeded
 from dbl.functions import indicator
-from dbl.intlinalg import (
-    identity,
-    invariant_factors,
-    matmul,
-    matvec,
-    transpose,
-)
+from dbl.intlinalg import identity, invariant_factors, matmul
 from dbl.scalars import fp_triv, int_inf, int_triv, zmod_quot, zmod_triv
 from dbl.spaces import MAX_POINTS, FiniteSpace
 from oracles import (
     block_keys_by_relabelling,
     check_embeddings_by_pieces,
     inclusion_map,
+    matvec,
     topologies,
+    transpose,
     zeta_is_cover,
 )
 from snf_oracle import smith_normal_form

@@ -126,6 +126,40 @@ def test_sw_non_separating_exits_2(capsys, monkeypatch):
     assert report["error"].startswith("NonSeparating")
 
 
+def discrete_sw_request(n: int, gen: list) -> str:
+    space = {"points": n, "opens": [[x] for x in range(n)]}
+    return json.dumps({"space": space, "gens": [gen], "clopen": [1]})
+
+
+@pytest.mark.parametrize(
+    "n, gen",
+    [
+        (8, [10**600 * i + i for i in range(8)]),
+        (32, [i * 10**4 for i in range(32)]),
+        (32, [i * 10**4000 + i for i in range(32)]),
+    ],
+    ids=["8-points-600-digits", "32-points-5-digits", "32-points-4000-digits"],
+)
+def test_sw_scale_past_the_digit_limit_exits_2_quickly(capsys, monkeypatch, n, gen):
+    # a_U would have more digits than int-to-str conversion allows
+    monkeypatch.setattr("sys.stdin", io.StringIO(discrete_sw_request(n, gen)))
+    started = time.perf_counter()
+    code = run(["--quiet", "sw"])
+    assert time.perf_counter() - started < 2.0
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith("SizeExceeded")
+
+
+def test_sw_scale_under_the_digit_limit_answers(capsys, monkeypatch):
+    code, report, _ = run_cli(
+        capsys, ["sw"], stdin_text=discrete_sw_request(32, list(range(32))), monkeypatch=monkeypatch
+    )
+    v = report["verdicts"][0]
+    assert code == 0 and v["pass"] and len(str(v["a_U"])) == 1427
+    assert v["evaluation"] == [v["a_U"] if x == 1 else 0 for x in range(32)]
+
+
 SIERPINSKI = {"points": 2, "opens": [[], [1], [0, 1]]}
 
 

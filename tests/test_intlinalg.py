@@ -4,14 +4,8 @@ from math import gcd, isqrt, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbl.intlinalg import (
-    bareiss_det,
-    identity,
-    invariant_factors,
-    inverse_unimodular,
-    matmul,
-    transpose,
-)
+from dbl.intlinalg import invariant_factors, matmul
+from oracles import bareiss_det, transpose
 from snf_oracle import smith_normal_form
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -153,28 +147,6 @@ def test_dense_6x6_finishes_quickly():
     facs = invariant_factors(a)
     assert time.perf_counter() - started < 1
     assert facs == [1, 1, 1, 1, 1, 42136588692] == [1] * 5 + [abs(bareiss_det(a))]
-
-
-def test_inverse_unimodular():
-    m = ((1, 1), (0, 1))
-    inv = inverse_unimodular(m)
-    assert matmul(m, inv) == identity(2)
-    try:
-        inverse_unimodular(((2, 0), (0, 1)))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("non-unimodular matrix accepted")
-
-
-@given(small_matrices)
-@settings(max_examples=120, deadline=None)
-def test_inverse_unimodular_is_a_two_sided_inverse(rows):
-    # the row and column transforms of a Smith form are unimodular
-    _, s, t = smith_normal_form(tuple(map(tuple, rows)))
-    for u in (s, t):
-        inv = inverse_unimodular(u)
-        assert matmul(u, inv) == matmul(inv, u) == identity(len(u))
 
 
 @given(

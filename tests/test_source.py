@@ -1,11 +1,14 @@
 """What the README promises of the source: the standard library only, no
-floats anywhere, and every cache a _memo table."""
+floats anywhere, every cache a _memo table, and no definition that nothing
+uses."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import dbl
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dbl"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
@@ -53,3 +56,30 @@ def test_every_cache_is_a_memo_table(name):
                 and node.value.func.id in ("dict", "list", "set")
             )
             assert not mutable or [t.id for t in targets] == ["__all__"], (name, node.lineno)
+
+
+def test_every_definition_is_referenced_or_exported():
+    # a module-level function or class, or a method, is named somewhere in
+    # the source (a Name or an Attribute) or exported from the package
+    used = set(dbl.__all__)
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            if node.name not in used:
+                unused.append((name, node.name))
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in methods:
+                if not isinstance(item, defs) or item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                if item.name not in used:
+                    unused.append((name, f"{node.name}.{item.name}"))
+    assert unused == []

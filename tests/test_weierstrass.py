@@ -146,7 +146,7 @@ def test_certificate_uses_only_ring_operations():
 
 def test_scaled_indicators_span_finite_index():
     # evaluation matrix of {a_U 1_U} over singleton clopens has det prod a_U
-    from dbl.intlinalg import bareiss_det
+    from oracles import bareiss_det
 
     certs = [
         sw_construct_indicator(D3, Z, GENS3, frozenset({i})) for i in range(3)
