@@ -58,7 +58,6 @@ from .cech import (
     CoverFamily,
     build_tate_cech,
     descent_faithful_witness,
-    exactness,
     is_cover,
     strict_sections,
     tate_equivalence_report,
@@ -105,7 +104,6 @@ __all__ = [
     "base_eval",
     "build_tate_cech",
     "descent_faithful_witness",
-    "exactness",
     "extend_banaschewski",
     "fp_triv",
     "g_inverse",

@@ -203,15 +203,6 @@ def _cech(space: FiniteSpace, sets, within: frozenset) -> tuple[tuple, tuple]:
     return tuple(terms), tuple(diffs)
 
 
-def exactness(complex_: ChainComplex) -> dict:
-    """Per-degree homology report; vanishing in all degrees means exact (see _homology)."""
-    return _homology(
-        tuple(map(len, complex_.terms)),
-        tuple(map(_invariants, complex_.diffs)),
-        complex_.ring.modulus or 0,
-    )
-
-
 def _invariants(d) -> tuple[int, tuple[int, ...]]:
     """The rank of an integer matrix and its invariant factors greater than 1."""
     factors = invariant_factors(d)

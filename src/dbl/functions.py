@@ -142,13 +142,6 @@ class CfinFunction:
     def vanishes_on(self, subset) -> bool:
         return not (self.support() & frozenset(subset))
 
-    def to_json(self):
-        return {
-            "space": self.space.to_json(),
-            "ring": self.coeff.to_json(),
-            "values": {str(i): v for i, v in enumerate(self.values)},
-        }
-
 
 _set_space = CfinFunction.space.__set__
 _set_coeff = CfinFunction.coeff.__set__

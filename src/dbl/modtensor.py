@@ -97,11 +97,12 @@ class WeightedFreeModule:
         return nv_max(terms)
 
     def isolation_gap(self) -> NormValue:
-        """Lower bound for the norm of nonzero elements."""
-        if not self.symbols:
-            return NV_ONE
-        min_w = min(self.weights.values())
-        return self.ring.isolation_gap * min_w
+        """Lower bound for the norm of nonzero elements: the least weight.
+
+        Every nonzero ring element has norm >= 1, so a nonzero element's
+        norm is at least the weight of a symbol it uses.
+        """
+        return min(self.weights.values(), default=NV_ONE)
 
     def elements(self, coeff_pool):
         for combo in product(coeff_pool, repeat=self.rank):
@@ -122,13 +123,6 @@ class WeightedFreeModule:
 
     def __repr__(self):
         return f"WeightedFreeModule({self.ring}, rank={self.rank}, {self.mode})"
-
-    def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "mode": self.mode,
-            "weights": {str(s): self.weights[s].to_json() for s in self.symbols},
-        }
 
 
 def tensor_product_module(m0: WeightedFreeModule, m1: WeightedFreeModule) -> WeightedFreeModule:

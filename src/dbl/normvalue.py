@@ -21,7 +21,6 @@ in the library decidable.
 
 from __future__ import annotations
 
-import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import isqrt, lcm
@@ -122,14 +121,12 @@ def _valuation(a: int, p: int) -> tuple[int, int]:
     return v, a
 
 
-# str(int) and int(str) refuse integers of more than
-# sys.get_int_max_str_digits() digits (4300 by default, never below 640 unless
-# unlimited); larger ones are converted by halves down to chunks of
-# _DIGITS digits, which is also fast where plain str(int) is quadratic.
-_DIGITS = 600
-_SHORT = 10**_DIGITS  # integers below it print with str()
+# str(int) refuses integers of more than sys.get_int_max_str_digits()
+# digits (4300 by default, never below 640 unless unlimited); larger ones
+# are converted by halves in Decimal, which is also fast where plain
+# str(int) is quadratic.
+_SHORT = 10**600  # integers below it print with str()
 _DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # exact on ints
-_RATIO = re.compile(r"\s*(\d+)(?:/(\d+))?\s*")
 
 
 def _to_digits(n: int) -> str:
@@ -155,39 +152,8 @@ def _to_digits(n: int) -> str:
     return str(convert(n, len(pows)))
 
 
-def _from_digits(text: str) -> int:
-    """int(text) for a string of decimal digits of any length."""
-    if len(text) <= _DIGITS:
-        return int(text)
-    # pows[m] = 5**(_DIGITS << m); a numeral of up to _DIGITS << m digits
-    # splits off its last k = _DIGITS << (m - 1), and 10**k = 5**k << k
-    pows = [5**_DIGITS]
-    while _DIGITS << len(pows) < len(text):
-        pows.append(pows[-1] * pows[-1])
-
-    def convert(digits: str, m: int) -> int:
-        if len(digits) <= _DIGITS:
-            return int(digits)
-        k = _DIGITS << (m - 1)
-        if len(digits) <= k:
-            return convert(digits, m - 1)
-        hi = convert(digits[:-k], m - 1) * pows[m - 1]
-        return (hi << k) + convert(digits[-k:], m - 1)
-
-    return convert(text, len(pows))
-
-
 def _ratio(q: Fraction) -> str:
     return f"{_to_digits(q.numerator)}/{_to_digits(q.denominator)}"
-
-
-def _fraction(x) -> Fraction:
-    """Fraction(x), reading an unsigned "n/d" or "n" string of any length."""
-    m = _RATIO.fullmatch(x) if isinstance(x, str) else None
-    if m is None:
-        return Fraction(x)
-    num, den = m.groups()
-    return Fraction(_from_digits(num), _from_digits(den) if den else 1)
 
 
 class NormValue:
@@ -337,15 +303,6 @@ class NormValue:
         if self._d == 1:
             return {"kind": "rational", "value": _ratio(self._r)}
         return {"kind": "pow", "base": _ratio(self._r), "exp": f"1/{self._d}"}
-
-    @staticmethod
-    def from_json(obj) -> "NormValue":
-        kind = obj["kind"]
-        if kind == "zero":
-            return _ZERO
-        if kind == "rational":
-            return NormValue.from_fraction(_fraction(obj["value"]))
-        return NormValue.from_pow(_fraction(obj["base"]), _fraction(obj["exp"]))
 
 
 _ZERO = NormValue(Fraction(0))

@@ -92,10 +92,6 @@ class RingDescriptor:
         return self.kind in ("IntInf", "IntTriv")
 
     @property
-    def isolation_gap(self) -> NormValue:
-        return NV_ONE
-
-    @property
     def spectrum_connected(self) -> bool:
         # Declared metadata: for Z/n the spectrum is one point per prime
         # divisor of n, so connected means n is a prime power.
@@ -124,9 +120,7 @@ class RingDescriptor:
 
     def reduce(self, a: int) -> int:
         m = self.modulus
-        if m is None:
-            return int(a)
-        return int(a) % m
+        return a if m is None else a % m
 
     def check_element(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -182,14 +176,6 @@ class RingDescriptor:
         return NV_ZERO if a == 0 else NV_ONE
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.n is not None:
-            out["n"] = self.n
-        return out
 
     @staticmethod
     def from_json(obj) -> "RingDescriptor":

@@ -368,31 +368,11 @@ class UltrametricSpace:
                 out.add(self.dist[i][k])
         return sorted(out)
 
-    def to_json(self):
-        return {
-            "points": self.n,
-            "dist": [
-                [str(x) if x.denominator != 1 else x.numerator for x in row]
-                for row in self.dist
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "UltrametricSpace":
-        return UltrametricSpace(
-            [[Fraction(str(x)) for x in row] for row in obj["dist"]]
-        )
-
 
 @dataclass
 class BallNode:
     points: frozenset
     children: list
-
-    def all_nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.all_nodes()
 
 
 def ball_tree(space: UltrametricSpace) -> BallNode:

@@ -124,33 +124,6 @@ class BasePoint:
             return f"PadicPow({self.p},{self.eps})"
         return f"PadicResidue({self.p})"
 
-    def to_json(self):
-        names = {
-            "trivial": "Trivial",
-            "arch": "ArchPow",
-            "padic": "PadicPow",
-            "residue": "PadicResidue",
-        }
-        out = {"kind": names[self.kind]}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.eps is not None:
-            out["eps"] = f"{self.eps.numerator}/{self.eps.denominator}"
-        return out
-
-    @staticmethod
-    def from_json(obj) -> "BasePoint":
-        kind = obj["kind"]
-        if kind == "Trivial":
-            return BasePoint.trivial()
-        if kind == "ArchPow":
-            return BasePoint.arch(Fraction(obj["eps"]))
-        if kind == "PadicPow":
-            return BasePoint.padic(obj["p"], Fraction(obj["eps"]))
-        if kind == "PadicResidue":
-            return BasePoint.residue(obj["p"])
-        raise UnrecognizedBasePoint(f"unknown kind {kind!r}")
-
 
 _TRIVIAL = BasePoint("trivial")
 

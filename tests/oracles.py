@@ -8,7 +8,8 @@ seminorm.  They cross-check the library on small inputs.
 from itertools import combinations
 from math import comb
 
-from dbl.cech import CoverFamily
+from dbl import cech
+from dbl.cech import ChainComplex, CoverFamily
 from dbl.errors import NotEmbedding, NotUltrafilter, RingMismatch, ValidationFailure
 from dbl.functions import indicator
 from dbl.modtensor import ARCH, TensorElement, elem
@@ -95,6 +96,20 @@ def zeta_is_cover(space: FiniteSpace, family: CoverFamily) -> bool:
         if not any(block & K for K in family.sets):
             return False
     return True
+
+
+def exactness(complex_: ChainComplex) -> dict:
+    """The homology report of a whole complex, the reference for tate_verdict.
+
+    It eliminates every differential of the complex of the family's traces
+    on all of X, where tate_verdict sums the entries of its blocks; both
+    read the report off the invariant factors by one rule (cech._homology).
+    """
+    return cech._homology(
+        tuple(map(len, complex_.terms)),
+        tuple(map(cech._invariants, complex_.diffs)),
+        complex_.ring.modulus or 0,
+    )
 
 
 def ultrafilters(space: FiniteSpace) -> list[frozenset]:
@@ -220,18 +235,18 @@ def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
     """Check the normed-ring laws on all pairs of sampled elements.
 
     Verifies submultiplicativity, the triangle inequality (strong form when
-    the ring is declared non-Archimedean), the norm gap, and norm(a) = 0
-    iff a = 0.  Raises ValidationFailure with the first witness pair.
+    the ring is declared non-Archimedean), the norm gap (every nonzero
+    element has norm >= 1), and norm(a) = 0 iff a = 0.  Raises
+    ValidationFailure with the first witness pair.
     """
     if sample_bound < 2:
         raise ValueError("sample_bound must be >= 2")
     sample = ring.elements(sample_bound)
-    gap = ring.isolation_gap
     for a in sample:
         na = ring.norm(a)
         if (a == ring.zero) != na.is_zero:
             raise ValidationFailure("definiteness", a)
-        if a != ring.zero and na < gap:
+        if a != ring.zero and na < NV_ONE:
             raise ValidationFailure("isolation", a)
     for a in sample:
         na = ring.norm(a)
@@ -253,7 +268,6 @@ def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
         "pairs_checked": len(sample) ** 2,
         "submultiplicative": True,
         "triangle": "strong" if ring.non_archimedean else "weak",
-        "isolation_gap": ring.isolation_gap.to_json(),
         "one_norm": ring.norm(ring.one).to_json(),
     }
 
@@ -297,7 +311,7 @@ def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 2
                     raise ValidationFailure("strong triangle", (a, b))
     return {
         "ring": str(ring),
-        "point": point.to_json(),
+        "point": str(point),
         "samples": len(sample),
         "multiplicative": True,
         "bounded": True,

@@ -53,7 +53,6 @@ NAMES = [
     "base_eval",
     "build_tate_cech",
     "descent_faithful_witness",
-    "exactness",
     "extend_banaschewski",
     "fp_triv",
     "g_inverse",
@@ -112,6 +111,9 @@ DELETED = [
     ("intlinalg", "inverse_unimodular"),
     ("modtensor", "_SUPPORTED_HOMS"),
     ("modtensor", "free_base_change"),
+    ("normvalue", "_RATIO"),
+    ("normvalue", "_fraction"),
+    ("normvalue", "_from_digits"),
     ("normvalue", "nv_compare"),
     ("spaces", "zeta_embedding_check"),
     ("spectrum", "_LAST_PROBES"),
@@ -125,12 +127,15 @@ DELETED = [
 DELETED_MEMBERS = [
     ("bases", "BasisFamily", "member"),
     ("bases", "BasisFamily", "rows"),
+    ("scalars", "RingDescriptor", "isolation_gap"),
+    ("spaces", "BallNode", "all_nodes"),
 ]
 
 # (former module, name): moved to tests/oracles.py
 MOVED = [
     ("bases", "mahler_eval"),
     ("bases", "mahler_matrix"),
+    ("cech", "exactness"),
     ("intlinalg", "bareiss_det"),
     ("intlinalg", "matvec"),
     ("intlinalg", "transpose"),

@@ -12,7 +12,6 @@ from dbl.cech import (
     CoverFamily,
     build_tate_cech,
     descent_faithful_witness,
-    exactness,
     is_cover,
     strict_sections,
     tate_equivalence_report,
@@ -26,6 +25,7 @@ from dbl.spaces import MAX_POINTS, FiniteSpace
 from oracles import (
     block_keys_by_relabelling,
     check_embeddings_by_pieces,
+    exactness,
     inclusion_map,
     matvec,
     topologies,

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -233,13 +234,6 @@ def test_ideal_sum_split_cannot_separate():
         ideal_sum_split(f, {1}, {3})
 
 
-def test_cfin_json():
-    f = F((1, -2, 3))
-    obj = f.to_json()
-    assert obj["values"] == {"0": 1, "1": -2, "2": 3}
-    assert obj["ring"]["kind"] == "IntInf"
-
-
 def test_ideal_arithmetic_many_pairs():
     space = D3
     pairs = [
@@ -317,8 +311,14 @@ def test_mul_agrees_with_the_ring_product_per_component(ring):
         assert all(type(v) is int for v in prod.values)
         # the operands' objects, so an oracle's identity guard passes at once
         assert prod.space is space and prod.coeff is ring
+    # values of other types take the one product rule of ring.mul and ring.add
+    h = CfinFunction(space, ring, (Fraction(6), 2.0) * 3)
+    prod, total = h.mul(h), h.add(h)
+    assert prod.values == tuple(map(ring.mul, h.values, h.values))
+    assert list(map(type, prod.values)) == [type(ring.mul(a, a)) for a in h.values]
+    assert list(map(type, prod.values)) == list(map(type, total.values)) == [Fraction, float] * 3
     singletons = [{x} for x in range(6)]
-    twin = CfinFunction(FiniteSpace(6, singletons), RingDescriptor.from_json(ring.to_json()), g.values)
+    twin = CfinFunction(FiniteSpace(6, singletons), dataclasses.replace(ring), g.values)
     assert twin.space is not space and twin.coeff is not ring
     prod = f.mul(twin)
     assert prod.space is space and prod.coeff is ring and prod.values == f.mul(g).values

@@ -191,16 +191,16 @@ def test_no_perfect_power_search_is_left():
     public = {name for name in dir(NormValue) if not name.startswith("_")}
     assert public == {
         "as_fraction", "bit_length", "compare", "exponent", "from_fraction",
-        "from_json", "from_pow", "is_one", "is_zero", "to_json",
+        "from_pow", "is_one", "is_zero", "to_json",
     }
 
 
 def test_from_json_reads_old_and_new_pow_forms_alike():
     # 2**(3/2) = 8**(1/2): the old print searched for the base 2, the new
-    # one writes the stored pair
-    old = NormValue.from_json({"kind": "pow", "base": "2", "exp": "3/2"})
-    new = NormValue.from_json({"kind": "pow", "base": "8/1", "exp": "1/2"})
-    assert old == new == NormValue.from_pow(2, Fraction(3, 2))
+    # one writes the stored pair; from_pow stores either form as that pair
+    old = NormValue.from_pow(2, Fraction(3, 2))
+    new = NormValue.from_pow(8, Fraction(1, 2))
+    assert old == new
     assert old.to_json() == new.to_json() == {"kind": "pow", "base": "8/1", "exp": "1/2"}
 
 
@@ -225,8 +225,16 @@ def test_large_irrational_value_prints_at_once():
 
 
 def test_json_roundtrip():
+    # a report's norm value reads back as its value, or as base**exp
+    def read(obj):
+        if obj["kind"] == "zero":
+            return NV_ZERO
+        if obj["kind"] == "rational":
+            return NormValue.from_fraction(Fraction(obj["value"]))
+        return NormValue.from_pow(Fraction(obj["base"]), Fraction(obj["exp"]))
+
     for v in (NV_ZERO, NV_ONE, NormValue.from_fraction(Fraction(7, 5)), NormValue.from_pow(2, Fraction(2, 3))):
-        assert NormValue.from_json(v.to_json()) == v
+        assert read(v.to_json()) == v
 
 
 fractions = st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6)
@@ -427,7 +435,6 @@ def test_json_prints_decimal_digits_past_the_str_limit(num, den):
     v = NormValue.from_fraction(q)
     want = f"{decimal_oracle(q.numerator)}/{decimal_oracle(q.denominator)}"
     assert v.to_json() == {"kind": "rational", "value": want}
-    assert NormValue.from_json(v.to_json()) == v
 
 
 def test_json_past_4300_digits():
@@ -436,7 +443,6 @@ def test_json_past_4300_digits():
     v = NormValue.from_pow(base, Fraction(1, 2))
     assert v.to_json() == {"kind": "pow", "base": f"{decimal_oracle(base)}/1", "exp": "1/2"}
     assert repr(v) == f"NormValue({decimal_oracle(base)}^1/2)"
-    assert NormValue.from_json(v.to_json()) == v
 
 
 def test_json_roundtrip_near_max_bits():
@@ -446,16 +452,6 @@ def test_json_roundtrip_near_max_bits():
     num, den = text.split("/")
     assert num[-30:] == str(q.numerator % 10**30).zfill(30)
     assert den == decimal_oracle(q.denominator)
-    assert NormValue.from_json(v.to_json()) == v
-
-
-def test_from_json_reads_every_fraction_string():
-    for text in ("7/5", "3", " 7/5 ", "+7/5", "1.5", "1_000/3", "2e3"):
-        want = NormValue.from_fraction(Fraction(text))
-        assert NormValue.from_json({"kind": "rational", "value": text}) == want
-    assert NormValue.from_json({"kind": "rational", "value": 3}) == NormValue.from_fraction(3)
-    with pytest.raises(ValueError):
-        NormValue.from_json({"kind": "rational", "value": "-7/5"})
 
 
 def test_bit_length_counts_both_parts_of_r():

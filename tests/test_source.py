@@ -4,6 +4,7 @@ uses."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,26 +61,58 @@ def test_every_cache_is_a_memo_table(name):
 
 def test_every_definition_is_referenced_or_exported():
     # a module-level function or class, or a method, is named somewhere in
-    # the source (a Name or an Attribute) or exported from the package
-    used = set(dbl.__all__)
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    # the source outside its own body (a Name or an Attribute), so neither
+    # recursion nor a self-reference counts, or it is exported from the package
+    def names(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum(map(names, TREES.values()), Counter())
+    exported = set(dbl.__all__)
+
+    def unused(node):
+        return node.name not in exported and everywhere[node.name] == names(node)[node.name]
+
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    unused = []
+    found = []
     for name, tree in TREES.items():
         for node in tree.body:
             if not isinstance(node, defs):
                 continue
-            if node.name not in used:
-                unused.append((name, node.name))
+            if unused(node):
+                found.append((name, node.name))
             methods = node.body if isinstance(node, ast.ClassDef) else []
             for item in methods:
                 if not isinstance(item, defs) or item.name.startswith("__") and item.name.endswith("__"):
                     continue
-                if item.name not in used:
-                    unused.append((name, f"{node.name}.{item.name}"))
-    assert unused == []
+                if unused(item):
+                    found.append((name, f"{node.name}.{item.name}"))
+    assert found == []
+
+
+# The wire formats: what a command reads (spaces and ring objects) and what
+# its reports write.  A new entry needs a line in the README's wire-format
+# paragraph, and a command, criterion or report that reaches it.
+WIRE = {
+    ("BasisFamily", "to_json"),
+    ("FiniteSpace", "from_json"),
+    ("FiniteSpace", "to_json"),
+    ("NormValue", "to_json"),
+    ("RingDescriptor", "from_json"),
+    ("SWCertificate", "to_json"),
+}
+
+
+def test_only_the_wire_formats_define_json_readers_and_writers():
+    found = {
+        (node.name, item.name)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("to_json", "from_json")
+    }
+    assert found == WIRE

@@ -304,11 +304,6 @@ def test_gelfand_roundtrip():
     assert err.value.idempotent in (3, 4)
 
 
-def test_base_point_json():
-    for b in (BasePoint.trivial(), BasePoint.arch(Fraction(1, 2)), BasePoint.padic(5, 2), BasePoint.residue(7)):
-        assert BasePoint.from_json(b.to_json()) == b
-
-
 def test_base_points_need_a_prime():
     for make in (
         lambda: BasePoint.residue(4),
@@ -320,7 +315,7 @@ def test_base_points_need_a_prime():
             make()
     for p in ("3", 3.0, True, None):
         with pytest.raises(UnrecognizedBasePoint):
-            BasePoint.from_json({"kind": "PadicResidue", "p": p})
+            BasePoint.residue(p)
 
 
 def test_base_points_reject_malformed_fields():
