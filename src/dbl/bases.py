@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import SizeExceeded, SizeMismatch
+from .errors import SizeExceeded, SizeMismatch, _printable
 from .normvalue import NV_ZERO
 from .scalars import RingDescriptor
 from .spaces import MAX_POINTS, BallNode, FiniteSpace, UltrametricSpace, ball_tree
@@ -180,7 +180,7 @@ def mahler_coeffs(values, ring: RingDescriptor | None = None) -> tuple:
         raise SizeExceeded(f"{len(values)} values > MAX_MAHLER_LEVEL = {MAX_MAHLER_LEVEL}")
     out, row = [], list(values)
     while row:
-        out.append(row[0] if ring is None else ring.reduce(row[0]))
+        out.append(_printable(row[0] if ring is None else ring.reduce(row[0]), "a coefficient"))
         row = [b - a for a, b in zip(row, row[1:])]
     return tuple(out)
 

@@ -19,18 +19,21 @@ on the blocks, and a verdict is the sum of its blocks' entries: term
 ranks, each differential's rank and invariant factors greater than 1,
 the quasi-component cover test, and the index of the first piece with
 two degree-1 labels, if any (see _integer_invariants); the empty space
-has one empty block.  A block's complex is built on the caller's space,
-its labels the components of each intersection within the block (each
-tuple's intersection cut from its prefix's, and only nonempty prefixes
-extended).  Entries are memoized in _memo tables, so each is built and
-eliminated once for every ring and every space that contains it.  A
-one-point block's complex is the augmented cochain complex of the full
-simplex on the j sets holding its point, so its entry depends on j alone
-(_point_entry).  A discrete space (FiniteSpace.is_discrete, decided when
-the space was built), all of whose blocks are points, builds no key: its
-entry is kept per histogram of the counts of sets holding each point.
-The entry of a block of two or more points is kept in _MEMO, keyed on
-the point bitmasks of its up sets and of the sets' traces on it, its
+has one empty block.  The homology report reads nothing else, so an
+entry stands for its complex up to homotopy equivalence, with the same
+number of terms.  A one-point block held by j of the sets has the
+augmented cochain complex of the full simplex on them: R for j = 0, and
+for j >= 1 a bounded exact complex of free modules, so contractible,
+whose entry is the zero complex of j + 1 terms (_point_entry).  A
+discrete space (FiniteSpace.is_discrete), all of whose blocks are
+points, sums those: R^u in degree 0, u the points in no set, then zero
+terms up to the most sets holding a point.  Neither is built or stored.
+Any other block's complex is built on the caller's space, its labels the
+components of each intersection within the block (each tuple's
+intersection cut from its prefix's, and only nonempty prefixes
+extended), and its entry is kept in _MEMO, so it is built and eliminated
+once for every ring and every space that contains it.  The key is the
+point bitmasks of the block's up sets and of the sets' traces on it, its
 points relabelled 0..m-1 (spaces are equal when their up sets are, so
 the key is exact, and no space is kept alive); a connected space's one
 block is the space itself.  The homology over a ring is read off an
@@ -274,8 +277,6 @@ def _degrees(ranks, factors, n: int) -> tuple[tuple[int, tuple[int, ...], bool],
 
 _MEMO = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # entry per (block, traces) key
 _DEGREES = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)  # degrees per (entry, modulus)
-_HISTOGRAMS = Memo(MEMO_COMPLEXES)  # a discrete space's entry per histogram
-_POINT_ENTRIES = Memo(MAX_FAMILY + 1)  # a one-point block's entry per j
 
 
 def _integer_invariants(space: FiniteSpace, family: CoverFamily):
@@ -283,14 +284,17 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
 
     Returns the term ranks of the integer complex, _invariants of each
     differential and the quasi-component cover test, or raises
-    NotEmbedding when a piece merges quasi-components.  A discrete space
-    (space.is_discrete), whose blocks are all points, counts the sets
-    holding each point and reads its entry off the histogram of those
-    counts in _HISTOGRAMS.  Any other space sums its blocks' entries (see
-    _sum_entries) on every call; each block's entry is kept (see
-    _block_entry).  An entry stores the index of the first piece that
-    merges quasi-components, and the NotEmbedding message is built from
-    the caller's space, so no space or exception object is kept.
+    NotEmbedding when a piece merges quasi-components.  An entry stands
+    for its complex up to homotopy equivalence, with the same number of
+    terms.  A discrete space (space.is_discrete), whose blocks are all
+    points, counts the sets holding each point: its entry, the sum of the
+    points' (see _point_entry), is R^u in degree 0, u the points in no
+    set, then as many zero terms as the most sets holding one point.  Any
+    other space sums its blocks' entries (see _sum_entries) on every call;
+    each block's entry is kept (see _block_entry).  An entry stores the
+    index of the first piece that merges quasi-components, and the
+    NotEmbedding message is built from the caller's space, so no space or
+    exception object is kept.
     """
     sets = family.sets
     if space.n and space.is_discrete:
@@ -299,12 +303,8 @@ def _integer_invariants(space: FiniteSpace, family: CoverFamily):
         for K in sets:
             for x in K:
                 held[x] += 1
-        # histogram[j] points are held by j sets; it stops at the largest count
-        histogram = tuple(map(held.count, range(max(held) + 1)))
-        entry = _HISTOGRAMS.get(histogram)
-        if entry is None:
-            points = [_point_entry(j) for j, m in enumerate(histogram) for _ in range(m)]
-            entry = _HISTOGRAMS.store(histogram, _sum_entries(points))
+        top, uncovered = max(held), held.count(0)
+        entry = (uncovered,) + (0,) * top, ((0, ()),) * top, uncovered == 0, None
     else:
         blocks = space.quasi_components or (frozenset(),)
         entry = _sum_entries([_block_entry(space, sets, B) for B in blocks])
@@ -324,16 +324,17 @@ def _factor_bits(factors) -> int:
 def _block_entry(space: FiniteSpace, sets, block: frozenset) -> tuple:
     """The entry of the sets' traces on a quasi-component (or the empty block).
 
-    A one-point block's entry is that of the j sets holding its point (see
-    _point_entry), and takes no slot in _MEMO.  Any other block's entry is
-    kept in _MEMO under its key: the bitmasks of its points' up sets (a
-    quasi-component is clopen, so it holds them) and of the sets' traces,
-    its points relabelled 0..m-1 in increasing order; an entry's bits are
-    those of its factors greater than 1.  A miss builds the complex of the
-    traces on the caller's space (see _cech) over Z, which checks d∘d.  A
-    piece merges quasi-components exactly when it has two degree-1
-    labels, which are adjacent; the entry of a family with such a piece
-    keeps only the first one's index.
+    An entry stands for its complex up to homotopy equivalence, with the
+    same number of terms.  A one-point block's entry is the closed form
+    for the j sets holding its point (see _point_entry), and takes no slot
+    in _MEMO.  Any other block's entry is kept in _MEMO under its key: the
+    bitmasks of its points' up sets (a quasi-component is clopen, so it
+    holds them) and of the sets' traces, its points relabelled 0..m-1 in
+    increasing order; an entry's bits are those of its factors greater
+    than 1.  A miss builds the complex of the traces on the caller's space
+    (see _cech) over Z, which checks d∘d.  A piece merges quasi-components
+    exactly when it has two degree-1 labels, which are adjacent; the entry
+    of a family with such a piece keeps only the first one's index.
     """
     if len(block) == 1:
         return _point_entry(sum(block <= K for K in sets))
@@ -357,23 +358,19 @@ def _block_entry(space: FiniteSpace, sets, block: frozenset) -> tuple:
 
 
 def _point_entry(j: int) -> tuple:
-    """The entry of a one-point block held by j of the sets, kept per j.
+    """The entry of a one-point block held by j of the sets.
 
     Every nonempty trace of the sets on the point is the point itself, so
     the complex is the augmented cochain complex of the full simplex on
-    the j sets: term ranks C(j, m), every invariant factor 1, and exact
-    when j > 0 (for j = 0 it is one term, R).  It is built and eliminated
-    by the general rule, on a one-point space with j copies of its point,
-    and so checked for d∘d; no piece merges anything.
+    the j sets.  For j = 0 it is one term, R.  For j >= 1 it is a bounded
+    exact complex of free modules, so contractible: its entry is the zero
+    complex of j + 1 terms, each differential of rank 0 (padded, since
+    _degrees reads the differential into every degree), a cover, and no
+    piece merges anything.
     """
-    entry = _POINT_ENTRIES.get(j)
-    if entry is None:
-        point = FiniteSpace.discrete(1)
-        whole = frozenset(point.points)
-        complex_ = ChainComplex(int_inf(), *_cech(point, (whole,) * j, whole))
-        ranks, factors = tuple(map(len, complex_.terms)), tuple(map(_invariants, complex_.diffs))
-        entry = _POINT_ENTRIES.store(j, (ranks, factors, j > 0, None))
-    return entry
+    if j == 0:
+        return (1,), (), False, None
+    return (0,) * (j + 1), ((0, ()),) * j, True, None
 
 
 def _sum_entries(entries) -> tuple:

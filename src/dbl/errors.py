@@ -1,10 +1,12 @@
-"""Exception hierarchy for the dbl library.
+"""Exception hierarchy for the dbl library, and its printable-integer check.
 
 Every error raised on purpose derives from DblError so callers (and the CLI)
 can tell domain errors from genuine bugs.  The CLI exits 2 for input errors
 and for requests outside a theorem's hypotheses (the errors cli.run names),
 and 1, with a failing verdict, for any other DblError.
 """
+
+import sys
 
 
 class DblError(Exception):
@@ -34,6 +36,19 @@ class ValidationFailure(DblError):
 
 class SizeExceeded(DblError):
     pass
+
+
+def _printable(a: int, what: str) -> int:
+    """a, if it has at most as many digits as the interpreter converts to str.
+
+    A longer one raises SizeExceeded, naming what it is, before it is used
+    again: no report could print it, and each product with it is slower.
+    """
+    limit = sys.get_int_max_str_digits()
+    # 8**limit < 10**limit, so only a longer integer needs the exact test
+    if limit and a.bit_length() > 3 * limit and abs(a) >= 10**limit:
+        raise SizeExceeded(f"{what} of more than {limit} digits")
+    return a
 
 
 class SizeMismatch(DblError):

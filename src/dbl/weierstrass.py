@@ -14,10 +14,9 @@ construction.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from .errors import NonSeparating, SizeExceeded, UnsupportedRing, ZeroFunction
+from .errors import NonSeparating, UnsupportedRing, ZeroFunction, _printable
 from .functions import CfinFunction, separates_points
 from .scalars import RingDescriptor
 from .spaces import FiniteSpace
@@ -135,20 +134,6 @@ def _require_ordered(ring: RingDescriptor):
         raise UnsupportedRing(f"{ring} is not an ordered ring")
 
 
-def _printable_scale(a: int) -> int:
-    """a, if it has at most as many digits as the interpreter converts to str.
-
-    Larger scales raise SizeExceeded before any tree is evaluated on them:
-    a report could not print them, and each factor of such a scale makes
-    the next evaluation slower.
-    """
-    limit = sys.get_int_max_str_digits()
-    # 8**limit < 10**limit, so only a longer scale needs the exact test
-    if limit and a.bit_length() > 3 * limit and abs(a) >= 10**limit:
-        raise SizeExceeded(f"a scale of more than {limit} digits")
-    return a
-
-
 def sw_vanishing_witness(
     space: FiniteSpace,
     ring: RingDescriptor,
@@ -213,7 +198,7 @@ def sw_idempotentize(
         raise ZeroFunction("expression vanishes everywhere")
     a = 1
     for v in nonzero:
-        a = _printable_scale(a * v)
+        a = _printable(a * v, "a scale")
     prod: Expr | None = None
     for v in nonzero:
         factor = Sub(Const(v), f_expr)
@@ -256,7 +241,7 @@ def sw_construct_indicator(
         x = min(space.quasi_components[c])
         f_expr = sw_vanishing_witness(space, ring, gens, x, U)
         a_x, e_x = sw_idempotentize(f_expr, space, ring, gens)
-        a_total = _printable_scale(a_total * a_x)
+        a_total = _printable(a_total * a_x, "a scale")
         e_vals = e_x.values(gens, ring, space)
         tree = e_x if tree is None else Mul(tree, e_x)
         for c2 in outside:

@@ -121,6 +121,7 @@ DELETED = [
     ("spectrum", "_MEMO_LOCK"),
     ("spectrum", "_vp"),
     ("spectrum", "eval_seminorm"),
+    ("weierstrass", "_printable_scale"),
 ]
 
 # (defining module, class, name): a field or method deleted outright

@@ -45,14 +45,9 @@ def fam(space, *sets):
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty table of integer invariants for the test, the module's restored after it.
-
-    The entries of discrete spaces, which never enter it, go to an empty
-    table of histograms too.
-    """
+    """An empty table of integer invariants for the test, the module's restored after it."""
     table = Memo(MEMO_COMPLEXES, MEMO_FACTOR_BITS)
     monkeypatch.setattr(cech, "_MEMO", table)
-    monkeypatch.setattr(cech, "_HISTOGRAMS", Memo(MEMO_COMPLEXES))
     return table
 
 
@@ -254,10 +249,9 @@ def test_embedding_check_matches_the_per_piece_check(memo):
     # and otherwise the verdict is the complex's homology.  Each ring's
     # cold verdict is taken on an empty table; the warm ones then read the
     # entries the last ring left, on a fresh but equal space.  A discrete
-    # space leaves no table entry and one histogram entry; any other
-    # leaves one per distinct block of two or more points (a connected
-    # space's one block is the space itself), and the empty space one for
-    # its empty block
+    # space leaves no table entry; any other leaves one per distinct block
+    # of two or more points (a connected space's one block is the space
+    # itself), and the empty space one for its empty block
     rings = (Z, zmod_triv(4), int_triv(), fp_triv(2), zmod_quot(6), zmod_triv(1))
     cases = rejected = discretes = 0
     for n in range(4):
@@ -275,7 +269,6 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                     cold = {}
                     for ring in rings:
                         memo.clear()
-                        cech._HISTOGRAMS.clear()
                         cold[ring] = verdict = _verdict_or_message(space, sets, ring)
                         cases += 1
                         if want is not None:
@@ -291,13 +284,12 @@ def test_embedding_check_matches_the_per_piece_check(memo):
                         assert _verdict_or_message(same, sets, ring) == cold[ring]
                     blocks = len(space.quasi_components)
                     discrete = blocks == space.n > 0
-                    histograms = len(cech._HISTOGRAMS)
                     if discrete:
-                        assert memo == {} and histograms == 1
+                        assert memo == {}
                         discretes += 1
                     else:
                         pairs = len(block_pairs(space, sets)) if space.n else 1
-                        assert len(memo) == pairs and histograms == 0
+                        assert len(memo) == pairs
     assert cases > rejected > 0 and discretes > 0
 
 
@@ -368,7 +360,6 @@ def test_block_keys_are_the_blocks_relabelled_one_by_one(memo):
             for size in (1, 2, 3):
                 for sets in combinations(closed, size):
                     memo.clear()
-                    cech._HISTOGRAMS.clear()
                     _verdict_or_message(space, sets, Z)
                     keys = block_keys_by_relabelling(space, sets)
                     assert set(memo) == {k for k in keys if k is not None}
@@ -566,12 +557,12 @@ def test_torsion_survives_the_sum_over_blocks():
     assert cech._homology(*twice[:2], 0)["degrees"][3]["torsion"] == [2, 2]
 
 
-def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
+def test_criterion_1_builds_no_complex(monkeypatch, memo):
     # criterion 1's families of <= 3 subsets of discrete(n), n <= 4, split
-    # into one-point blocks, and a point's entry depends only on the j sets
-    # holding it: 4 complexes (j = 0..3), each on a one-point space, for
-    # all 805 families over all three rings, and no table entry.  Each
-    # verdict over Z is the homology of the family's whole complex
+    # into one-point blocks, whose entries are closed forms: all 805
+    # families over all three rings build no complex and leave no table
+    # entry.  Each verdict over Z is the homology of the family's whole
+    # complex
     from dbl.suite import _tate_cases
 
     cases = _tate_cases(4, 3)
@@ -579,35 +570,38 @@ def test_criterion_1_builds_one_complex_per_block_pattern(monkeypatch, memo):
     spaces = {n: FiniteSpace.discrete(n) for n in range(1, 5)}
     families = [CoverFamily.make(spaces[n], sets) for n, sets in cases]
     wholes = [exactness(build_tate_cech(f.space, f, Z)) for f in families]
-    monkeypatch.setattr(cech, "_POINT_ENTRIES", Memo(cech.MAX_FAMILY + 1))
     built = counted_builds(monkeypatch)
     for family, whole in zip(families, wholes):
         for ring in (Z, int_triv(), fp_triv(2)):
             assert tate_verdict(family.space, family, ring)["agreement"]
         assert tate_verdict(family.space, family, Z)["homology"] == whole["degrees"]
-    assert sorted(map(len, built)) == [0, 1, 2, 3] and memo == {}
+    assert built == [] and memo == {}
 
 
 def test_a_points_entry_is_the_full_simplex_on_the_sets_holding_it():
     # on a one-point block every nonempty trace is the point, so the
     # complex is the augmented cochain complex of the full simplex on the
-    # j sets holding it: terms C(j, m), d_m of rank C(j - 1, m), every
-    # invariant factor 1, and a cover when j > 0
-    from math import comb
-
+    # j sets holding it, built here by the general rule on discrete(1)
+    # with j copies of its point (ChainComplex checks d∘d).  The closed
+    # form, R for j = 0 and the zero complex of j + 1 terms otherwise, has
+    # its homology over every ring, in as many degrees
+    point = FiniteSpace.discrete(1)
+    whole = frozenset(point.points)
     for j in range(cech.MAX_FAMILY + 1):
+        terms, diffs = cech._cech(point, (whole,) * j, whole)
         ranks, factors, covers, merging = cech._point_entry(j)
-        assert ranks == tuple(comb(j, m) for m in range(j + 1))
-        assert factors == tuple((comb(j - 1, m), ()) for m in range(j))
         assert covers == (j > 0) and merging is None
+        for ring in (Z, zmod_triv(4), fp_triv(2), zmod_triv(1), zmod_quot(6)):
+            want = exactness(ChainComplex(ring, terms, diffs))
+            assert cech._homology(ranks, factors, ring.modulus or 0) == want
+            assert len(want["degrees"]) == j + 1
 
 
 def test_discrete_verdicts_are_the_whole_complexes(memo):
     # random families of 1..6 sets on discrete spaces up to the point cap,
-    # each set drawn with its own density: the verdict read off the
-    # histogram of the counts of sets holding each point is the homology
-    # of the family's whole complex over every ring, and no entry goes
-    # into the table
+    # each set drawn with its own density: the verdict read off the counts
+    # of sets holding each point is the homology of the family's whole
+    # complex over every ring, and no entry goes into the table
     import random
 
     rng = random.Random(26)

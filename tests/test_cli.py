@@ -303,6 +303,9 @@ def test_cech_non_embedding_family_exits_2(capsys, monkeypatch):
     )
 
 
+NINES = "9" * 4300  # the most digits str() and int() convert by default
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -317,6 +320,9 @@ def test_cech_non_embedding_family_exits_2(capsys, monkeypatch):
         (["tensor", "--max-n", "31"], None),
         (["tensor", "--max-n", "32"], "SizeExceeded"),
         (["tensor", "--max-n", "-1"], "ValueError"),
+        # each value has 4300 digits, but a_1 = -2 * value has 4301
+        (["mahler", "--coeffs", f"{NINES},-{NINES}"], "SizeExceeded"),
+        (["mahler", "--coeffs", ",".join([NINES, "-" + NINES] * 512)], "SizeExceeded"),
     ],
 )
 def test_mahler_and_basis_answer_within_their_caps(capsys, argv, error):
