@@ -49,6 +49,13 @@ def _read_json_input(args) -> dict | None:
     return obj
 
 
+def _field(obj: dict, key: str):
+    """obj[key]; ValueError (exit 2) naming the key when the request has none."""
+    if key not in obj:
+        raise ValueError(f'the request needs "{key}"')
+    return obj[key]
+
+
 def _request_ring(obj: dict, default: str) -> RingDescriptor:
     ring = obj.get("ring", default)
     if isinstance(ring, dict):
@@ -96,7 +103,7 @@ def cmd_space(args) -> list[dict]:
 
 def cmd_spectrum(args) -> list[dict]:
     obj = _read_json_input(args)
-    space = FiniteSpace.from_json(obj["space"]) if obj else fixtures.glued_pairs()
+    space = FiniteSpace.from_json(_field(obj, "space")) if obj else fixtures.glued_pairs()
     report = gelfand_roundtrip(space, _request_ring(obj or {}, args.ring))
     report.update({"name": "spectrum", "pass": True})
     return [report]
@@ -116,10 +123,10 @@ def cmd_cech(args) -> list[dict]:
     obj = _read_json_input(args)
     if obj is None:
         raise ValueError("cech needs JSON input or --exhaustive")
-    space = FiniteSpace.from_json(obj["space"])
+    space = FiniteSpace.from_json(_field(obj, "space"))
     ring = _request_ring(obj, args.ring or "IntInf")
     family = CoverFamily.make(
-        space, [frozenset(K) for K in _int_lists(obj["family"], '"family"')]
+        space, [frozenset(K) for K in _int_lists(_field(obj, "family"), '"family"')]
     )
     report = tate_equivalence_report(space, family, ring)
     report.update({"name": "cech", "pass": report["agreement"]})
@@ -151,7 +158,9 @@ def cmd_mahler(args) -> list[dict]:
     if args.pairing:
         verdict = suite.mahler_identity(limit=args.max)
         return [verdict]
-    if args.coeffs:
+    if args.coeffs is not None:
+        if not args.coeffs:
+            raise ValueError("--coeffs needs at least one value")
         values = [int(x) for x in args.coeffs.split(",")]
         return [
             {
@@ -178,13 +187,13 @@ def cmd_sw(args) -> list[dict]:
         gens = [CfinFunction(space, ring, (0, 1, 2))]
         clopen = frozenset({1})
     else:
-        space = FiniteSpace.from_json(obj["space"])
+        space = FiniteSpace.from_json(_field(obj, "space"))
         ring = _request_ring(obj, "IntInf")
         gens = [
             CfinFunction.from_point_values(space, ring, tuple(g))
-            for g in _int_lists(obj["gens"], '"gens"')
+            for g in _int_lists(_field(obj, "gens"), '"gens"')
         ]
-        clopen = frozenset(_int_list(obj["clopen"], '"clopen"'))
+        clopen = frozenset(_int_list(_field(obj, "clopen"), '"clopen"'))
     cert = sw_construct_indicator(space, ring, gens, clopen)
     ok = cert.verify(space, ring, gens)
     return [{"name": "sw", "pass": ok, **cert.to_json()}]

@@ -17,7 +17,6 @@ unboundedness of the inverse absorbing map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     ModeMismatch,
@@ -103,12 +102,6 @@ class WeightedFreeModule:
         norm is at least the weight of a symbol it uses.
         """
         return min(self.weights.values(), default=NV_ONE)
-
-    def elements(self, coeff_pool):
-        for combo in product(coeff_pool, repeat=self.rank):
-            yield elem(
-                {s: self.ring.reduce(c) for s, c in zip(self.symbols, combo)}
-            )
 
     def __eq__(self, other):
         return (

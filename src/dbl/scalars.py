@@ -12,9 +12,8 @@ Every nonzero element has norm >= 1, so the norm topology is discrete.
 Elements are plain Python ints, reduced to [0, n) for the Z/n variants.
 n = 1 is allowed for the Z/n variants and gives the zero ring.  Moduli
 above MAX_MODULUS are rejected, which bounds the trial division that
-checks primality and factors n.  Element samples list every residue of
-Z/n, so a ring refuses to list more than MAX_ELEMENTS of them.  A ring
-computes its modulus, and its one, once: on first use.
+checks primality and factors n.  A ring computes its modulus, and its
+one, once: on first use.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._memo import Memo
-from .errors import ElementOutOfRange, SizeExceeded, UnsupportedRing
+from .errors import ElementOutOfRange, UnsupportedRing
 from .normvalue import NV_ONE, NV_ZERO, NormValue, factor_int
 
 _KINDS = ("IntInf", "IntTriv", "FpTriv", "ZmodTriv", "ZmodQuot")
 MAX_MODULUS = 2**32
-MAX_ELEMENTS = 2**16
 # how many names RingDescriptor.parse keeps a descriptor for
 PARSED_NAMES = 64
 _PARSED = Memo(PARSED_NAMES)  # the descriptor of each ring name parsed
@@ -149,19 +147,6 @@ class RingDescriptor:
 
     def eq(self, a: int, b: int) -> bool:
         return self.reduce(a) == self.reduce(b)
-
-    def elements(self, bound: int):
-        """Sample of elements: all of Z/n, or |a| <= bound for Z.
-
-        SizeExceeded when that is more than MAX_ELEMENTS elements.
-        """
-        m = self.modulus
-        sample = range(m) if m is not None else range(-bound, bound + 1)
-        if len(sample) > MAX_ELEMENTS:
-            raise SizeExceeded(
-                f"{self} sample of {len(sample)} elements exceeds MAX_ELEMENTS = 2**16"
-            )
-        return list(sample)
 
     # -- norms -----------------------------------------------------------
 

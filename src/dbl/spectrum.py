@@ -7,23 +7,22 @@ on the ring's modulus.  A point of the spectrum of C_fin(X, R) is a pair
 (quasi-component ultrafilter, base point); G_inverse builds the
 evaluation seminorm from the pair and G_split recovers the pair from any
 seminorm oracle, reading the component off 2k+1 clopen indicators and the
-base point off the constants of one sample (every residue of Z/n, or
--12..13 and 15 for Z), and rejecting oracles outside the family.  The
-oracle's values on the sample are read into one tuple, in sample order;
-each probe prime's value is read at its position there, and the tuple is
-compared with the candidate's values in one tuple comparison.  The
-values of each (base point, ring) pair are one _memo table (see
-_PointValues), which every evaluation reads by subscription; a miss is
-the checked evaluation, and keeps the value if it is small.  The tables
-of MEMO_POINTS pairs are kept in _POINT_VALUES.  An oracle of G_inverse
-holds its pair's table and reads a value off it in one frame, its own
-call.  The functions G_split evaluates an oracle on depend only on
-(space, ring), so the probes of the last pair split are kept in
+base point off the constants of one bounded sample (see _Probes), and
+rejecting oracles outside the family.  The oracle is assumed to be a
+multiplicative seminorm, and is checked on those functions and nowhere
+else (see g_split).  The oracle's values on the sample are read into one
+tuple, in sample order; each probe prime's value is read at its position
+there, and the tuple is compared with the candidate's values in one tuple
+comparison.  The values of each (base point, ring) pair are one _memo
+table (see _PointValues), which every evaluation reads by subscription;
+a miss is the checked evaluation, and keeps the value if it is small.
+The tables of MEMO_POINTS pairs are kept in _POINT_VALUES.  An oracle of
+G_inverse holds its pair's table and reads a value off it in one frame,
+its own call.  The functions G_split evaluates an oracle on depend only
+on (space, ring), so the probes of the last pair split are kept in
 _PROBES and reused while the next split is on the same space and ring
-objects (see _Probes), and the candidate base point's values on the
-sample are read off its table once per sample and kept with it.  The
-README's "Memory bounds" table gives each table's key, bound and
-worst-case size.
+objects.  The README's "Memory bounds" table gives each table's key,
+bound and worst-case size.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, repeat
 
 from ._memo import Memo
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     ValidationFailure,
 )
 from .normvalue import NV_ONE, NV_ZERO, NormValue, _valuation, factor_int
-from .scalars import MAX_ELEMENTS, MAX_MODULUS, RingDescriptor, _is_prime
+from .scalars import MAX_MODULUS, RingDescriptor, _is_prime
 from .spaces import FiniteSpace, _is_int
 from .functions import CfinFunction
 
@@ -173,8 +172,7 @@ def is_admissible(ring: RingDescriptor, point: BasePoint) -> bool:
     return True
 
 
-# bounds of the value tables behind base_eval (see _PointValues); g_split
-# also keeps at most MEMO_ELEMENTS constant functions (see _Probes)
+# bounds of the value tables behind base_eval (see _PointValues)
 MEMO_POINTS = 32
 MEMO_ELEMENTS = 512
 MEMO_KEY_BITS = 64
@@ -205,18 +203,15 @@ class _PointValues(Memo):
     element and the point as _evaluate does, so an input that is rejected
     raises every time and is never stored.  Only small values are kept:
     an element of at most MEMO_KEY_BITS bits with a value of at most
-    MEMO_VALUE_BITS.  want is None or the last sample _identify_base
-    checked this point on, with the point's values there in one tuple,
-    read off this table when that tuple was built.
+    MEMO_VALUE_BITS.
     """
 
-    __slots__ = ("point", "ring", "want")
+    __slots__ = ("point", "ring")
 
     def __init__(self, point: BasePoint, ring: RingDescriptor):
         super().__init__(MEMO_ELEMENTS, MEMO_VALUE_BITS)
         self.point = point
         self.ring = ring
-        self.want = None
 
     def __missing__(self, a: int) -> NormValue:
         v = _evaluate(self.point, self.ring, a)
@@ -307,13 +302,17 @@ class _Probes:
 
     empty is the empty clopen's indicator, inside[i] and outside[i] those
     of quasi-component i and of its complement, sample the constants
-    _identify_base tests (_Z_SAMPLE on Z, every residue of Z/n), and
-    constants[j] the constant function of sample[j], for the first
-    MEMO_ELEMENTS of them.  All of them live on the space and ring objects
-    they were built for, so an oracle's identity guard passes at once.
+    _identify_base tests: _Z_SAMPLE and the probe primes (_SAMPLE_PRIMES
+    for Z, the prime divisors of n for Z/n), reduced by the ring, each
+    once and in that order (_Z_SAMPLE itself on Z, every residue of Z/n
+    for n <= 26, at most 27 + omega(n) past it), constants[j] the
+    constant function of sample[j], and primes each probe prime with the
+    position of its residue in sample.  All of them live on the space and
+    ring objects they were built for, so an oracle's identity guard
+    passes at once.
     """
 
-    __slots__ = ("space", "ring", "empty", "inside", "outside", "sample", "constants")
+    __slots__ = ("space", "ring", "empty", "inside", "outside", "primes", "sample", "constants")
 
     def __init__(self, space: FiniteSpace, ring: RingDescriptor):
         k = len(space.quasi_components)
@@ -326,8 +325,10 @@ class _Probes:
         self.inside = tuple(fn((zero,) * c + (one,) + (zero,) * (k - 1 - c)) for c in range(k))
         self.outside = tuple(fn((one,) * c + (zero,) + (one,) * (k - 1 - c)) for c in range(k))
         m = ring.modulus
-        self.sample = _Z_SAMPLE if m is None else range(m)
-        self.constants = tuple(fn((a,) * k) for a in islice(self.sample, MEMO_ELEMENTS))
+        primes = _SAMPLE_PRIMES if m is None else tuple(q for q, _ in factor_int(m))
+        self.sample = tuple(dict.fromkeys(map(ring.reduce, (*_Z_SAMPLE, *primes))))
+        self.primes = tuple((p, self.sample.index(ring.reduce(p))) for p in primes)
+        self.constants = tuple(fn((a,) * k) for a in self.sample)
 
 
 # the probes of the last split, keyed on the ids of its space and ring objects
@@ -338,35 +339,22 @@ _PROBES = Memo(1)
 def _identify_base(probes: _Probes, oracle) -> BasePoint:
     """Match the oracle's values on constants against the admissible family.
 
-    The oracle is called once on the constant of each sample element, in
-    sample order, and the values are kept in one tuple.  The probe primes
-    are those of _SAMPLE_PRIMES for Z and the prime divisors of n for Z/n,
-    and each is read at its position in the sample.  The first probe with
-    a value other than 1 names the candidate (value 0: residue; p**eps:
-    arch; p**-eps: p-adic); with none it is the trivial point.  The
-    candidate must be admissible and match the oracle on every constant of
-    the sample.  On Z the sample also holds the products of two distinct
-    _GRID_PRIMES, where the max of two p-adic points of the grid first
-    fails multiplicativity.  The constants past the kept ones are built as
-    the oracle reaches them.  The candidate's values on the sample, the
-    want table, are built once per (point, ring, sample) and kept on the
-    pair's table (see _PointValues); every split compares all of them.
+    The oracle is called once on each of the probes' constants, in sample
+    order, and the values are kept in one tuple; each probe prime's value
+    is read at its position there.  The first probe with a value other
+    than 1 names the candidate (value 0: residue; p**eps: arch; p**-eps:
+    p-adic); with none it is the trivial point.  The candidate must be
+    admissible and match the oracle on every constant of the sample,
+    whose values are read off its pair's table on every split, and on
+    nothing else.  On Z the sample also holds the products of two
+    distinct _GRID_PRIMES, where the max of two p-adic points of the grid
+    first fails multiplicativity.
     """
-    space, ring, sample, constants = probes.space, probes.ring, probes.sample, probes.constants
-    if len(sample) > MAX_ELEMENTS:
-        ring.elements(0)  # raises SizeExceeded, once the indicators have passed
-    m = ring.modulus
-    # on Z/n every residue is sampled, which holds the reduced probes
-    primes = _SAMPLE_PRIMES if m is None else [q for q, _ in factor_int(m)]
-    functions = constants
-    if len(sample) > len(constants):
-        k = len(space.quasi_components)
-        fresh = (CfinFunction(space, ring, (a,) * k) for a in islice(sample, len(constants), None))
-        functions = chain(constants, fresh)
-    got = tuple(map(oracle, functions))
+    ring, sample = probes.ring, probes.sample
+    got = tuple(map(oracle, probes.constants))
     candidate = _TRIVIAL
-    for p in primes:
-        v = got[sample.index(p if m is None else p % m)]
+    for p, i in probes.primes:
+        v = got[i]
         if not isinstance(v, NormValue):
             raise UnrecognizedBasePoint(f"the value at {p} is a {type(v).__name__}, not a NormValue")
         if v.is_one:
@@ -385,12 +373,7 @@ def _identify_base(probes: _Probes, oracle) -> BasePoint:
     if not is_admissible(ring, candidate):
         raise UnrecognizedBasePoint(f"{candidate} is not admissible here")
     values = _point_values(candidate, ring)
-    kept = values.want
-    if kept is not None and kept[0] == sample:
-        want = kept[1]
-    else:
-        want = tuple([values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in sample])
-        values.want = sample, want
+    want = tuple([values[a] if type(a) is int else _evaluate(candidate, ring, a) for a in sample])
     if got != want:
         a = next(a for a, v, w in zip(sample, got, want) if v != w)
         raise UnrecognizedBasePoint(f"constant {a} disagrees with {candidate}")
@@ -405,10 +388,15 @@ def g_split(oracle: SeminormOracle) -> SpectrumPoint:
     1 - e_i.  In a multiplicative seminorm e_i e_j = 0 and sum e_i = 1, so
     exactly one |e_c| is nonzero and |1_U| != 0 exactly when U holds that
     component; a sample that shows otherwise raises NotUltrafilter.  No
-    other clopen is tested.  The base point is identified from the values
-    on constants, then verified on the whole constant sample.  A value on
-    an indicator that is not a NormValue raises NotUltrafilter, and one on
-    a probe prime raises UnrecognizedBasePoint.
+    other clopen is tested.  The base point is read off the probe primes'
+    constants and checked on the bounded constant sample of _Probes, and
+    nowhere else.  The oracle is assumed to be a multiplicative seminorm,
+    for which that is enough: once the indicators fix the component c,
+    |f| = |f e_c| = |f(c)|, and on Z/n a point is fixed by its values at
+    the primes dividing n.  An oracle that lies only off those samples
+    passes.  A value on an indicator that is not a NormValue raises
+    NotUltrafilter, and one on a probe prime, or a probe value that names
+    no admissible point, raises UnrecognizedBasePoint.
     """
     key = id(oracle.space), id(oracle.ring)
     probes = _PROBES.get(key)

@@ -5,7 +5,7 @@ every lift, every representation, every sampled pair of a ring or a
 seminorm.  They cross-check the library on small inputs.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from dbl import cech
@@ -231,6 +231,56 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def ring_elements(ring: RingDescriptor, bound: int) -> list[int]:
+    """Every residue of Z/n, or the ints a with |a| <= bound for Z."""
+    m = ring.modulus
+    return list(range(m) if m is not None else range(-bound, bound + 1))
+
+
+def zmod_power_seminorms(n: int, k: int) -> set[tuple[int, ...]]:
+    """Every multiplicative seminorm on (Z/n)^k, by backtracking.
+
+    On a finite ring some a**m equals a**(m+t) with t >= 1, so |a| is 0 or
+    1, and a seminorm is its values on the elements of (Z/n)^k, listed in
+    itertools.product order.  The search assigns 0 or 1 to one element at
+    a time and propagates |0| = 0, |1| = 1, |ab| = |a||b|, and |a + b| = 0
+    when |a| = |b| = 0, dropping a branch at its first conflict.  The
+    kernel of what survives is a prime ideal, so there are k * omega(n).
+    """
+    elements = list(product(range(n), repeat=k))
+
+    def assign(values: dict, a, v: int) -> dict | None:
+        values = dict(values)
+        queue = [(a, v)]
+        while queue:
+            a, v = queue.pop()
+            if a in values:
+                if values[a] != v:
+                    return None
+                continue
+            values[a] = v
+            for b, w in list(values.items()):
+                queue.append((tuple(x * y % n for x, y in zip(a, b)), v * w))
+                if v == w == 0:
+                    queue.append((tuple((x + y) % n for x, y in zip(a, b)), 0))
+        return values
+
+    found = set()
+
+    def search(values: dict | None):
+        if values is None:
+            return
+        free = next((a for a in elements if a not in values), None)
+        if free is None:
+            found.add(tuple(values[a] for a in elements))
+            return
+        for v in (0, 1):
+            search(assign(values, free, v))
+
+    search(assign({(0,) * k: 0}, (1 % n,) * k, 1))
+    return found
+
+
 def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
     """Check the normed-ring laws on all pairs of sampled elements.
 
@@ -241,7 +291,7 @@ def validate_ring(ring: RingDescriptor, sample_bound: int) -> dict:
     """
     if sample_bound < 2:
         raise ValueError("sample_bound must be >= 2")
-    sample = ring.elements(sample_bound)
+    sample = ring_elements(ring, sample_bound)
     for a in sample:
         na = ring.norm(a)
         if (a == ring.zero) != na.is_zero:
@@ -282,7 +332,7 @@ def validate_point(ring: RingDescriptor, point: BasePoint, sample_bound: int = 2
     if not is_admissible(ring, point):
         raise ValidationFailure("admissibility", str(point))
     point = canonical_point(ring, point)
-    sample = ring.elements(sample_bound)
+    sample = ring_elements(ring, sample_bound)
 
     def value(a):
         return base_eval(point, ring, a)

@@ -115,6 +115,7 @@ DELETED = [
     ("normvalue", "_fraction"),
     ("normvalue", "_from_digits"),
     ("normvalue", "nv_compare"),
+    ("scalars", "MAX_ELEMENTS"),
     ("spaces", "zeta_embedding_check"),
     ("spectrum", "_LAST_PROBES"),
     ("spectrum", "_MEMOS"),
@@ -128,8 +129,11 @@ DELETED = [
 DELETED_MEMBERS = [
     ("bases", "BasisFamily", "member"),
     ("bases", "BasisFamily", "rows"),
+    ("modtensor", "WeightedFreeModule", "elements"),
+    ("scalars", "RingDescriptor", "elements"),
     ("scalars", "RingDescriptor", "isolation_gap"),
     ("spaces", "BallNode", "all_nodes"),
+    ("spectrum", "_PointValues", "want"),
 ]
 
 # (former module, name): moved to tests/oracles.py

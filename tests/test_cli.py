@@ -214,19 +214,26 @@ def test_ring_moduli_above_the_cap_exit_2_quickly(capsys, monkeypatch, ring, cod
 
 
 @pytest.mark.parametrize(
-    "ring, code", [("FpTriv(65521)", 0), ("FpTriv(1000003)", 2), ("FpTriv(4294967291)", 2)]
+    "ring, points",
+    [
+        ("FpTriv(65521)", None),
+        ("FpTriv(1000003)", None),
+        ("FpTriv(4294967291)", None),
+        ("ZmodTriv(65536)", 32),
+        ("ZmodQuot(4294967296)", 32),
+    ],
+    ids=["FpTriv(65521)", "FpTriv(1000003)", "FpTriv(4294967291)", "ZmodTriv(65536)-32", "ZmodQuot(4294967296)-32"],
 )
-def test_spectrum_rings_above_max_elements_exit_2_quickly(capsys, monkeypatch, ring, code):
+def test_spectrum_answers_quickly_at_the_ring_caps(capsys, monkeypatch, ring, points):
+    # the default space within 1 s, and discrete(32) within 2 s
+    request_ = json.dumps({"space": FiniteSpace.discrete(points).to_json()}) if points else ""
     started = time.perf_counter()
     got, report, _ = run_cli(
-        capsys, ["spectrum", "--ring", ring], stdin_text="", monkeypatch=monkeypatch
+        capsys, ["spectrum", "--ring", ring], stdin_text=request_, monkeypatch=monkeypatch
     )
-    assert got == code
-    if code == 2:
-        assert time.perf_counter() - started < 1.0
-        assert report["error"].startswith("SizeExceeded")
-    else:
-        assert report["verdicts"][0]["recovered_classes"] == [0, 1]
+    assert time.perf_counter() - started < (2.0 if points else 1.0)
+    assert got == 0
+    assert report["verdicts"][0]["recovered_classes"] == list(range(points or 2))
 
 
 def test_malformed_json_exits_2(capsys, monkeypatch):
@@ -323,6 +330,8 @@ NINES = "9" * 4300  # the most digits str() and int() convert by default
         # each value has 4300 digits, but a_1 = -2 * value has 4301
         (["mahler", "--coeffs", f"{NINES},-{NINES}"], "SizeExceeded"),
         (["mahler", "--coeffs", ",".join([NINES, "-" + NINES] * 512)], "SizeExceeded"),
+        # an empty list is refused, not answered with the pairing example
+        (["mahler", "--coeffs="], "ValueError: --coeffs"),
     ],
 )
 def test_mahler_and_basis_answer_within_their_caps(capsys, argv, error):
@@ -515,6 +524,25 @@ def test_request_fields_of_the_wrong_type_exit_2(capsys, monkeypatch, command, r
     )
     assert code == 2
     assert report["error"].startswith("ValueError")
+
+
+@pytest.mark.parametrize(
+    "command, request_, key",
+    [
+        ("spectrum", TWO_POINTS, "space"),
+        ("cech", {"family": [[0], [1]]}, "space"),
+        ("cech", {"space": TWO_POINTS}, "family"),
+        ("sw", {"gens": [[0, 3]], "clopen": [1]}, "space"),
+        ("sw", {"space": TWO_POINTS, "clopen": [1]}, "gens"),
+        ("sw", {"space": TWO_POINTS, "gens": [[0, 3]]}, "clopen"),
+    ],
+)
+def test_a_request_without_a_required_key_names_it(capsys, monkeypatch, command, request_, key):
+    code, report, _ = run_cli(
+        capsys, [command], stdin_text=json.dumps(request_), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert report["error"] == f'ValueError: the request needs "{key}"'
 
 
 # -- fuzzing -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import re
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,7 @@ from dbl.spectrum import (
     gelfand_roundtrip,
     is_admissible,
 )
-from oracles import g_split_by_sweep, topologies, validate_point
+from oracles import g_split_by_sweep, ring_elements, topologies, validate_point, zmod_power_seminorms
 
 Z = int_inf()
 
@@ -387,7 +387,7 @@ def test_g_split_on_honest_squared_and_max_oracles():
     space = glued_pairs()
     for ring in (Z, int_triv(), fp_triv(3), zmod_triv(6), zmod_quot(6)):
         grid = admissible_points(ring)
-        sample = ring.elements(40)
+        sample = ring_elements(ring, 40)
         for c in range(len(space.quasi_components)):
             honest = {b: g_inverse(c, b, space, ring) for b in grid}
             for b, x in honest.items():
@@ -570,16 +570,12 @@ def test_every_reader_reads_the_one_dict_of_its_pair():
     values[7] = planted
     assert base_eval(p, Z, 7) is planted
     assert g_inverse(0, p, space, Z)(CfinFunction(space, Z, (7, 0))) is planted
-    # _identify_base checks an oracle that reads no memo against the want
-    # table it builds off the dict once per sample, so the table holds the
-    # planted value; a dict changed by hand needs its table dropped too
+    # _identify_base reads the candidate's values off the dict on every
+    # split, so an oracle that reads no memo disagrees with the planted value
     direct = SeminormOracle(space, Z, lambda f: spectrum._evaluate(p, Z, f.values[0]))
     with pytest.raises(UnrecognizedBasePoint, match="constant 7 disagrees with ArchPow"):
         g_split(direct)
-    sample, want = values.want
-    assert want[sample.index(7)] is planted
     del values[7]
-    values.want = None
     assert g_split(direct) == SpectrumPoint(0, p)
     assert base_eval(p, Z, 7) is values[7] == NormValue.from_fraction(7)
 
@@ -590,12 +586,13 @@ def test_every_reader_rejects_what_is_no_element_and_never_stores_it():
     values = _memo(p, ring)
     oracle = g_inverse(0, p, space, ring)
     probes = spectrum._Probes(space, ring)
-    probes.constants = ()
     # the values of p, for any value a sample holds
     lenient = SeminormOracle(space, ring, lambda f: NV_ZERO if f.values[0] in (0, 2) else NV_ONE)
 
     def identify(a):
-        probes.sample = (0, 2, 3, a)  # a in place of 1
+        # the oracle is still called on the constants of 0..3, and its
+        # values are checked against the candidate's on a in place of 1
+        probes.sample = (0, a, 2, 3)
         spectrum._identify_base(probes, lenient)
 
     for warm in (False, True):
@@ -627,6 +624,43 @@ def test_point_values_drop_the_oldest_pair_first():
 
 
 
+# -- every point of the spectrum of (Z/n)^k ---------------------------------------
+
+# the (n, k) the enumeration covers: (Z/n)^k of at most 216 elements, and the
+# n past 26, where g_split tests a bounded sample of residues
+ZMOD_POWERS = [(n, k) for n in (2, 3, 4, 5, 6, 8, 9, 12, 27, 30, 32) for k in (1, 2, 3) if n**k <= 216]
+
+
+def _zero_one(v: NormValue) -> int:
+    assert v.is_zero or v.is_one, v
+    return 0 if v.is_zero else 1
+
+
+@pytest.mark.parametrize("n, k", ZMOD_POWERS)
+def test_every_seminorm_of_a_finite_ring_power_is_an_evaluation(n, k):
+    # C(discrete(k), Z/n) is (Z/n)^k, whose multiplicative seminorms the
+    # backtracker lists with no help from dbl: there are k * omega(n) of
+    # them, they are the g_inverse images of the admissible points, and
+    # g_split sends each to a point whose g_inverse is that seminorm
+    omega = sum(1 for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+    space = FiniteSpace.discrete(k)
+    enumerated = zmod_power_seminorms(n, k)
+    assert len(enumerated) == k * omega
+    for ring in (zmod_triv(n), zmod_quot(n)):
+        functions = [CfinFunction(space, ring, e) for e in product(range(n), repeat=k)]
+
+        def values(x):
+            return tuple(_zero_one(x(f)) for f in functions)
+
+        points = [(c, b) for c in range(k) for b in admissible_points(ring)]
+        assert {values(g_inverse(c, b, space, ring)) for c, b in points} == enumerated
+        for seminorm in enumerated:
+            table = dict(zip((f.values for f in functions), seminorm))
+            oracle = SeminormOracle(space, ring, lambda f, table=table: NV_ONE if table[f.values] else NV_ZERO)
+            point = g_split(oracle)
+            assert values(g_inverse(point.component, point.base, space, ring)) == seminorm
+
+
 # -- the probes behind g_split -------------------------------------------------
 
 
@@ -647,19 +681,46 @@ def test_probes_are_kept_for_the_last_pair_on_its_objects():
     assert all(f.space is twin for f in (probes.empty, *probes.inside, *probes.outside, *probes.constants))
 
 
-def test_probes_keep_at_most_memo_elements_constants_and_test_every_residue():
+def test_probes_test_one_bounded_sample_of_constants():
+    # past n = 26 the sample is -12..13, 15 and the probe primes, reduced:
+    # g_split checks the oracle there and nowhere else
     space, ring = FiniteSpace.discrete(32), zmod_triv(4096)
+    sample = (*range(4084, 4096), *range(14), 15)
     spectrum._PROBES.clear()
     oracle = g_inverse(31, BasePoint.residue(2), space, ring)
     for _ in range(2):  # cold, then warm
         verdict, calls = _counted_split(oracle)
         assert verdict == SpectrumPoint(31, BasePoint.residue(2))
-        assert len(_last_probes().constants) == MEMO_ELEMENTS
-        assert calls[2 * 32 + 1 :] == [(a,) * 32 for a in range(4096)]
-    # an oracle wrong only past the kept constants is still rejected
+        assert _last_probes().sample == sample
+        assert calls[2 * 32 + 1 :] == [(a,) * 32 for a in sample]
+    # an oracle wrong at a sampled residue, 4094 = -2, is rejected
     liar = SeminormOracle(space, ring, lambda f: NV_ONE if f.values == (4094,) * 32 else oracle(f))
     with pytest.raises(UnrecognizedBasePoint, match="constant 4094"):
         g_split(liar)
+    # and one wrong only at an unsampled residue splits, as the contract states
+    unsampled = SeminormOracle(space, ring, lambda f: NV_ZERO if f.values == (1001,) * 32 else oracle(f))
+    assert g_split(unsampled) == SpectrumPoint(31, BasePoint.residue(2))
+
+
+N6 = 17 * 19 * 23 * 29 * 31 * 37  # six primes, none of them in _Z_SAMPLE
+
+
+@pytest.mark.parametrize(
+    "ring, sample",
+    [
+        (Z, (*range(-12, 14), 15)),
+        (zmod_triv(26), (*range(14, 26), *range(14))),  # every residue
+        (zmod_quot(2**32), (*range(2**32 - 12, 2**32), *range(14), 15)),
+        (zmod_triv(N6), (*range(N6 - 12, N6), *range(14), 15, 17, 19, 23, 29, 31, 37)),
+    ],
+    ids=["IntInf", "ZmodTriv(26)", "ZmodQuot(2**32)", "ZmodTriv(N6)"],
+)
+def test_the_sample_is_the_z_sample_and_the_probe_primes_reduced(ring, sample):
+    probes = spectrum._Probes(FiniteSpace.discrete(2), ring)
+    assert probes.sample == sample
+    assert [f.values for f in probes.constants] == [(a, a) for a in sample]
+    # each probe prime is read at the position of its residue
+    assert [sample[i] for _, i in probes.primes] == [ring.reduce(p) for p, _ in probes.primes]
 
 
 def test_the_trivial_point_is_one_shared_object():
@@ -669,24 +730,20 @@ def test_the_trivial_point_is_one_shared_object():
     assert canonical_point(fp_triv(5), BasePoint.residue(5)) is trivial
 
 
-def test_a_kept_want_table_still_checks_every_constant():
-    # a candidate's values on the sample are built once per (point, ring,
-    # sample) and kept with its memo: an oracle that agrees with an
-    # already-kept table on every constant but one is still rejected, and
-    # the error names that constant
+def test_a_warm_split_still_checks_every_sampled_constant():
+    # an oracle that agrees with the candidate on every sampled constant
+    # but one is rejected on a warm split too, and the error names that one
     space = FiniteSpace.discrete(2)
-    for ring, point, wrong in ((zmod_triv(1024), BasePoint.residue(2), 1001), (Z, BasePoint.arch(1), 15)):
+    for ring, point, wrong, lie in (
+        (zmod_triv(1024), BasePoint.residue(2), 1020, NV_ONE),  # 1020 = -4
+        (Z, BasePoint.arch(1), 15, NV_ZERO),
+    ):
         honest = g_inverse(0, point, space, ring)
         assert g_split(honest) == SpectrumPoint(0, point)
-        kept = _memo(point, ring).want
         assert g_split(honest) == SpectrumPoint(0, point)
-        assert _memo(point, ring).want is kept  # read, not rebuilt
-        liar = SeminormOracle(
-            space, ring, lambda f: NV_ZERO if f.values == (wrong, wrong) else honest(f)
-        )
+        liar = SeminormOracle(space, ring, lambda f: lie if f.values == (wrong, wrong) else honest(f))
         with pytest.raises(UnrecognizedBasePoint, match=re.escape(f"constant {wrong} disagrees with {point}")):
             g_split(liar)
-        assert _memo(point, ring).want is kept
 
 
 def _reference(point: BasePoint, ring, a: int) -> NormValue:
